@@ -6,9 +6,10 @@ minimax.  Reproduced finding: **t*(T_n) equals the lower-bound formula
 tight at these sizes, and the paper's open gap (Section 5) leans toward
 the lower end at small n.
 
-n = 6 (7776 trees/state, ~112k canonical states, tens of minutes) is
-gated behind ``REPRO_BENCH_EXACT_N6=1``; its result is recorded in
-EXPERIMENTS.md.  The benchmark times the n = 4 solve.
+n = 6 (7776 trees/state, ~112k canonical states) is gated behind
+``REPRO_BENCH_EXACT_N6=1``; its result is recorded as ``EXACT_N6`` below
+and in E3's table note (``repro.experiments.registry``).  The benchmark
+times the n = 4 solve.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from repro.adversaries.exact import ExactGameSolver
 from repro.analysis.tables import format_table
 from repro.core.bounds import lower_bound, upper_bound
 
-#: (n, exact value) -- n=6 computed once with this library (1620 s, 112620
-#: canonical states); re-verified in-suite only when explicitly requested.
+#: (n, exact value) -- n=6 computed with this library (112620 canonical
+#: states; 1620 s with the tuple-based solver, ~100 s with the packed one on
+#: a 2-vCPU VM); re-verified in-suite only when explicitly requested.
 EXACT_VALUES = [(2, 1), (3, 2), (4, 4), (5, 5)]
 EXACT_N6 = (6, 7)
 
@@ -62,7 +64,7 @@ def test_print_exact_table(capsys):
 
 @pytest.mark.skipif(
     os.environ.get("REPRO_BENCH_EXACT_N6") != "1",
-    reason="n=6 exact solve takes ~30 minutes; set REPRO_BENCH_EXACT_N6=1",
+    reason="n=6 exact solve takes ~100 s; set REPRO_BENCH_EXACT_N6=1",
 )
 def test_exact_n6_full_solve():
     result = ExactGameSolver(6, max_states=30_000_000).solve()

@@ -82,7 +82,8 @@ class CyclicFamilyAdversary(Adversary):
     :func:`quadratic_potential_score` is played.  Reach sets then remain
     cyclic intervals throughout the run, and the achieved broadcast time
     equals the Theorem 3.1 lower-bound formula on every size we have
-    checked (see EXPERIMENTS.md, E2/E3).
+    checked (experiments E2/E3 in :mod:`repro.experiments.registry`, pinned
+    in ``tests/fixtures/golden_experiments.json``).
 
     The whole ``O(n²/m_stride)``-candidate pool is scored per round in
     blocked batched compositions

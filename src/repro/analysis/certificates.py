@@ -1,7 +1,8 @@
 """Certificates: independent validation of claimed results.
 
 Search adversaries and the exact solver output broadcast times and witness
-sequences; before a number lands in EXPERIMENTS.md it is re-validated here
+sequences; before a number lands in an experiment table (``repro.experiments``,
+pinned in ``tests/fixtures/golden_experiments.json``) it is re-validated here
 from scratch (fresh state, plain engine, no shared code paths with the
 search that produced it).
 """

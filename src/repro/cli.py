@@ -244,9 +244,15 @@ def cmd_exact(args: argparse.Namespace) -> int:
     """Exhaustive solve for small ``n``."""
     from repro.adversaries.exact import ExactGameSolver
     from repro.core.bounds import lower_bound, upper_bound
+    from repro.errors import SearchBudgetExceeded
 
-    solver = ExactGameSolver(args.n, max_states=args.max_states)
-    result = solver.solve()
+    try:
+        solver = ExactGameSolver(args.n, max_states=args.max_states)
+        result = solver.solve()
+        sequence = solver.optimal_sequence() if args.show_sequence else []
+    except SearchBudgetExceeded as exc:  # n too large, or --max-states hit
+        print(f"{exc} (states explored: {exc.states_explored})", file=sys.stderr)
+        return 2
     print(
         f"t*(T_{args.n}) = {result.t_star} exactly "
         f"(formulas: LB={lower_bound(args.n)}, UB={upper_bound(args.n)})"
@@ -255,9 +261,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
         f"states explored: {result.states_explored}; trees per state: "
         f"{result.tree_count}; solve time: {result.elapsed_seconds:.2f}s"
     )
-    if args.show_sequence:
-        for i, tree in enumerate(solver.optimal_sequence(), start=1):
-            print(f"round {i}: parents={list(tree.parents)}")
+    for i, tree in enumerate(sequence, start=1):
+        print(f"round {i}: parents={list(tree.parents)}")
     return 0
 
 

@@ -1,6 +1,6 @@
 """Programmatic experiment registry.
 
-Each experiment of DESIGN.md's per-experiment index (E1..E8) is runnable
+Each experiment of the reproduction (E1..E8, defined in ``registry``) is runnable
 three ways: via the benchmark harness (``pytest benchmarks/ -m table``),
 via the CLI (``repro-broadcast experiment E2``), and programmatically
 through this package:
@@ -11,7 +11,8 @@ through this package:
 
 The registry's run functions use CLI-friendly (smaller) parameter grids
 than the benchmark harnesses; the benchmarks remain the authoritative
-regeneration path recorded in EXPERIMENTS.md.
+regeneration path, and the tables printed here are pinned byte for byte in
+``tests/fixtures/golden_experiments.json``.
 """
 
 from repro.experiments.registry import (

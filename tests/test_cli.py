@@ -99,6 +99,17 @@ class TestSweepExactLemmas:
         out = capsys.readouterr().out
         assert "round 1" in out
 
+    @pytest.mark.parametrize(
+        "argv,explored",
+        [(["exact", "-n", "9"], 0), (["exact", "-n", "6", "--max-states", "20"], 20)],
+    )
+    def test_exact_budget_exits_cleanly(self, capsys, argv, explored):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert f"(states explored: {explored})" in captured.err
+
     def test_lemmas_clean(self, capsys):
         assert main(["lemmas", "-n", "5", "--trials", "10"]) == 0
         out = capsys.readouterr().out

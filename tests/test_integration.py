@@ -1,7 +1,9 @@
 """End-to-end integration tests: the reproduction's headline claims.
 
-Each test here corresponds to a row of EXPERIMENTS.md and exercises
-multiple subsystems together (adversaries + engines + bounds + analysis).
+Each test here corresponds to an experiment (E1..E8) of
+``repro.experiments.registry``, whose tables are pinned in
+``tests/fixtures/golden_experiments.json``, and exercises multiple
+subsystems together (adversaries + engines + bounds + analysis).
 """
 
 from __future__ import annotations
