@@ -1,7 +1,7 @@
 """Benchmark-suite configuration.
 
-Each ``bench_*.py`` module regenerates one experiment from DESIGN.md's
-per-experiment index (E1..E8).  Tables are printed to stdout (run pytest
+The experiment ``bench_*.py`` modules each regenerate one of E1..E8 from
+:mod:`repro.experiments.registry`.  Tables are printed to stdout (run pytest
 with ``-s`` to see them inline; they are always emitted so ``tee`` captures
 them) and the timing-sensitive kernels are measured with
 pytest-benchmark.

@@ -6,7 +6,7 @@ in-neighbor.  Two facts from the related work frame our experiment E6:
 * Charron-Bost, Függer, Nowak [1]: one round of a nonsplit graph can be
   simulated by ``n - 1`` rounds of rooted trees -- equivalently, the
   composition of any ``n - 1`` rooted trees (with self-loops) is nonsplit
-  (Lemma N in DESIGN.md, property-tested in this repo);
+  (Lemma N, property-tested in ``tests/test_properties.py``);
 * Függer, Nowak, Winkler [9]: broadcast over nonsplit graphs takes
   ``O(log log n)`` rounds, which via the simulation yields the previous
   ``O(n log log n)`` bound for rooted trees.

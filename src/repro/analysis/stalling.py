@@ -1,6 +1,7 @@
 """Stalling analysis: who fails to grow, and why.
 
-Executable forms of the two structural lemmas (DESIGN.md):
+Executable forms of the two structural lemmas (derived in
+:mod:`repro.trees.subtree`):
 
 * **Lemma R** -- the chosen root always gains while unfinished;
 * **Lemma S** -- node ``x`` stalls iff its reach set is a union of

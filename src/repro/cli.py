@@ -182,19 +182,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Portfolio sweep over a range of ``n`` (any engine, optionally sharded)."""
     from repro.analysis.tables import format_table
     from repro.engine.executor import get_executor
-    from repro.engine.shard import default_sweep_factories
+    from repro.service.specs import portfolio_handles
 
+    # Declarative handles are picklable (spawn-safe for sharding) and make
+    # each grid cell content-addressable for --cache.
+    factories = portfolio_handles(include_search=not args.fast)
     cache = None
     if args.cache:
-        # Declarative handles mirror default_sweep_factories one-for-one;
-        # they are what makes each grid cell content-addressable.
         from repro.service.cache import ResultCache, SweepCellCache
-        from repro.service.specs import portfolio_handles
 
-        factories = portfolio_handles(include_search=not args.fast)
         cache = SweepCellCache(ResultCache(path=args.cache))
-    else:
-        factories = default_sweep_factories(include_search=not args.fast)
     _warn_ignored_workers(args)
     executor = get_executor(args.engine, workers=args.workers)
     result = executor.sweep(factories, args.ns, cache=cache)

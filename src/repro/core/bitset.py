@@ -236,9 +236,6 @@ class BitsetBackend(MatrixBackend):
 # leave the backend unregistered there so requesting it fails loudly.
 if sys.byteorder == "little":
     register_backend(BitsetBackend())
-    # The optional numba backend shares this packed layout; its module
-    # registers itself only when numba is importable (no hard dependency).
-    from repro.core import backend_numba as _backend_numba  # noqa: E402,F401
 
 __all__ = [
     "OR_CHUNK_BYTES",

@@ -206,7 +206,7 @@ _rules_cache: Optional[Tuple[Dict[str, Dict[str, float]], Optional[str], Optiona
 
 #: Optional observability hook (installed by :mod:`repro.obs.profile`).
 #: When set, every compose that crosses the kernel seam routes through it
-#: as ``observer(namespace, kernel_name, n, thunk) -> result``; when
+#: as ``observer(backend_name, kernel_name, n, thunk) -> result``; when
 #: ``None`` (the default) call sites take the raw path -- one attribute
 #: load and an ``is None`` branch is the entire disabled cost.
 _compose_observer: Optional[Callable[[str, str, int, Callable[[], np.ndarray]], np.ndarray]] = None
@@ -339,19 +339,16 @@ def graph_compose(
     backends validate before routing here).  A forced kernel that is not
     registered for this backend's layout falls back to auto dispatch, so
     ``REPRO_KERNEL=gather`` can drive a whole suite without the dense
-    backend erroring.  Backends sharing another backend's handle layout
-    (the numba backend reuses bitset packing) set ``kernel_namespace`` to
-    borrow its kernel table.
+    backend erroring.
     """
-    namespace = getattr(backend, "kernel_namespace", backend.name)
-    table = _KERNELS.get(namespace)
+    table = _KERNELS.get(backend.name)
     if not table:
         raise BackendError(
             f"no graph-compose kernels registered for backend {backend.name!r}"
         )
     name = forced_kernel_name()
     if name is None or name not in table:
-        name = choose_kernel(namespace, mat.shape[0], g)
+        name = choose_kernel(backend.name, mat.shape[0], g)
     if name is None:
         raise BackendError(
             f"no dispatch rule for backend {backend.name!r}"
@@ -359,7 +356,7 @@ def graph_compose(
     observer = _compose_observer
     if observer is None:
         return table[name](mat, g)
-    return observer(namespace, name, mat.shape[0], lambda: table[name](mat, g))
+    return observer(backend.name, name, mat.shape[0], lambda: table[name](mat, g))
 
 
 # ----------------------------------------------------------------------
@@ -551,9 +548,8 @@ def static_completion_search(
     observer = _compose_observer
     if observer is None:
         return _static_completion_search(backend, parents, n, cap)
-    namespace = getattr(backend, "kernel_namespace", backend.name)
     return observer(
-        namespace,
+        backend.name,
         "squaring",
         n,
         lambda: _static_completion_search(backend, parents, n, cap),

@@ -212,7 +212,7 @@ class BroadcastState:
             self._backend.compose_with_tree_inplace(self._mat, parents)
             return
         observer(
-            getattr(self._backend, "kernel_namespace", self._backend.name),
+            self._backend.name,
             "tree-compose",
             self._n,
             lambda: self._backend.compose_with_tree_inplace(self._mat, parents),

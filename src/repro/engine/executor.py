@@ -802,14 +802,16 @@ def _spec_shard_worker(payload: Tuple) -> List[Tuple[int, RunReport]]:
 class ShardedExecutor(Executor):
     """Partition spec lists across a ``multiprocessing`` worker pool.
 
-    Sharding follows :class:`repro.engine.shard.ShardedSweepRunner`'s
-    determinism recipe: contiguous balanced shards, backends resolved to
+    Determinism: contiguous balanced shards
+    (:func:`repro.engine.shard.split_shards`), backends resolved to
     *names* before crossing the ``spawn`` boundary, outputs merged back by
     spec index -- so results are element-wise identical to
     :class:`BatchExecutor` (hence :class:`SequentialExecutor`) for any
-    worker count.  Specs must be picklable for ``workers > 1``: use
-    factories (module-level callables / classes / ``functools.partial``)
-    rather than closures, exactly as sharded sweeps require.
+    worker count.  Sweeps inherit :meth:`Executor.sweep`, which sends
+    every uncached grid cell through this sharded :meth:`run_many`.
+    Specs must be picklable for ``workers > 1``: use factories
+    (module-level callables / classes / ``functools.partial`` /
+    :class:`repro.service.specs.SpecHandle`) rather than closures.
 
     ``workers=1`` runs everything inline through one
     :class:`BatchExecutor` (no pool, no pickling requirement).
@@ -869,42 +871,6 @@ class ShardedExecutor(Executor):
             merged.extend(shard_out)
         merged.sort(key=lambda pair: pair[0])
         return [report for _, report in merged]
-
-    def sweep(
-        self,
-        adversary_factories: Dict[str, Callable[[int], AdversaryProtocol]],
-        ns: Sequence[int],
-        max_rounds: Optional[int] = None,
-        backend: BackendLike = None,
-        cache: Optional[object] = None,
-    ) -> "SweepResult":
-        """Sharded sweep via :class:`~repro.engine.shard.ShardedSweepRunner`.
-
-        Delegates to the proven bit-identical merge path (the runner's
-        workers drive :class:`BatchExecutor` through
-        :func:`repro.engine.runner.run_adversaries_batch`).  With a
-        ``cache``, the generic cache-aware grid path runs instead (cells
-        still execute through this executor's sharded ``run_many``, so
-        the result stays bit-identical for any worker count) -- cache
-        lookups and stores must happen in the parent process.
-        """
-        if cache is not None:
-            return Executor.sweep(
-                self,
-                adversary_factories,
-                ns,
-                max_rounds=max_rounds,
-                backend=backend,
-                cache=cache,
-            )
-        from repro.engine.shard import ShardedSweepRunner
-
-        runner = ShardedSweepRunner(
-            workers=self._workers,
-            backend=backend if backend is not None else self._backend,
-            mp_context=self._mp_context,
-        )
-        return runner.sweep_adversaries(adversary_factories, ns, max_rounds=max_rounds)
 
 
 def get_executor(

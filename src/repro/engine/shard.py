@@ -1,57 +1,32 @@
-"""Sharded multiprocess sweep engine.
+"""Worker-pool helpers for :class:`repro.engine.executor.ShardedExecutor`.
 
-:class:`ShardedSweepRunner` scales the batched sweep drivers
-(:func:`repro.analysis.sweep.sweep_adversaries`,
-:func:`repro.engine.runner.run_multi_seed`) across a ``multiprocessing``
-worker pool.  The sweep grid is partitioned into contiguous per-process
-shards; each worker advances its shard's runs in lockstep through one
-:class:`~repro.engine.batch.BatchRunner` per node count, and the parent
-merges the shard outputs back into grid order.
-
-Determinism
------------
-Results are **bit-identical to the sequential path regardless of worker
-count**, by construction:
-
-* every grid point is an independent run -- its adversary observes only
-  the state its own moves produced, whether it shares a batch with 0 or
-  100 neighbours, so shard composition cannot influence any outcome;
-* per-point RNG comes from the point's own factory argument (its seed /
-  node count), never from shared pool state;
-* the backend is resolved to a *name* in the parent and re-resolved
-  inside each worker, so ``use_backend(...)`` / ``--backend`` selections
-  survive the ``spawn`` boundary (child processes do not inherit
-  in-process defaults);
-* shard outputs carry their grid indices and are merged by index, so the
-  merged order equals the sequential enumeration order.
+The sharded executor partitions a spec list into contiguous per-process
+shards (:func:`split_shards`), runs them over a ``multiprocessing`` pool
+(:func:`pool_map`), and merges the shard outputs back by spec index.
+Grid sweeps reach it through ``Executor.sweep``, which sends every grid
+cell through ``run_many``.
 
 Spawn safety
 ------------
 The default ``mp_context`` is ``"spawn"`` -- the strictest start method
 (and the only one on Windows/macOS): workers import everything fresh, so
 all shard payloads (factories included) must be picklable.  Plain
-functions, classes used as factories, and :func:`functools.partial` over
-them are; closures and lambdas are not -- :func:`default_sweep_factories`
-provides a picklable portfolio for the common case.  ``workers=1`` runs
-the shard inline (no pool, no pickling requirement), which is also the
-fallback when the grid has a single shard's worth of work.
+functions, classes used as factories, :func:`functools.partial` over
+them, and :class:`repro.service.specs.SpecHandle` are; closures and
+lambdas are not.  ``workers=1`` runs the shard inline (no pool, no
+pickling requirement), which is also the fallback when there is a single
+shard's worth of work.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.analysis.sweep import SweepPoint, SweepResult, make_sweep_point
-from repro.core.backend import BackendLike, get_backend
-from repro.core.broadcast import BroadcastResult
 from repro.errors import SimulationError
-from repro.types import AdversaryProtocol
 
-#: Start methods accepted by :class:`ShardedSweepRunner`.
+#: Start methods accepted by :class:`repro.engine.executor.ShardedExecutor`.
 MP_CONTEXTS = ("spawn", "fork", "forkserver")
 
 
@@ -68,23 +43,12 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
-class SweepTask:
-    """One grid point: run ``factories[name](n)`` and measure ``t*``."""
-
-    index: int
-    name: str
-    n: int
-
-
 def split_shards(items: Sequence, shards: int) -> List[List]:
     """Partition ``items`` into ``shards`` contiguous, balanced chunks.
 
     The first ``len(items) % shards`` chunks get one extra item
     (``np.array_split`` semantics); empty chunks are dropped.  Contiguity
     keeps same-``n`` grid points together so workers can batch them.
-    Shared by :class:`ShardedSweepRunner` and
-    :class:`repro.engine.executor.ShardedExecutor`.
     """
     items = list(items)
     shards = max(1, min(shards, len(items)))
@@ -98,19 +62,12 @@ def split_shards(items: Sequence, shards: int) -> List[List]:
     return out
 
 
-#: Backwards-compatible alias (pre-executor name).
-_split_shards = split_shards
-
-
 def resolve_pool_config(
     workers: Optional[int], mp_context: str
 ) -> Tuple[int, str]:
-    """Validate the worker-pool configuration both sharded engines share.
+    """Validate a worker-pool configuration.
 
-    ``None`` workers defaults to :func:`usable_cpus` (affinity-aware);
-    the returned pair is what :class:`ShardedSweepRunner` and
-    :class:`repro.engine.executor.ShardedExecutor` store, so the two
-    engines cannot drift in what they accept.
+    ``None`` workers defaults to :func:`usable_cpus` (affinity-aware).
     """
     if workers is None:
         workers = usable_cpus()
@@ -152,230 +109,8 @@ def pool_map(
         return pool.map(worker, payloads)
 
 
-def _sweep_shard_worker(payload: Tuple) -> List[Tuple[int, Optional[SweepPoint]]]:
-    """Run one sweep shard; returns ``(grid index, point-or-None)`` pairs.
-
-    Consecutive tasks sharing a node count advance in lockstep through a
-    single :class:`~repro.engine.batch.BatchRunner` (via
-    :func:`~repro.engine.runner.run_adversaries_batch`); ``None`` marks a
-    point truncated by an explicit ``max_rounds`` cap, which the merge
-    step drops exactly like the sequential sweep does.
-    """
-    from repro.engine.runner import run_adversaries_batch
-
-    tasks, factories, backend_name, max_rounds = payload
-    backend = get_backend(backend_name)
-    out: List[Tuple[int, Optional[SweepPoint]]] = []
-    i = 0
-    while i < len(tasks):
-        j = i
-        while j < len(tasks) and tasks[j].n == tasks[i].n:
-            j += 1
-        group = tasks[i:j]
-        n = group[0].n
-        results = run_adversaries_batch(
-            [factories[task.name](n) for task in group],
-            n,
-            max_rounds=max_rounds,
-            backend=backend,
-        )
-        for task, result in zip(group, results):
-            out.append((task.index, make_sweep_point(task.name, n, result.t_star)))
-        i = j
-    return out
-
-
-def _multi_seed_shard_worker(payload: Tuple) -> List[Tuple[int, BroadcastResult]]:
-    """Run one multi-seed shard; returns ``(seed index, result)`` pairs."""
-    from repro.engine.runner import run_multi_seed
-
-    indices, seeds, factory, n, backend_name, max_rounds = payload
-    results = run_multi_seed(
-        factory,
-        n,
-        seeds,
-        max_rounds=max_rounds,
-        backend=get_backend(backend_name),
-    )
-    return list(zip(indices, results))
-
-
-class ShardedSweepRunner:
-    """Partition sweep grids across a multiprocessing worker pool.
-
-    Parameters
-    ----------
-    workers:
-        Process count; ``None`` uses :func:`usable_cpus` (affinity-aware).
-        ``1`` runs every shard inline in this process (no pool, no
-        pickling requirement).
-    backend:
-        Matrix backend for all shards (name or instance); defaults to the
-        process-wide default *at call time*, so ``use_backend(...)``
-        blocks work as expected.
-    mp_context:
-        Start method for worker processes (default ``"spawn"``).
-
-    Every public method is element-wise bit-identical to its sequential
-    counterpart for any worker count (see the module docstring for why).
-    """
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        backend: BackendLike = None,
-        mp_context: str = "spawn",
-    ) -> None:
-        self._workers, self._mp_context = resolve_pool_config(workers, mp_context)
-        self._backend = backend
-
-    @property
-    def workers(self) -> int:
-        """Maximum number of worker processes."""
-        return self._workers
-
-    def _backend_name(self) -> str:
-        """The backend name shipped to (and re-resolved by) workers."""
-        return get_backend(self._backend).name
-
-    def _map_shards(self, worker: Callable, payloads: List[Tuple]) -> List[List]:
-        """Run ``worker`` over shard payloads via the shared pool helper."""
-        return pool_map(worker, payloads, self._workers, self._mp_context)
-
-    # ------------------------------------------------------------------
-    # Sweep grids
-    # ------------------------------------------------------------------
-
-    def sweep_adversaries(
-        self,
-        adversary_factories: Dict[str, Callable[[int], AdversaryProtocol]],
-        ns: Sequence[int],
-        max_rounds: Optional[int] = None,
-    ) -> SweepResult:
-        """Sharded :func:`repro.analysis.sweep.sweep_adversaries`.
-
-        The grid is enumerated ``n``-major exactly like the sequential
-        sweep; shard outputs are merged back into that order, so the
-        returned :class:`SweepResult` compares equal to the sequential
-        one for every worker count.
-        """
-        tasks = [
-            SweepTask(index=i, name=name, n=n)
-            for i, (n, name) in enumerate(
-                (n, name) for n in ns for name in adversary_factories
-            )
-        ]
-        if not tasks:
-            return SweepResult()
-        backend_name = self._backend_name()
-        payloads = [
-            (shard, dict(adversary_factories), backend_name, max_rounds)
-            for shard in _split_shards(tasks, self._workers)
-        ]
-        merged: List[Tuple[int, Optional[SweepPoint]]] = []
-        for shard_out in self._map_shards(_sweep_shard_worker, payloads):
-            merged.extend(shard_out)
-        merged.sort(key=lambda pair: pair[0])
-        return SweepResult(
-            points=[point for _, point in merged if point is not None]
-        )
-
-    def sweep_n(
-        self,
-        factory: Callable[[int], AdversaryProtocol],
-        ns: Sequence[int],
-        name: str = "adversary",
-        max_rounds: Optional[int] = None,
-    ) -> SweepResult:
-        """Sharded :func:`repro.analysis.sweep.sweep_n`."""
-        return self.sweep_adversaries({name: factory}, ns, max_rounds=max_rounds)
-
-    # ------------------------------------------------------------------
-    # Multi-seed runs
-    # ------------------------------------------------------------------
-
-    def run_multi_seed(
-        self,
-        factory: Callable[[int], AdversaryProtocol],
-        n: int,
-        seeds: Sequence[int],
-        max_rounds: Optional[int] = None,
-    ) -> List[BroadcastResult]:
-        """Sharded :func:`repro.engine.runner.run_multi_seed`.
-
-        Returns full :class:`BroadcastResult` objects in seed order,
-        element-wise equal (``t*``, broadcasters, final state) to the
-        sequential call.
-        """
-        indexed = list(enumerate(int(s) for s in seeds))
-        if not indexed:
-            return []
-        backend_name = self._backend_name()
-        payloads = []
-        for shard in _split_shards(indexed, self._workers):
-            idxs = [i for i, _ in shard]
-            shard_seeds = [s for _, s in shard]
-            payloads.append(
-                (idxs, shard_seeds, factory, n, backend_name, max_rounds)
-            )
-        merged: List[Tuple[int, BroadcastResult]] = []
-        for shard_out in self._map_shards(_multi_seed_shard_worker, payloads):
-            merged.extend(shard_out)
-        merged.sort(key=lambda pair: pair[0])
-        return [result for _, result in merged]
-
-
-def default_sweep_factories(
-    include_search: bool = True, seed: int = 0
-) -> Dict[str, Callable[[int], AdversaryProtocol]]:
-    """The standard portfolio as spawn-safe (picklable) factories.
-
-    Mirrors :func:`repro.adversaries.zeiner.portfolio` -- same adversaries
-    in the same order -- but as a name -> ``n -> adversary`` map built
-    from classes and :func:`functools.partial` so it can cross a
-    ``spawn`` process boundary.
-    """
-    from repro.adversaries.beam import BeamSearchAdversary
-    from repro.adversaries.greedy import GreedyDelayAdversary
-    from repro.adversaries.oblivious import RandomTreeAdversary
-    from repro.adversaries.paths import (
-        AlternatingPathAdversary,
-        RotatingPathAdversary,
-        SortedPathAdversary,
-        StaticPathAdversary,
-        TwoPhaseFlipAdversary,
-    )
-    from repro.adversaries.zeiner import (
-        CyclicFamilyAdversary,
-        RunnerAdversary,
-        ZeinerStyleAdversary,
-    )
-
-    factories: Dict[str, Callable[[int], AdversaryProtocol]] = {
-        "StaticPath": StaticPathAdversary,
-        "AlternatingPath": partial(AlternatingPathAdversary, period=1),
-        "RotatingPath": partial(RotatingPathAdversary, shift=1),
-        "SortedPath[asc]": partial(SortedPathAdversary, ascending=True),
-        "SortedPath[desc]": partial(SortedPathAdversary, ascending=False),
-        "TwoPhaseFlip": partial(TwoPhaseFlipAdversary, alpha=0.5),
-        "ZeinerStyle": ZeinerStyleAdversary,
-        "Runner": RunnerAdversary,
-        "CyclicFamily": CyclicFamilyAdversary,
-        "RandomTree": partial(RandomTreeAdversary, seed=seed),
-    }
-    if include_search:
-        factories["GreedyDelay"] = partial(GreedyDelayAdversary, seed=seed)
-        factories["BeamSearch"] = partial(
-            BeamSearchAdversary, depth=2, width=6, seed=seed
-        )
-    return factories
-
-
 __all__ = [
     "MP_CONTEXTS",
-    "ShardedSweepRunner",
-    "SweepTask",
-    "default_sweep_factories",
     "pool_map",
     "resolve_pool_config",
     "split_shards",

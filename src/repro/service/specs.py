@@ -32,9 +32,9 @@ Canonicalization rules (what "same run" means):
   ``PYTHONHASHSEED`` dependence), and versioned by :data:`SPEC_VERSION`.
 
 :class:`SpecHandle` bridges specs to the executor layer: it is a
-picklable ``n -> adversary`` factory (usable anywhere
-``default_sweep_factories`` entries are, including across ``spawn``
-boundaries) that *carries its declarative spec*, which is what lets
+picklable ``n -> adversary`` factory (usable anywhere a sweep factory
+is, including across ``spawn`` boundaries) that *carries its
+declarative spec*, which is what lets
 ``Executor.sweep`` content-address individual grid cells (see
 :class:`repro.service.cache.SweepCellCache`).
 """
@@ -483,10 +483,11 @@ def portfolio_handles(
 ) -> Dict[str, SpecHandle]:
     """The standard sweep portfolio as declarative, cacheable handles.
 
-    Mirrors :func:`repro.engine.shard.default_sweep_factories` -- same
-    display labels, same adversaries with the same constructor arguments,
-    in the same order -- but every factory is a :class:`SpecHandle`, so
-    ``Executor.sweep`` can content-address each cell.
+    Mirrors :func:`repro.adversaries.zeiner.portfolio` -- same
+    adversaries with the same constructor arguments, in the same order --
+    but keyed by display label, and every factory is a picklable
+    :class:`SpecHandle`, so the portfolio crosses ``spawn`` boundaries
+    and ``Executor.sweep`` can content-address each cell.
     """
     handles = {
         "StaticPath": SpecHandle("static-path", label="StaticPath"),

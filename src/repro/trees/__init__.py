@@ -18,7 +18,8 @@ This subpackage provides:
 * :mod:`~repro.trees.compile` -- memoized packed parent schedules for the
   executors' compiled fast path;
 * :mod:`~repro.trees.subtree` -- complete-subtree closure machinery used by
-  the stalling characterization (Lemma S in DESIGN.md).
+  the stalling characterization (Lemma S, derived in that module's
+  docstring).
 """
 
 from repro.trees.rooted_tree import RootedTree

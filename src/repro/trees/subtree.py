@@ -8,7 +8,7 @@ avoid growing.  With round graph = rooted tree + self-loops and reach set
 
 So ``x`` *stalls* (gains nothing) iff ``R_x`` is closed under T's
 parent->child edges, i.e. iff ``R_x`` is a **union of complete subtrees** of
-``T`` (Lemma S in DESIGN.md).  Two corollaries this module also exposes:
+``T`` (Lemma S).  Two corollaries this module also exposes:
 
 * the chosen **root always gains** while unfinished (Lemma R): a
   child-closed set containing the root is all of ``[n]``;

@@ -20,7 +20,7 @@ from repro.adversaries.greedy import GreedyDelayAdversary, score_tree
 from repro.adversaries.zeiner import CyclicFamilyAdversary
 from repro.core import kernels
 from repro.core import matrix as M
-from repro.core.backend import available_backends, get_backend
+from repro.core.backend import get_backend
 from repro.core.broadcast import run_adversary, run_sequence
 from repro.core.product import product_of_trees
 from repro.core.state import BroadcastState
@@ -225,18 +225,3 @@ class TestKernelSweep:
         with kernels.use_kernel(kernel):
             got = product_of_trees(trees, backend="bitset")
         assert (got == want).all()
-
-
-@pytest.mark.skipif(
-    "numba" not in available_backends(), reason="numba not installed"
-)
-@pytest.mark.parametrize("n", [1, 33, 65, 128])
-def test_numba_backend_agrees_with_dense(n):
-    """When importable, the numba backend joins the equivalence net."""
-    rng = np.random.default_rng(9000 + n)
-    trees = _random_sequence(n, rng)
-    dense = run_sequence(trees, n=n, stop_at_broadcast=False, backend="dense")
-    packed = run_sequence(trees, n=n, stop_at_broadcast=False, backend="numba")
-    assert dense.t_star == packed.t_star
-    assert dense.broadcasters == packed.broadcasters
-    assert (dense.final_state.reach_matrix == packed.final_state.reach_matrix).all()

@@ -45,8 +45,8 @@ from repro.engine.executor import (
     ShardedExecutor,
     get_executor,
 )
-from repro.engine.shard import default_sweep_factories
 from repro.errors import AdversaryError, SimulationError
+from repro.service.specs import portfolio_handles
 from repro.trees.generators import path, star
 
 BACKENDS = ["dense", "bitset"]
@@ -162,7 +162,7 @@ class TestExecutorEquivalence:
 
     def test_spawned_sharded_matches_sequential(self):
         # Real worker processes (spawn) on a small mixed-n grid.
-        factories = default_sweep_factories(include_search=False)
+        factories = portfolio_handles(include_search=False)
         specs = [
             RunSpec(adversary=factory, n=n, name=name)
             for n in (6, 9)
@@ -176,7 +176,7 @@ class TestExecutorEquivalence:
 
     @pytest.mark.parametrize("engine", ["sequential", "batch", "sharded"])
     def test_sweep_identical_across_engines(self, engine):
-        factories = default_sweep_factories(include_search=False)
+        factories = portfolio_handles(include_search=False)
         want = sweep_adversaries(factories, [6, 8], executor="sequential")
         got = sweep_adversaries(factories, [6, 8], executor=engine)
         assert got == want

@@ -26,7 +26,7 @@ from repro.adversaries.oblivious import RoundRobinAdversary, StaticTreeAdversary
 from repro.adversaries.paths import RotatingPathAdversary, StaticPathAdversary
 from repro.core import kernels as K
 from repro.core import matrix as M
-from repro.core.backend import available_backends, get_backend
+from repro.core.backend import get_backend
 from repro.core.bitset import OR_CHUNK_BYTES, or_chunk_rows, words_for
 from repro.engine.executor import BatchExecutor, RunSpec, SequentialExecutor
 from repro.errors import BackendError
@@ -38,12 +38,6 @@ DENSE = get_backend("dense")
 
 BITSET_KERNELS = K.available_kernels("bitset")
 DENSE_KERNELS = K.available_kernels("dense")
-
-#: Backends sharing the packed layout; "numba" joins when importable.
-PACKED_BACKENDS = [
-    name for name in ("bitset", "numba") if name in available_backends()
-]
-
 
 def _random_matrix(n: int, density: float, rng: np.random.Generator) -> np.ndarray:
     a = rng.random((n, n)) < density
@@ -261,7 +255,7 @@ def _squared(adv, n, backend, max_rounds=None, executor=None):
 
 
 class TestSquaringSearch:
-    @pytest.mark.parametrize("backend", ["dense"] + PACKED_BACKENDS)
+    @pytest.mark.parametrize("backend", ["dense", "bitset"])
     @pytest.mark.parametrize("seed", range(10))
     def test_random_static_trees_match_loop(self, backend, seed):
         rng = np.random.default_rng(4000 + seed)
@@ -413,43 +407,6 @@ class TestServiceInvariance:
         assert "kernels" in doc
         assert "bitset" in doc["kernels"]["kernels"]
         assert "rules" in doc["kernels"]
-
-
-@pytest.mark.skipif(
-    "numba" not in available_backends(), reason="numba not installed"
-)
-class TestNumbaBackend:
-    """Exercised only when numba is importable; CI stays numpy-only."""
-
-    def test_compose_matches_bitset(self):
-        rng = np.random.default_rng(0)
-        nb = get_backend("numba")
-        for n in (1, 2, 63, 64, 65, 100):
-            a = _random_matrix(n, 0.4, rng)
-            tree = random_tree(n, rng)
-            p = tree.parent_array_numpy()
-            want = BITSET.compose_with_tree(BITSET.from_dense(a), p)
-            got = nb.compose_with_tree(nb.from_dense(a), p)
-            np.testing.assert_array_equal(got, want)
-
-    def test_inplace_compose_uses_out_buffer(self):
-        """A chain parent row must not leak 2-step edges in one round."""
-        nb = get_backend("numba")
-        n = 6
-        p = np.array([0, 0, 1, 2, 3, 4], dtype=np.int64)  # chain
-        mat = nb.identity(n)
-        nb.compose_with_tree_inplace(mat, p)
-        want = DENSE.compose_with_tree(np.eye(n, dtype=np.bool_), p)
-        np.testing.assert_array_equal(nb.to_dense(mat), want)
-
-    def test_full_run_equivalence(self):
-        from repro.core.broadcast import run_adversary
-
-        n = 40
-        a = run_adversary(StaticPathAdversary(n), n, backend="numba")
-        b = run_adversary(StaticPathAdversary(n), n, backend="bitset")
-        assert a.t_star == b.t_star
-        assert a.final_state.key() == b.final_state.key()
 
 
 def test_rooted_tree_type_is_importable():

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.shard import default_sweep_factories
 from repro.errors import SpecError
 from repro.service.specs import (
     SPEC_VERSION,
@@ -237,13 +236,17 @@ class TestDigestProperties:
 
 class TestSpecHandle:
     def test_handle_builds_the_portfolio_adversaries(self):
-        """Every portfolio handle builds the same adversary (by name) as
-        the spawn-safe factory map it mirrors."""
+        """The portfolio handles build :func:`zeiner.portfolio`'s
+        adversaries, in order, and each survives a pickle round trip."""
+        from repro.adversaries.zeiner import portfolio
+
         handles = portfolio_handles(include_search=True)
-        factories = default_sweep_factories(include_search=True)
-        assert list(handles) == list(factories)
-        for label in factories:
-            assert handles[label](9).name == factories[label](9).name
+        names = [handle(6).name for handle in handles.values()]
+        assert names == [adv.name for adv in portfolio(6, include_search=True)]
+        for label, handle in handles.items():
+            clone = pickle.loads(pickle.dumps(handle))
+            assert clone.label == label
+            assert clone(9).name == handle(9).name
 
     def test_handle_is_picklable_and_digest_stable(self):
         handle = SpecHandle("rotating-path", {"shift": 2}, seed=1, label="rot2")

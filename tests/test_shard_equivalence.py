@@ -1,33 +1,32 @@
 """Sharded sweeps must be bit-identical to sequential, any worker count.
 
-The contract of :class:`repro.engine.shard.ShardedSweepRunner` is strict:
-partitioning a sweep grid over a ``spawn`` process pool is a pure
-scheduling decision -- every :class:`SweepPoint` and every
-:class:`BroadcastResult` (t*, broadcasters, final matrix) must equal the
-sequential path element-wise for worker counts {1, 2, 7}, including
-uneven shards (grid size not divisible by the worker count), B=1 shards,
-and the n=1 degenerate game.  Worker processes are real (spawned), so
-these tests also pin spawn-safety of the payloads and backend-name
-propagation across the process boundary.
+The contract of :class:`repro.engine.executor.ShardedExecutor` is strict:
+partitioning a sweep grid or a spec list over a ``spawn`` process pool is
+a pure scheduling decision -- every :class:`SweepPoint` and every run
+report (t*, broadcasters, final matrix) must equal the sequential path
+element-wise for worker counts {1, 2, 7}, including uneven shards (grid
+size not divisible by the worker count), B=1 shards, and the n=1
+degenerate game.  Worker processes are real (spawned), so these tests
+also pin spawn-safety of the payloads and backend-name propagation
+across the process boundary.
 """
 
 from __future__ import annotations
 
+import pickle
 from functools import partial
 
 import pytest
 
 from repro.adversaries.oblivious import RandomTreeAdversary
 from repro.adversaries.paths import StaticPathAdversary
-from repro.analysis.sweep import sweep_adversaries
+from repro.analysis.sweep import sweep_adversaries, sweep_n
 from repro.core.backend import use_backend
+from repro.engine.executor import RunSpec, ShardedExecutor
 from repro.engine.runner import run_multi_seed
-from repro.engine.shard import (
-    ShardedSweepRunner,
-    _split_shards,
-    default_sweep_factories,
-)
+from repro.engine.shard import split_shards
 from repro.errors import SimulationError
+from repro.service.specs import portfolio_handles
 
 #: Worker counts exercised everywhere: inline, even split, more workers
 #: than some shards can fill (uneven shards).
@@ -48,20 +47,24 @@ def _states_equal(a, b) -> bool:
     )
 
 
+def _multi_seed_specs(factory, n, seeds):
+    return [RunSpec(adversary=factory(seed), n=n) for seed in seeds]
+
+
 class TestSplitShards:
     def test_balanced_contiguous(self):
-        assert _split_shards(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
+        assert split_shards(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
 
     def test_more_shards_than_items(self):
-        assert _split_shards([1, 2], 7) == [[1], [2]]
+        assert split_shards([1, 2], 7) == [[1], [2]]
 
     def test_empty(self):
-        assert _split_shards([], 4) == []
+        assert split_shards([], 4) == []
 
     def test_concatenation_preserves_order(self):
         items = list(range(23))
         for shards in (1, 2, 5, 7, 23, 40):
-            parts = _split_shards(items, shards)
+            parts = split_shards(items, shards)
             assert [x for part in parts for x in part] == items
 
 
@@ -72,46 +75,39 @@ class TestSweepEquivalence:
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_bit_identical_sweep(self, workers, sequential):
-        runner = ShardedSweepRunner(workers=workers)
-        assert runner.sweep_adversaries(FACTORIES, [1, 4, 5, 6, 8]) == sequential
+        executor = ShardedExecutor(workers=workers)
+        assert executor.sweep(FACTORIES, [1, 4, 5, 6, 8]) == sequential
 
     def test_uneven_grid_seven_workers(self):
         # 5 grid points over 7 workers: five B=1 shards, two empty (dropped).
         facs = {"StaticPath": StaticPathAdversary}
         ns = [2, 3, 4, 5, 6]
         seq = sweep_adversaries(facs, ns)
-        assert ShardedSweepRunner(workers=7).sweep_adversaries(facs, ns) == seq
+        assert ShardedExecutor(workers=7).sweep(facs, ns) == seq
 
     def test_single_point_grid(self):
         # B=1 total: degenerates to the inline path but must still agree.
         facs = {"StaticPath": StaticPathAdversary}
         seq = sweep_adversaries(facs, [6])
         for workers in WORKER_COUNTS:
-            assert (
-                ShardedSweepRunner(workers=workers).sweep_adversaries(facs, [6])
-                == seq
-            )
+            assert ShardedExecutor(workers=workers).sweep(facs, [6]) == seq
 
     def test_n_equals_one(self):
         # The degenerate game is complete at round 0 before any tree.
         facs = {"StaticPath": StaticPathAdversary}
         seq = sweep_adversaries(facs, [1, 2])
         assert seq.points[0].t_star == 0
-        assert ShardedSweepRunner(workers=2).sweep_adversaries(facs, [1, 2]) == seq
+        assert ShardedExecutor(workers=2).sweep(facs, [1, 2]) == seq
 
     def test_empty_grid(self):
-        runner = ShardedSweepRunner(workers=2)
-        assert runner.sweep_adversaries(FACTORIES, []) == sweep_adversaries(
-            FACTORIES, []
-        )
-        assert runner.sweep_adversaries({}, [4, 5]).points == []
+        executor = ShardedExecutor(workers=2)
+        assert executor.sweep(FACTORIES, []) == sweep_adversaries(FACTORIES, [])
+        assert executor.sweep({}, [4, 5]).points == []
 
     def test_max_rounds_truncation_matches(self):
         # Truncated points are dropped identically on both paths.
         seq = sweep_adversaries(FACTORIES, [4, 8], max_rounds=5)
-        sharded = ShardedSweepRunner(workers=2).sweep_adversaries(
-            FACTORIES, [4, 8], max_rounds=5
-        )
+        sharded = ShardedExecutor(workers=2).sweep(FACTORIES, [4, 8], max_rounds=5)
         assert sharded == seq
 
     def test_sweep_adversaries_workers_kwarg(self):
@@ -119,9 +115,8 @@ class TestSweepEquivalence:
         assert sweep_adversaries(FACTORIES, [4, 6], workers=2) == seq
 
     def test_sweep_n_sharded(self):
-        runner = ShardedSweepRunner(workers=2)
-        seq = runner.sweep_n(StaticPathAdversary, [2, 4, 6], name="sp")
-        assert [(p.adversary, p.n, p.t_star) for p in seq.points] == [
+        got = sweep_n(StaticPathAdversary, [2, 4, 6], name="sp", workers=2)
+        assert [(p.adversary, p.n, p.t_star) for p in got.points] == [
             ("sp", 2, 1),
             ("sp", 4, 3),
             ("sp", 6, 5),
@@ -135,8 +130,8 @@ class TestMultiSeedEquivalence:
     def test_bit_identical_results(self, workers):
         factory = partial(RandomTreeAdversary, 9)
         seq = run_multi_seed(factory, 9, self.SEEDS)
-        got = ShardedSweepRunner(workers=workers).run_multi_seed(
-            factory, 9, self.SEEDS
+        got = ShardedExecutor(workers=workers).run_many(
+            _multi_seed_specs(factory, 9, self.SEEDS)
         )
         assert len(got) == len(seq)
         assert all(_states_equal(a, b) for a, b in zip(seq, got))
@@ -144,19 +139,17 @@ class TestMultiSeedEquivalence:
     def test_single_seed(self):
         factory = partial(RandomTreeAdversary, 7)
         seq = run_multi_seed(factory, 7, [42])
-        got = ShardedSweepRunner(workers=2).run_multi_seed(factory, 7, [42])
+        got = ShardedExecutor(workers=2).run_many(_multi_seed_specs(factory, 7, [42]))
         assert _states_equal(seq[0], got[0])
 
     def test_empty_seeds(self):
-        assert ShardedSweepRunner(workers=2).run_multi_seed(
-            partial(RandomTreeAdversary, 5), 5, []
-        ) == []
+        assert ShardedExecutor(workers=2).run_many([]) == []
 
     def test_backend_propagates_to_workers(self):
         factory = partial(RandomTreeAdversary, 8)
         with use_backend("bitset"):
-            got = ShardedSweepRunner(workers=2).run_multi_seed(
-                factory, 8, self.SEEDS[:4]
+            got = ShardedExecutor(workers=2).run_many(
+                _multi_seed_specs(factory, 8, self.SEEDS[:4])
             )
         seq = run_multi_seed(factory, 8, self.SEEDS[:4], backend="bitset")
         assert all(g.final_state.backend.name == "bitset" for g in got)
@@ -166,36 +159,33 @@ class TestMultiSeedEquivalence:
 class TestValidationAndSafety:
     def test_workers_must_be_positive(self):
         with pytest.raises(SimulationError, match="workers"):
-            ShardedSweepRunner(workers=0)
+            ShardedExecutor(workers=0)
 
     def test_unknown_mp_context(self):
         with pytest.raises(SimulationError, match="mp_context"):
-            ShardedSweepRunner(workers=2, mp_context="threads")
+            ShardedExecutor(workers=2, mp_context="threads")
 
     def test_unpicklable_factory_fails_loudly(self):
-        runner = ShardedSweepRunner(workers=2)
+        executor = ShardedExecutor(workers=2)
         facs = {"lambda": lambda n: StaticPathAdversary(n)}
         with pytest.raises(SimulationError, match="picklable"):
-            runner.sweep_adversaries(facs, [4, 5])
+            executor.sweep(facs, [4, 5])
 
     def test_unpicklable_factory_fine_inline(self):
         # workers=1 never crosses a process boundary; closures are allowed.
-        runner = ShardedSweepRunner(workers=1)
-        got = runner.sweep_adversaries(
-            {"lambda": lambda n: StaticPathAdversary(n)}, [4, 5]
-        )
+        executor = ShardedExecutor(workers=1)
+        got = executor.sweep({"lambda": lambda n: StaticPathAdversary(n)}, [4, 5])
         assert [p.t_star for p in got.points] == [3, 4]
 
     def test_default_factories_are_picklable(self):
-        import pickle
-
-        for name, factory in default_sweep_factories().items():
-            pickle.dumps(factory), name
+        for label, handle in portfolio_handles(include_search=True).items():
+            clone = pickle.loads(pickle.dumps(handle))
+            assert clone.label == label
+            assert clone(6).name == handle(6).name
 
     def test_default_factories_mirror_portfolio(self):
         from repro.adversaries.zeiner import portfolio
 
-        facs = default_sweep_factories(include_search=True, seed=0)
-        built = [factory(6) for factory in facs.values()]
-        names = [adv.name for adv in built]
+        handles = portfolio_handles(include_search=True, seed=0)
+        names = [handle(6).name for handle in handles.values()]
         assert names == [adv.name for adv in portfolio(6, include_search=True)]
