@@ -10,10 +10,13 @@ that *witness* the bound:
   lower-bound side.  Playing greedily (quadratic-potential score) over the
   family of *rotated cyclic paths* and *cyclic chain-fan trees*, it keeps
   every reach set a cyclic interval and achieves **exactly**
-  ``⌈(3n−1)/2⌉ − 2`` for every ``n`` we test (4 .. 32+), matching both the
-  known lower-bound formula and the exact game values computed by
-  :mod:`repro.adversaries.exact` for ``n <= 5`` (where ``t*(T_n)`` equals
-  the formula).  How it was found: we solved the game exactly for small
+  ``⌈(3n−1)/2⌉ − 2`` on the full pool (``m_stride=1``, the default below
+  64 nodes) at every ``n`` measured: 2 .. 64, then 72, 80, .., 128
+  (``benchmarks/BENCH_cyclic.json``), matching the exact game values
+  computed by :mod:`repro.adversaries.exact` for ``n <= 5`` (where
+  ``t*(T_n)`` equals the formula).  The default subsampled pool above 63
+  nodes falls short: t* = 93, 116, 155 against 94, 142, 190 at n = 64,
+  96, 128.  How it was found: we solved the game exactly for small
   ``n``, observed that optimal play keeps reach sets as cyclic intervals
   and plays chains-with-fans, and closed the family under rotation and
   direction.
@@ -28,8 +31,9 @@ that *witness* the bound:
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -68,6 +72,123 @@ def quadratic_potential_score(
     )
 
 
+class _ChainFanFamily(NamedTuple):
+    """Index tables of the chain-fan pool, laid out as ``(start, direction, slot)``.
+
+    Direction 0 walks the rotated order ``o_i = s + i`` and direction 1
+    the order ``o_i = s - i`` (mod ``n``).  Slot 0 is the path (chain
+    length ``m = n - 1``); the other slots pair every sampled ``m`` with a
+    fan anchored at the root ``s`` and then at the chain tail ``o_m``.
+    Each direction's order is unrolled twice (``unrolled``), so every
+    chain ``o_0 .. o_m`` is one contiguous run ``lo .. hi - 1`` of the
+    flattened per-direction prefix tables in :func:`_chain_fan_scores`.
+    """
+
+    n: int
+    chain: np.ndarray  # (S,) chain length m of each slot
+    unrolled: np.ndarray  # (2, 2n) node at each unrolled position
+    lo: np.ndarray  # (n, 2) prefix-table row of o_0
+    hi: np.ndarray  # (n, 2, S) prefix-table row just past o_m
+    anchor: np.ndarray  # (n, 2, S) parent of every fan node
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_fan_family(n: int, m_stride: int) -> _ChainFanFamily:
+    ms = np.arange(1, n - 1, m_stride)
+    chain = np.concatenate([[n - 1], np.repeat(ms, 2)])
+    at_tail = np.concatenate([[False], np.tile([False, True], ms.size)])
+    s = np.arange(n)[:, None, None]
+    d = np.arange(2)[None, :, None]
+    j = np.arange(2 * n)
+    lo = d * (2 * n + 1) + np.where(d == 0, s, -s % n)
+    return _ChainFanFamily(
+        n=n,
+        chain=chain,
+        unrolled=np.stack([j % n, -j % n]),
+        lo=lo[:, :, 0],
+        hi=lo + chain + 1,
+        anchor=np.where(at_tail, (s + (1 - 2 * d) * chain) % n, s),
+    )
+
+
+def _chain_fan_parents(fam: _ChainFanFamily, index: np.ndarray) -> np.ndarray:
+    """Parent rows of the candidates at flat positions ``index``."""
+    s, d, slot = np.unravel_index(index, fam.hi.shape)
+    s, step = s[:, None], (1 - 2 * d)[:, None]
+    v = np.arange(fam.n)
+    pos = (v - s) * step % fam.n  # where v sits in the rotated order
+    anchor = fam.anchor.reshape(-1)[index][:, None]
+    parents = np.where(pos <= fam.chain[slot][:, None], (v - step) % fam.n, anchor)
+    return np.where(pos == 0, s, parents)
+
+
+@functools.lru_cache(maxsize=4)
+def _chain_fan_pool(n: int, m_stride: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct candidates in generation order: ``(flat positions, parent rows)``."""
+    fam = _chain_fan_family(n, m_stride)
+    parents = _chain_fan_parents(fam, np.arange(fam.hi.size))
+    _, first = np.unique(parents, axis=0, return_index=True)
+    first.sort()
+    pool = (first, parents[first])
+    for a in pool:
+        a.setflags(write=False)
+    return pool
+
+
+#: Elements of one block's candidate-by-row tensor in
+#: :func:`_chain_fan_scores`; blocks hold whole start nodes, so memory
+#: stays bounded at large ``n``.
+_SCORE_BLOCK = 1 << 20
+
+
+def _chain_fan_scores(fam: _ChainFanFamily, reach: np.ndarray) -> np.ndarray:
+    """``(C, 3)`` :func:`quadratic_potential_score` of every candidate.
+
+    Rows follow the flat ``(start, direction, slot)`` layout.  Nothing is
+    composed: a tree turns row ``u`` into ``R_u ∪ {v : p(v) ∈ R_u}``, so
+    the candidate with chain ``o_0 .. o_m`` and fan anchor ``a`` gives
+
+        |R_u'| = |R_u| + B + [a ∈ R_u] · (n − |R_u| − (m + 1) + A)
+
+    with ``A = |R_u ∩ {o_0 .. o_m}|`` and ``B = #{1 ≤ i ≤ m : o_{i−1} ∈
+    R_u, o_i ∉ R_u}``, both differences of prefix sums along the unrolled
+    orders.  Exact on every state; O(n) per candidate.
+    """
+    n = fam.n  # int16 tables hold for n < 8192, next_tree's int64 key for n < 6000
+    inside = np.ascontiguousarray(reach.T, dtype=np.int16)  # [v, u]: v ∈ R_u
+    member = inside.astype(bool)
+    size = inside.sum(axis=0, dtype=np.int16)
+    seq = inside[fam.unrolled]
+    pa = np.zeros((2, 2 * n + 1, n), np.int16)  # pa[k] = A over seq[:k]
+    np.cumsum(seq, axis=1, out=pa[:, 1:])
+    pb = np.zeros_like(pa)  # pb[k] = B over seq[:k]
+    np.cumsum(seq[:, :-1] > seq[:, 1:], axis=1, dtype=np.int16, out=pb[:, 2:])
+    pa, pb = pa.reshape(-1, n), pb.reshape(-1, n)
+    # Per-(start, direction) terms folded into the tables, m + 1 = hi - lo:
+    #   anchor in R_u:  A + B + n - (m + 1) = fan[hi] - fan0[lo]
+    #   otherwise:      |R_u| + B           = pb[hi] - out0[lo]
+    lo = fam.lo
+    fan = pa + pb - np.arange(len(pa), dtype=np.int16)[:, None]
+    fan0 = (pa[lo] + pb[lo + 1] - (lo + n)[..., None]).astype(np.int16)[:, :, None]
+    out0 = (pb[lo + 1] - size)[:, :, None]
+    scores = np.zeros(fam.hi.shape + (3,), np.int64)
+    starts = max(1, _SCORE_BLOCK // (fam.hi[0].size * n))
+    for s0 in range(0, n, starts):
+        blk = slice(s0, s0 + starts)
+        hi = fam.hi[blk]
+        rows = np.where(
+            np.take(member, fam.anchor[blk], axis=0),
+            np.take(fan, hi, axis=0) - fan0[blk],
+            np.take(pb, hi, axis=0) - out0[blk],
+        ).reshape(-1, n)
+        out = scores[blk].reshape(-1, 3)
+        out[:, 2] = rows.max(axis=1)
+        out[:, 1] = np.einsum("ij,ij->i", rows, rows, dtype=np.int64)
+        full = out[:, 2] == n  # only these can have broadcasters
+        out[full, 0] = (rows[full] == n).sum(axis=1)
+    return scores.reshape(-1, 3)
+
+
 class CyclicFamilyAdversary(Adversary):
     """Greedy adversary over the cyclic chain-fan family.
 
@@ -79,20 +200,20 @@ class CyclicFamilyAdversary(Adversary):
       root and at the chain tail.
 
     Each round the candidate minimizing
-    :func:`quadratic_potential_score` is played.  Reach sets then remain
-    cyclic intervals throughout the run, and the achieved broadcast time
-    equals the Theorem 3.1 lower-bound formula on every size we have
-    checked (experiments E2/E3 in :mod:`repro.experiments.registry`, pinned
-    in ``tests/fixtures/golden_experiments.json``).
+    :func:`quadratic_potential_score` is played, ties going to the
+    earliest candidate in generation order.  Reach sets then remain
+    cyclic intervals throughout the run.  With the full pool
+    (``m_stride=1``) the achieved broadcast time equals the Theorem 3.1
+    lower-bound formula on every size checked, up to n = 128
+    (``benchmarks/BENCH_cyclic.json``; pinned for n <= 24 in
+    ``tests/fixtures/golden_tstar.json``).
 
-    The whole ``O(n²/m_stride)``-candidate pool is scored per round in
-    blocked batched compositions
-    (:func:`repro.engine.batch.score_parents_quadratic`), the same kernel
-    path greedy/beam use -- decision-equal to the historical per-candidate
-    dense loop (ties break to the earliest candidate in pool order), but
-    one vectorized backend call per block instead of one composition per
-    candidate.  ``m_stride`` defaults to 1 below 33 nodes and scales up
-    beyond to keep rounds affordable.
+    The pool is scored without composing any candidate: every score is
+    read off per-round prefix sums along the rotated orders
+    (:func:`_chain_fan_scores`, O(n) per candidate, exact on every state),
+    about 0.2 s per run at n = 48 and 2 s at n = 128.  ``m_stride``
+    defaults to 1 below 64 nodes and ``n // 32`` beyond, which loses
+    rounds there (see the module docstring).
     """
 
     def __init__(self, n: int, m_stride: Optional[int] = None) -> None:
@@ -104,61 +225,30 @@ class CyclicFamilyAdversary(Adversary):
         if m_stride < 1:
             raise AdversaryError(f"m_stride must be >= 1, got {m_stride}")
         self._m_stride = m_stride
-        self._cands: Optional[np.ndarray] = None
         self.name = f"CyclicFamily[stride={m_stride}]"
         super().__init__()
 
     def _candidate_parent_matrix(self) -> np.ndarray:
-        """All candidate moves as one stacked ``(C, n)`` parent matrix.
+        """All distinct candidate moves as one ``(C, n)`` parent matrix.
 
-        Deduplicated in generation order and cached: the family is
-        state-independent, so it is built once per instance.
+        In generation order, built once per ``(n, m_stride)`` and shared
+        read-only: the family is state-independent.
         """
-        if self._cands is not None:
-            return self._cands
-        n = self._n
-        seen = set()
-        out: List[List[int]] = []
-
-        def add(parents: List[int]) -> None:
-            key = tuple(parents)
-            if key not in seen:
-                seen.add(key)
-                out.append(list(parents))
-
-        for s in range(n):
-            for backward in (False, True):
-                step = -1 if backward else 1
-                order = [(s + step * i) % n for i in range(n)]
-                parents = [0] * n
-                parents[order[0]] = order[0]
-                for a, b in zip(order, order[1:]):
-                    parents[b] = a
-                add(parents)
-                for m in range(1, n - 1, self._m_stride):
-                    chain = order[: m + 1]
-                    for anchor in (s, chain[-1]):
-                        parents = [anchor] * n
-                        parents[s] = s
-                        for a, b in zip(chain, chain[1:]):
-                            parents[b] = a
-                        add(parents)
-        self._cands = np.asarray(out, dtype=np.int64)
-        return self._cands
+        return _chain_fan_pool(self._n, self._m_stride)[1]
 
     def next_tree(self, state: BroadcastState, round_index: int) -> RootedTree:
-        from repro.engine.batch import score_parents_quadratic
-
-        if state.n != self._n:
+        n = self._n
+        if state.n != n:
             raise AdversaryError(
-                f"adversary built for n={self._n}, driven with n={state.n}"
+                f"adversary built for n={n}, driven with n={state.n}"
             )
-        candidates = self._candidate_parent_matrix()
-        scores = score_parents_quadratic(state, candidates)
-        # min() keeps the first of tied minima, matching the historical
-        # per-candidate loop's strict-improvement tie-breaking.
-        best_i = min(range(len(scores)), key=scores.__getitem__)
-        return RootedTree([int(p) for p in candidates[best_i]])
+        fam = _chain_fan_family(n, self._m_stride)
+        done, squares, top = _chain_fan_scores(fam, state.reach_matrix_view()).T
+        # The score tuple as one int64 key (squares <= n³, top <= n).
+        # argmin keeps the first minimum, and a duplicate candidate always
+        # follows its original: ties go to the earliest distinct candidate.
+        best = np.argmin((done * (n**3 + 1) + squares) * (n + 1) + top)
+        return RootedTree(_chain_fan_parents(fam, np.array([best]))[0].tolist())
 
 
 class ZeinerStyleAdversary(Adversary):

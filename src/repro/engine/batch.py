@@ -35,10 +35,6 @@ from repro.types import validate_node_count
 #: Greedy score tuple, identical to :data:`repro.adversaries.greedy.Score`.
 ScoreTuple = Tuple[int, int, int, int, int]
 
-#: Quadratic-potential score tuple, identical to
-#: :func:`repro.adversaries.zeiner.quadratic_potential_score`.
-QuadraticScore = Tuple[int, int, int]
-
 
 class BatchRunner:
     """``B`` independent broadcast runs advanced by vectorized steps.
@@ -285,56 +281,9 @@ def score_candidates(
     ]
 
 
-def score_parents_quadratic(
-    state: BroadcastState,
-    parents: np.ndarray,
-    chunk: Optional[int] = None,
-) -> List[QuadraticScore]:
-    """Quadratic-potential scores of ``(C, n)`` candidate parent arrays.
-
-    Returns, in candidate order, exactly the tuples
-    :func:`repro.adversaries.zeiner.quadratic_potential_score` would
-    produce -- ``(broadcasters after, sum of squared reach sizes, max
-    reach)`` -- but composes whole blocks of candidates against the state
-    in one batched kernel instead of one dense pass per candidate.
-    Blocks are sized so a block's successor stack stays around 32 MiB of
-    dense-equivalent storage (the cyclic family at n = 256 has ~33k
-    candidates; materializing all of them at once would not fit).
-    """
-    parents = np.asarray(parents, dtype=np.int64)
-    if parents.size == 0:
-        return []
-    n = state.n
-    if parents.ndim != 2 or parents.shape[1] != n:
-        raise DimensionMismatchError(
-            f"candidate parent matrix must be (C, {n}), got {parents.shape}"
-        )
-    backend = state.backend
-    mat = state.backend_matrix()
-    if chunk is None:
-        # ~4 MiB of dense-equivalent successors per block: large enough to
-        # amortize kernel dispatch, small enough to stay cache-friendly
-        # (measured 1.4x faster than 32 MiB blocks at n = 256).
-        chunk = max(1, (1 << 22) // max(1, n * n))
-    scores: List[QuadraticScore] = []
-    for start in range(0, parents.shape[0], chunk):
-        successors = backend.batch_compose_from(mat, parents[start : start + chunk])
-        rows = backend.batch_reach_sizes(successors)  # (c, n) int64
-        scores.extend(
-            zip(
-                (rows == n).sum(axis=1).tolist(),
-                (rows * rows).sum(axis=1).tolist(),
-                rows.max(axis=1).tolist(),
-            )
-        )
-    return scores
-
-
 __all__ = [
     "BatchRunner",
-    "QuadraticScore",
     "ScoreTuple",
     "run_sequences_batch",
     "score_candidates",
-    "score_parents_quadratic",
 ]

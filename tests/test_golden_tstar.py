@@ -8,12 +8,13 @@ and the cyclic nonsplit reduction of [9]/[1].  Both backends must
 reproduce every recorded value bit-for-bit; any drift is a correctness
 regression, not noise.
 
-The n = 20 and n = 24 entries were recorded with the historical
-per-candidate cyclic scorer and are now reproduced by the batched pool
-scorer (:func:`repro.engine.batch.score_parents_quadratic`);
-:class:`TestBatchedCyclicScorerDecisions` additionally pins *decision*
-equality -- same chosen tree each round, not just the same t* -- against
-a per-candidate reference loop.
+The cyclic family is scored from per-round prefix sums
+(:func:`repro.adversaries.zeiner._chain_fan_scores`), never by composing a
+candidate.  :class:`TestBatchedCyclicScorerDecisions` pins that scorer to
+the per-candidate oracle :func:`quadratic_potential_score`: the *full*
+score vector on random states whose reach sets are not cyclic intervals,
+every round of full runs, the earliest-candidate tie-break, and the pool
+sizes the benchmarks quote.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.adversaries import zeiner
 from repro.adversaries.nonsplit import NonsplitAdversary, broadcast_time_nonsplit
 from repro.adversaries.paths import StaticPathAdversary
 from repro.adversaries.zeiner import (
@@ -32,6 +34,7 @@ from repro.adversaries.zeiner import (
     ZeinerStyleAdversary,
     quadratic_potential_score,
 )
+from repro.analysis.intervals import state_is_interval_structured
 from repro.core.backend import use_backend
 from repro.core.broadcast import run_adversary
 from repro.core.state import BroadcastState
@@ -89,51 +92,81 @@ def test_nonsplit_reduction_reproduces_golden(backend):
             assert t == GOLDEN["nonsplit_cyclic"][str(n)], (n, backend)
 
 
+def _reference_scores(adv: CyclicFamilyAdversary, state: BroadcastState):
+    """Per-candidate oracle scores over the deduplicated pool."""
+    reach = state.reach_matrix_view()
+    return [
+        quadratic_potential_score(reach, parent, state.n)
+        for parent in adv._candidate_parent_matrix()
+    ]
+
+
 def _reference_next_tree(adv: CyclicFamilyAdversary, state: BroadcastState):
     """The historical per-candidate scoring loop, kept as the oracle."""
-    reach = state.reach_matrix_view()
     best, best_score = None, None
-    for parent in adv._candidate_parent_matrix():
-        s = quadratic_potential_score(reach, parent, state.n)
+    for parent, s in zip(adv._candidate_parent_matrix(), _reference_scores(adv, state)):
         if best_score is None or s < best_score:
             best, best_score = parent, s
     return RootedTree([int(p) for p in best])
 
 
+def _pool_scores(adv: CyclicFamilyAdversary, state: BroadcastState):
+    """The prefix-sum scorer's vector over the same deduplicated pool."""
+    n, stride = adv._n, adv._m_stride
+    first, _ = zeiner._chain_fan_pool(n, stride)
+    scores = zeiner._chain_fan_scores(
+        zeiner._chain_fan_family(n, stride), state.reach_matrix_view()
+    )
+    return [tuple(row) for row in scores[first].tolist()]
+
+
+def _random_prefix_state(n: int, rng: np.random.Generator) -> BroadcastState:
+    state = BroadcastState.initial(n)
+    for _ in range(int(rng.integers(0, 2 * n))):
+        nxt = state.apply_tree(random_tree(n, rng))
+        if nxt.is_broadcast_complete():
+            break
+        state = nxt
+    return state
+
+
 class TestBatchedCyclicScorerDecisions:
-    """Batched pool scoring picks the SAME tree as the per-candidate loop."""
+    """The prefix-sum scorer equals the per-candidate oracle, score for score."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("n", [4, 7, 12, 17])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 17, 33, 64])
     def test_decision_equality_on_random_states(self, backend, n):
         rng = np.random.default_rng(n * 1009)
+        trials = 8 if n <= 17 else 2
+        non_interval = 0
         with use_backend(backend):
-            adv = CyclicFamilyAdversary(n)
-            for trial in range(8):
-                state = BroadcastState.initial(n)
-                for _ in range(int(rng.integers(0, 2 * n))):
-                    nxt = state.apply_tree(random_tree(n, rng))
-                    if nxt.is_broadcast_complete():
-                        break
-                    state = nxt
-                chosen = adv.next_tree(state, 1)
-                oracle = _reference_next_tree(adv, state)
-                assert chosen.parents == oracle.parents, (backend, n, trial)
+            for stride in (None, 2, 3):
+                adv = CyclicFamilyAdversary(n, m_stride=stride)
+                for trial in range(trials):
+                    state = _random_prefix_state(n, rng)
+                    non_interval += not state_is_interval_structured(state)
+                    case = (backend, n, stride, trial)
+                    assert _pool_scores(adv, state) == _reference_scores(adv, state), case
+                    chosen = adv.next_tree(state, 1)
+                    assert chosen.parents == _reference_next_tree(adv, state).parents, case
+        if n >= 4:
+            assert non_interval, "no state left the interval structure"
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_full_run_decision_trace(self, backend):
         """Round-by-round: both scorers drive the identical trajectory."""
-        n = 10
         with use_backend(backend):
-            adv = CyclicFamilyAdversary(n)
-            state = BroadcastState.initial(n)
-            rounds = 0
-            while not state.is_broadcast_complete():
-                rounds += 1
-                tree = adv.next_tree(state, rounds)
-                assert tree.parents == _reference_next_tree(adv, state).parents
-                state.apply_tree_inplace(tree)
-            assert rounds == GOLDEN["cyclic_family"][str(n)]
+            for n in (10, 24):
+                adv = CyclicFamilyAdversary(n)
+                state = BroadcastState.initial(n)
+                rounds = 0
+                while not state.is_broadcast_complete():
+                    rounds += 1
+                    assert _pool_scores(adv, state) == _reference_scores(adv, state)
+                    tree = adv.next_tree(state, rounds)
+                    assert tree.parents == _reference_next_tree(adv, state).parents
+                    state.apply_tree_inplace(tree)
+                assert rounds == GOLDEN["cyclic_family"][str(n)]
 
     def test_stride_subsampling_keeps_decisions(self):
         """Strided pools (the large-n config) keep their decisions too.
@@ -152,6 +185,34 @@ class TestBatchedCyclicScorerDecisions:
         assert state.round_index == run_adversary(
             CyclicFamilyAdversary(n, m_stride=stride), n
         ).t_star
+
+    @pytest.mark.parametrize("n, size", [(32, 3808), (48, 8784), (64, 8000)])
+    def test_pool_sizes(self, n, size):
+        assert len(CyclicFamilyAdversary(n)._candidate_parent_matrix()) == size
+
+    @pytest.mark.parametrize("starts", [1, 5])
+    def test_small_score_blocks_keep_earliest_tie(self, monkeypatch, starts):
+        """Scoring few start nodes per block changes no score and no tie-break.
+
+        n = 12 splits into blocks of 1 start, or of 5, 5 and 2.  On the
+        initial state every rotation of a candidate ties, so the earliest
+        candidate must win across blocks.
+        """
+        n = 12
+        adv = CyclicFamilyAdversary(n)
+        states = [BroadcastState.initial(n)]
+        while not states[-1].is_broadcast_complete():
+            states.append(states[-1].apply_tree(adv.next_tree(states[-1], 1)))
+        expected = [_pool_scores(adv, state) for state in states]
+        per_start = zeiner._chain_fan_family(n, 1).hi[0].size * n
+        monkeypatch.setattr(zeiner, "_SCORE_BLOCK", starts * per_start)
+        for state, scores in zip(states, expected):
+            assert _pool_scores(adv, state) == scores
+            tree = adv.next_tree(state, 1)
+            assert tree.parents == _reference_next_tree(adv, state).parents
+        assert adv.next_tree(states[0], 1).parents == tuple(
+            adv._candidate_parent_matrix()[0].tolist()
+        )
 
 
 class TestSquaringReproducesGolden:
