@@ -16,7 +16,7 @@ Theorem 3.1 witness -- and writes the numbers to
 
 Every cell runs in a fresh interpreter.  Usage::
 
-    python benchmarks/bench_cyclic.py --baseline bb9603f   # ~6 min, both columns
+    python benchmarks/bench_cyclic.py --baseline HEAD~1    # ~6 min, both columns
     python benchmarks/bench_cyclic.py                      # this checkout only
 
 Under pytest only the smallest cell runs, plus a schema check of the

@@ -92,7 +92,7 @@ class _ChainFanFamily(NamedTuple):
     anchor: np.ndarray  # (n, 2, S) parent of every fan node
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _chain_fan_family(n: int, m_stride: int) -> _ChainFanFamily:
     ms = np.arange(1, n - 1, m_stride)
     chain = np.concatenate([[n - 1], np.repeat(ms, 2)])

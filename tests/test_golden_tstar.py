@@ -110,6 +110,28 @@ def _reference_next_tree(adv: CyclicFamilyAdversary, state: BroadcastState):
     return RootedTree([int(p) for p in best])
 
 
+def _reference_pool(n: int, m_stride: int) -> np.ndarray:
+    """The historical generation loop: distinct candidates in play order."""
+    seen, out = set(), []
+    for s in range(n):
+        for step in (1, -1):
+            order = [(s + step * i) % n for i in range(n)]
+            chains = [(n - 1, s)] + [
+                (m, anchor)
+                for m in range(1, n - 1, m_stride)
+                for anchor in (s, order[m])
+            ]
+            for m, anchor in chains:
+                parents = [anchor] * n
+                parents[s] = s
+                for a, b in zip(order[:m], order[1 : m + 1]):
+                    parents[b] = a
+                if tuple(parents) not in seen:
+                    seen.add(tuple(parents))
+                    out.append(parents)
+    return np.asarray(out)
+
+
 def _pool_scores(adv: CyclicFamilyAdversary, state: BroadcastState):
     """The prefix-sum scorer's vector over the same deduplicated pool."""
     n, stride = adv._n, adv._m_stride
@@ -189,6 +211,13 @@ class TestBatchedCyclicScorerDecisions:
     @pytest.mark.parametrize("n, size", [(32, 3808), (48, 8784), (64, 8000)])
     def test_pool_sizes(self, n, size):
         assert len(CyclicFamilyAdversary(n)._candidate_parent_matrix()) == size
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 17, 33])
+    def test_pool_matches_generation_loop(self, n):
+        """Same candidates in the same order: the tie-break depends on it."""
+        for stride in (1, 2, 3):
+            pool = CyclicFamilyAdversary(n, m_stride=stride)._candidate_parent_matrix()
+            np.testing.assert_array_equal(pool, _reference_pool(n, stride))
 
     @pytest.mark.parametrize("starts", [1, 5])
     def test_small_score_blocks_keep_earliest_tie(self, monkeypatch, starts):
