@@ -1,41 +1,50 @@
-"""Exact broadcast game values by exhaustive minimax.
+"""Exact broadcast game values by exhaustive level-synchronous search.
 
 Definition 2.3's ``t*(T_n)`` is the value of a single-player maximization
 game: from the identity product graph, the adversary repeatedly picks any
 rooted tree; the game ends when some row fills.  Because round graphs carry
 self-loops, states grow monotonically and every tree strictly grows the
-root's row (Lemma R), so the state space is a finite DAG and plain memoized
-DFS computes the exact value.
+root's row (Lemma R), so the state space is a finite DAG.
+
+The search expands it one *level* (round) at a time.  Level 0 is the start
+state; level ``k + 1`` is the ⊆-minimal antichain of the unfinished
+successors of level ``k``, up to relabeling.  This is sound because the
+game value is antitone in the state: composing with a tree is monotone, and
+a state contained in an unfinished state is unfinished, so every unfinished
+state reachable in ``k`` rounds contains a relabeling of some level-``k``
+state.  The value is therefore the number of non-empty levels.
 
 Representation and optimizations
 --------------------------------
 * A state is a tuple of ``n`` row bitmasks (``rows[x]`` bit ``y`` set iff
-  ``x`` reached ``y``).  Inside a step it is *packed* into one ``uint64``
-  of ``n² <= 64`` bits, row 0 most significant, so integer order of packed
-  states equals tuple order and ``a ⊆ b`` is ``a & ~b == 0``.
+  ``x`` reached ``y``).  Inside the search it is *packed* into one
+  ``uint64``, one byte per row (``n <= 8``), row 0 most significant, so
+  integer order of packed states equals tuple order and ``a ⊆ b`` is
+  ``a & ~b == 0``.  Packing is a byte copy and a view, and "some row is
+  full" is a zero-byte test on the packed word.
 * Composition with a tree is a per-row table lookup: ``tables[t, row]``
   (``uint8``, all trees × all ``2^n`` rows, built by broadcasting over the
   parent arrays) is ``row | {c : parent_t(c) ∈ row}``, which depends on the
-  row only.  One round from a state is the gather ``tables[:, state]``,
-  packed, then deduplicated with ``np.unique``.
-* Successors are reduced to their ⊆-minimal antichain: the game value is
-  antitone in the state (more edges can only finish sooner), so dominated
-  successors are pruned.  Candidates are sorted by popcount; every
-  survivor of the lowest remaining popcount level is minimal, and the
-  later candidates are tested against that kept block in bounded chunks,
-  so no ``m × m`` temporary is ever built.
-* Memoization keys are canonicalized under simultaneous node relabeling
-  (the game is label-invariant).  A table of every relabeled row, already
-  shifted to its packed position, turns the canonical key into one gather
-  over all ``n!`` relabelings and a minimum.
+  row only.  One round from a block of frontier states is the gather
+  ``tables[:, block]``; finished rows are dropped and the rest packed.
+* Each block, and then the whole level, is reduced to its ⊆-minimal
+  antichain.  Candidates are sorted by popcount; every survivor of the
+  lowest remaining popcount level is minimal, and the later candidates are
+  tested against that kept block in bounded chunks, so no ``m × m``
+  temporary is ever built.  The level sets do not depend on the block size.
+* The level's survivors are canonicalized under simultaneous node
+  relabeling (the game is label-invariant) and reduced again.  A table of
+  every relabeled row, already shifted to its packed position, turns a
+  block of canonical keys into one gather over all ``n!`` relabelings and
+  a minimum.
 
 Feasibility: |T_n| = n^(n-1) trees per state.  Measured on a 2-vCPU
-x86-64 VM (numpy 2.4, CPython 3.11): n = 2..5 solve in ~0.17 s together
-(817 canonical states at n = 5; the tuple-based solver took ~2 s); n = 6
-solves in ~100 s (t* = 7, 112,620 canonical states, ~1,100 states/s,
-118 MB peak RSS; 1620 s before).  From the identity state at n = 6 all
-7776 successors are incomparable and one expansion keeps them all in
-~4 ms.  n = 7 (117,649 trees per state) is untried.
+x86-64 VM (numpy 2.4, CPython 3.11): n = 2..5 solve in ~0.02 s together
+(353 expanded states at n = 5; the memoized DFS this replaced memoized 817
+states in ~0.15 s); n = 6 solves in ~26 s (t* = 7, 19,001 expanded states
+in levels of 1, 19, 1359, 7828, 7010, 2769 and 15; ~100 s with the DFS).
+``benchmarks/BENCH_exact.json`` records both.  n = 7 (117,649 trees per
+state) is untried.
 """
 
 from __future__ import annotations
@@ -49,14 +58,20 @@ import numpy as np
 
 from repro.core.bitset import _popcount
 from repro.errors import SearchBudgetExceeded
+from repro.obs import trace
 from repro.trees.enumerate import MAX_ENUMERABLE_N, all_parent_arrays
 from repro.trees.rooted_tree import RootedTree
 from repro.types import validate_node_count
 
 State = Tuple[int, ...]
 
-#: Largest element count of one kept-block × candidates domination test.
+#: Largest element count of one block temporary: gathered successor rows,
+#: relabeled rows, or one kept-block × candidates domination test.
 _BLOCK = 1 << 16
+
+#: The low and the high bit of every byte, for the zero-byte test.
+_LOW_BITS = np.uint64(0x0101010101010101)
+_HIGH_BITS = np.uint64(0x8080808080808080)
 
 
 @dataclass
@@ -67,9 +82,12 @@ class ExactResult:
     ----------
     n: number of processes.
     t_star: the exact game value ``t*(T_n)``.
-    states_explored: number of distinct (canonical) states memoized.
+    states_explored: number of states the level search expanded (the sum
+        of ``level_sizes``).
     tree_count: ``|T_n| = n^(n-1)``.
     elapsed_seconds: wall-clock solve time.
+    level_sizes: canonical antichain size of each non-empty level; there
+        are ``t_star`` of them.
     optimal_trees: an optimal adversary sequence witnessing ``t_star``
         (filled by :meth:`ExactGameSolver.optimal_sequence`).
     """
@@ -79,6 +97,7 @@ class ExactResult:
     states_explored: int
     tree_count: int
     elapsed_seconds: float
+    level_sizes: List[int] = field(default_factory=list)
     optimal_trees: List[RootedTree] = field(default_factory=list)
 
 
@@ -89,13 +108,14 @@ class ExactGameSolver:
     ----------
     n:
         Number of processes (2 .. :data:`MAX_ENUMERABLE_N`; practical
-        budgets stop around 5).
+        budgets stop around 6).
     canonicalize:
-        Collapse states under node relabeling.  Shrinks the memo table by
-        up to ``n!`` at the cost of computing canonical keys; worthwhile
-        for ``n >= 4``.
+        Collapse states under node relabeling.  Shrinks the levels by up
+        to ``n!`` at the cost of computing canonical keys; worthwhile for
+        ``n >= 4``.
     max_states:
-        Budget on distinct memoized states; exceeded ->
+        Budget on states expanded by one search; the search stops after
+        expanding exactly that many and raises
         :class:`SearchBudgetExceeded`.
     """
 
@@ -118,15 +138,20 @@ class ExactGameSolver:
         self._canonicalize = canonicalize
         self._max_states = max_states
         self._parent_arrays: List[Tuple[int, ...]] = list(all_parent_arrays(n))
-        # Bit offset of each row in a packed state: row 0 most significant.
-        self._shifts = np.arange(n - 1, -1, -1, dtype=np.uint64) * np.uint64(n)
+        # Bit offset of each row's byte in a packed state: row 0 most
+        # significant.
+        self._shifts = np.arange(n - 1, -1, -1, dtype=np.uint64) * np.uint64(8)
+        # XOR with this zeroes exactly the full row bytes (unused bytes -> 0xFF).
+        self._full_bytes = np.uint64(
+            int.from_bytes(bytes([0xFF] * (8 - n) + [self._full] * n), "big")
+        )
         self._tree_tables = _build_tree_tables(np.array(self._parent_arrays), n)
         if canonicalize:
             self._perm_tables = _build_perm_tables(n, self._shifts)
-            # Column of row x holding value r in the flattened perm tables.
+            # Row of the perm tables for row x holding value r.
             self._perm_offsets = np.arange(n) << n
-        self._memo: Dict[State, int] = {}
-        self._canon_cache: Dict[State, State] = {}
+        # Game value by the start state's canonical packed key.
+        self._values: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # State helpers
@@ -147,27 +172,90 @@ class ExactGameSolver:
 
     def successors(self, state: State) -> List[State]:
         """Deduplicated, ⊆-minimal successor states of one round."""
-        rows = self._tree_tables[:, state]
-        packed = (rows.astype(np.uint64) << self._shifts).sum(axis=1)
-        packed, first = np.unique(packed, return_index=True)
-        pops = _popcount(packed)
-        order = np.argsort(pops, kind="stable")
-        kept = order[_minimal_sorted(packed[order], pops[order])]
-        return list(map(tuple, rows[first[kept]].tolist()))
+        return self._unpack(self._antichain(self._pack(self._tree_tables[:, state])))
 
     def canonical(self, state: State) -> State:
         """Lexicographically minimal relabeling of ``state``."""
-        if not self._canonicalize:
-            return state
-        cached = self._canon_cache.get(state)
-        if cached is not None:
-            return cached
-        columns = self._perm_offsets + state
-        best = int(self._perm_tables[:, columns].sum(axis=1).min())
-        full = self._full
-        key = tuple((best >> shift) & full for shift in self._shifts.tolist())
-        self._canon_cache[state] = key
+        (key,) = self._unpack(self._keys(self._pack(np.array([state]))))
         return key
+
+    # ------------------------------------------------------------------
+    # Batched steps on packed states
+    # ------------------------------------------------------------------
+
+    def _pack(self, rows: np.ndarray) -> np.ndarray:
+        """``(..., n)`` row bitmasks -> packed ``uint64`` states."""
+        buf = np.zeros(rows.shape[:-1] + (8,), dtype=np.uint8)
+        buf[..., :self._n] = rows[..., ::-1]
+        return buf.view("<u8")[..., 0]
+
+    def _rows(self, packed: np.ndarray) -> np.ndarray:
+        """Packed states -> ``(m, n)`` row bitmasks (``intp``)."""
+        return ((packed[:, None] >> self._shifts) & np.uint64(self._full)).astype(np.intp)
+
+    def _unpack(self, packed: np.ndarray) -> List[State]:
+        return list(map(tuple, self._rows(packed).tolist()))
+
+    def _finished(self, packed: np.ndarray) -> np.ndarray:
+        """Whether each packed state has a full row, i.e. a zero byte after XOR."""
+        x = packed ^ self._full_bytes
+        return ((x - _LOW_BITS) & ~x & _HIGH_BITS) != 0
+
+    def _antichain(self, packed: np.ndarray) -> np.ndarray:
+        """The distinct ⊆-minimal packed states, by popcount then value."""
+        packed = np.sort(packed)
+        packed = np.concatenate((packed[:1], packed[1:][packed[1:] != packed[:-1]]))
+        pops = _popcount(packed)
+        order = np.argsort(pops, kind="stable")
+        return packed[order[_minimal_sorted(packed[order], pops[order])]]
+
+    def _keys(self, packed: np.ndarray) -> np.ndarray:
+        """Canonical packed key of each packed state (identity if disabled)."""
+        if not self._canonicalize:
+            return packed
+        out = np.empty(len(packed), dtype=np.uint64)
+        step = max(1, _BLOCK // (self._perm_tables.shape[1] * self._n))
+        for lo in range(0, len(packed), step):
+            columns = self._perm_offsets + self._rows(packed[lo:lo + step])
+            relabeled = np.bitwise_or.reduce(self._perm_tables[columns], axis=1)
+            out[lo:lo + step] = relabeled.min(axis=1)
+        return out
+
+    def _expand(self, block: np.ndarray) -> np.ndarray:
+        """Packed ⊆-minimal antichain of the unfinished successors of a block."""
+        packed = self._pack(self._tree_tables[:, self._rows(block)]).ravel()
+        return self._antichain(packed[~self._finished(packed)])
+
+    def _next_level(self, frontier: np.ndarray) -> np.ndarray:
+        """The canonical ⊆-minimal antichain of a level's successors."""
+        step = max(1, _BLOCK // (len(self._tree_tables) * self._n))
+        blocks = [
+            self._expand(frontier[lo:lo + step])
+            for lo in range(0, len(frontier), step)
+        ]
+        survivors = self._antichain(np.concatenate(blocks))
+        return self._antichain(self._keys(survivors))
+
+    def _search(self, state: State) -> List[int]:
+        """Sizes of the non-empty levels from an unfinished ``state``."""
+        frontier = self._keys(self._pack(np.array([state])))
+        sizes: List[int] = []
+        trees = len(self._tree_tables)
+        while len(frontier):
+            budget = self._max_states - sum(sizes)
+            if len(frontier) > budget:
+                if budget:  # expand exactly max_states states, then stop
+                    self._next_level(frontier[:budget])
+                raise SearchBudgetExceeded(
+                    f"exact solver exceeded max_states={self._max_states}",
+                    self._max_states,
+                )
+            sizes.append(len(frontier))
+            with trace.span("exact.level", level=len(sizes) - 1) as sp:
+                generated = len(frontier) * trees
+                frontier = self._next_level(frontier)
+                sp.set_attrs(frontier=sizes[-1], generated=generated, kept=len(frontier))
+        return sizes
 
     # ------------------------------------------------------------------
     # Solving
@@ -180,79 +268,43 @@ class ExactGameSolver:
         """
         if self.is_finished(state):
             return 0
-        key = self.canonical(state)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        # Iterative DFS with an explicit stack (depth can reach ~n²).
-        # Frames are [state, canonical_key, pending_successors, best_so_far];
-        # a successor is only *peeked* until its value is memoized, so its
-        # contribution is folded into ``best`` when the frame resumes.
-        stack: List[List] = [[state, key, self.successors(state), 0]]
-        while stack:
-            frame = stack[-1]
-            _cur, cur_key, succs, best = frame
-            descended = False
-            while succs:
-                nxt = succs[-1]
-                if self.is_finished(nxt):
-                    best = max(best, 1)
-                    succs.pop()
-                    continue
-                nxt_key = self.canonical(nxt)
-                nxt_val = self._memo.get(nxt_key)
-                if nxt_val is None:
-                    frame[3] = best
-                    stack.append([nxt, nxt_key, self.successors(nxt), 0])
-                    descended = True
-                    break
-                best = max(best, 1 + nxt_val)
-                succs.pop()
-            if descended:
-                continue
-            if len(self._memo) >= self._max_states:
-                raise SearchBudgetExceeded(
-                    f"exact solver exceeded max_states={self._max_states}",
-                    len(self._memo),
-                )
-            self._memo[cur_key] = best
-            stack.pop()
-        return self._memo[key]
+        key = int(self._keys(self._pack(np.array([state])))[0])
+        if key not in self._values:
+            self._values[key] = len(self._search(state))
+        return self._values[key]
 
     def solve(self) -> ExactResult:
         """Compute ``t*(T_n)`` from the identity state."""
         start = time.perf_counter()
-        t_star = self.value(self.initial_state())
+        sizes = self._search(self.initial_state())
         elapsed = time.perf_counter() - start
         return ExactResult(
             n=self._n,
-            t_star=t_star,
-            states_explored=len(self._memo),
+            t_star=len(sizes),
+            states_explored=sum(sizes),
             tree_count=len(self._parent_arrays),
             elapsed_seconds=elapsed,
+            level_sizes=sizes,
         )
 
     def optimal_sequence(self) -> List[RootedTree]:
         """Replay an optimal adversary line from the identity state.
 
-        Requires/triggers a full solve.  At each state the lowest-index
-        tree achieving the memoized value is chosen, so the sequence is
-        deterministic.
+        At each state the lowest-index tree achieving the state's value is
+        chosen, so the sequence is deterministic.
         """
-        total = self.value(self.initial_state())
-        seq: List[RootedTree] = []
         state = self.initial_state()
-        remaining = total
+        remaining = self.value(state)
+        seq: List[RootedTree] = []
         while remaining > 0:
             chosen = None
             for i in range(len(self._tree_tables)):
                 nxt = self.apply_tree_index(state, i)
-                nxt_val = 0 if self.is_finished(nxt) else self.value(nxt)
-                if 1 + nxt_val == remaining:
+                if 1 + self.value(nxt) == remaining:
                     chosen = (i, nxt)
                     break
             if chosen is None:  # pragma: no cover - would indicate a bug
-                raise RuntimeError("no tree achieves the memoized game value")
+                raise RuntimeError("no tree achieves the game value")
             i, state = chosen
             seq.append(RootedTree(self._parent_arrays[i]))
             remaining -= 1
@@ -281,8 +333,8 @@ def _build_perm_tables(n: int, shifts: np.ndarray) -> np.ndarray:
 
     Relabeling a state by π sets ``new_rows[π[x]] = bitperm_π(rows[x])``,
     where ``bitperm_π`` moves bit ``y`` to bit ``π[y]``.  The result is the
-    ``(n!, n · 2^n)`` ``uint64`` matrix whose column ``x · 2^n + r`` holds
-    ``bitperm_π(r) << shifts[π[x]]``, so summing the ``n`` columns a state
+    ``(n · 2^n, n!)`` ``uint64`` matrix whose row ``x · 2^n + r`` holds
+    ``bitperm_π(r) << shifts[π[x]]``, so OR-ing the ``n`` rows a state
     selects packs each relabeled state.
     """
     perms = np.array(list(iter_permutations(range(n))), dtype=np.intp)
@@ -290,7 +342,7 @@ def _build_perm_tables(n: int, shifts: np.ndarray) -> np.ndarray:
     bits = (rows[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
     moved = (bits[None, :, :] << perms[:, None, :].astype(np.uint64)).sum(axis=2)
     placed = moved[:, None, :] << shifts[perms][:, :, None]  # (n!, n, 2^n)
-    return placed.reshape(len(perms), n << n)
+    return np.ascontiguousarray(placed.reshape(len(perms), n << n).T)
 
 
 def _minimal_sorted(packed: np.ndarray, pops: np.ndarray) -> np.ndarray:
@@ -301,7 +353,7 @@ def _minimal_sorted(packed: np.ndarray, pops: np.ndarray) -> np.ndarray:
     remaining popcount level is minimal; it then filters the later levels.
     """
     index = np.arange(len(packed))
-    kept = []
+    kept = [index[:0]]
     while len(packed):
         cut = int(np.searchsorted(pops, pops[0], side="right"))
         kept.append(index[:cut])
@@ -325,30 +377,6 @@ def _dominated(kept: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         chunk = ~candidates[lo:lo + step]
         out[lo:lo + step] = ((kept[:, None] & chunk) == 0).any(axis=0)
     return out
-
-
-def _minimal_antichain(states: List[State]) -> List[State]:
-    """Keep only ⊆-minimal states (value is antitone in the state).
-
-    The tuple-level reference for :meth:`ExactGameSolver.successors`.
-    """
-    # Sort by total popcount: a state can only be dominated by one with
-    # fewer or equal total bits.
-    keyed = sorted(states, key=_total_bits)
-    kept: List[State] = []
-    for s in keyed:
-        if not any(_subseteq(k, s) for k in kept):
-            kept.append(s)
-    return kept
-
-
-def _total_bits(state: State) -> int:
-    return sum(bin(row).count("1") for row in state)
-
-
-def _subseteq(a: State, b: State) -> bool:
-    """True iff state ``a``'s edge set is contained in ``b``'s."""
-    return all((ra | rb) == rb for ra, rb in zip(a, b))
 
 
 def exact_broadcast_time(n: int, max_states: int = 5_000_000) -> int:

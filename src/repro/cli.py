@@ -254,10 +254,13 @@ def cmd_exact(args: argparse.Namespace) -> int:
         f"t*(T_{args.n}) = {result.t_star} exactly "
         f"(formulas: LB={lower_bound(args.n)}, UB={upper_bound(args.n)})"
     )
+    rate = result.states_explored / max(result.elapsed_seconds, 1e-9)
     print(
         f"states explored: {result.states_explored}; trees per state: "
-        f"{result.tree_count}; solve time: {result.elapsed_seconds:.2f}s"
+        f"{result.tree_count}; solve time: {result.elapsed_seconds:.2f}s "
+        f"({rate:,.0f} states/s)"
     )
+    print(f"level sizes: {' '.join(map(str, result.level_sizes))}")
     for i, tree in enumerate(sequence, start=1):
         print(f"round {i}: parents={list(tree.parents)}")
     return 0

@@ -208,7 +208,7 @@ def _e2_legacy() -> ExperimentTable:
 # ----------------------------------------------------------------------
 
 _E3_NS = [2, 3, 4, 5]
-_E3_NOTES = ["n=6: exact t*=7 (recorded; ~27 min, 112620 states)"]
+_E3_NOTES = ["n=6: exact t*=7 (recorded; 19001 states expanded)"]
 
 
 def _e3_units() -> List[Dict[str, Any]]:

@@ -62,8 +62,9 @@ from repro.service.specs import (
 )
 
 #: Version prefix baked into every non-run task digest; bump when task
-#: canonicalization or any builtin kind's semantics change.
-TASK_VERSION = 1
+#: canonicalization or any builtin kind's semantics change.  Version 2:
+#: ``exact-solve``'s ``states_explored`` counts level-search expansions.
+TASK_VERSION = 2
 
 #: Node states a task moves through inside a graph run.  ``poisoned``
 #: marks tasks skipped because an upstream dependency failed;

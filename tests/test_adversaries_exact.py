@@ -4,18 +4,15 @@ from __future__ import annotations
 
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from repro.adversaries import exact
-from repro.adversaries.exact import (
-    ExactGameSolver,
-    _minimal_antichain,
-    _subseteq,
-    exact_broadcast_time,
-)
+from repro.adversaries.exact import ExactGameSolver, exact_broadcast_time
 from repro.core.bounds import lower_bound, upper_bound
 from repro.core.broadcast import run_sequence
 from repro.errors import SearchBudgetExceeded
+from repro.obs import trace
 from repro.trees.enumerate import all_parent_arrays
 
 
@@ -122,8 +119,26 @@ class TestAntichain:
 
 
 # ----------------------------------------------------------------------
-# Packed path vs the tuple-level reference
+# Packed level search vs the tuple-level and DFS references
 # ----------------------------------------------------------------------
+
+
+def _total_bits(state):
+    return sum(bin(row).count("1") for row in state)
+
+
+def _subseteq(a, b):
+    """True iff state ``a``'s edge set is contained in ``b``'s."""
+    return all((ra | rb) == rb for ra, rb in zip(a, b))
+
+
+def _minimal_antichain(states):
+    """Keep only the ⊆-minimal states: the tuple-level antichain reference."""
+    kept = []
+    for s in sorted(states, key=_total_bits):
+        if not any(_subseteq(k, s) for k in kept):
+            kept.append(s)
+    return kept
 
 
 def _reference_tables(n):
@@ -158,18 +173,46 @@ def _reference_canonical(n, state):
     return best
 
 
+def _reference_value(solver, state, memo):
+    """Memoized DFS over ``solver.successors``, keyed by ``solver.canonical``.
+
+    The depth-first solver the level search replaced: the value of a state
+    is 0 once finished, else one more than its best minimal successor.
+    """
+    if solver.is_finished(state):
+        return 0
+    key = solver.canonical(state)
+    if key not in memo:
+        memo[key] = 1 + max(
+            _reference_value(solver, nxt, memo) for nxt in solver.successors(state)
+        )
+    return memo[key]
+
+
+def _recording(solver, name):
+    """Shadow ``solver.<name>`` to record each ``(argument, result)`` pair.
+
+    ``del solver.<name>`` restores the method.
+    """
+    calls = []
+    method = getattr(solver, name)
+
+    def recording(packed):
+        out = method(packed)
+        calls.append((packed.copy(), out.copy()))
+        return out
+
+    setattr(solver, name, recording)
+    return calls
+
+
 def _expanded_states(solver):
-    """Solve, recording every state whose successors the solver expands."""
-    seen = []
-    packed_successors = solver.successors
-
-    def recording(state):
-        seen.append(state)
-        return packed_successors(state)
-
-    solver.successors = recording
-    solver.solve()
-    del solver.successors
+    """Solve, returning every state whose successors the level search expands."""
+    blocks = _recording(solver, "_expand")
+    result = solver.solve()
+    del solver._expand
+    seen = [s for block, _ in blocks for s in solver._unpack(block)]
+    assert len(seen) == result.states_explored > 0
     return seen
 
 
@@ -206,15 +249,79 @@ class TestPackedEquivalence:
             assert all(type(row) is int for row in key)
             assert key == _reference_canonical(n, state)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_level_search_matches_dfs_reference(self, n):
+        solver = ExactGameSolver(n)
+        keys = _recording(solver, "_keys")
+        seen = _expanded_states(solver)
+        del solver._keys
+        assert keys
+        for packed, out in keys:
+            for state, key in zip(solver._unpack(packed), solver._unpack(out)):
+                assert key == _reference_canonical(n, state)
+        memo = {}
+        for state in seen:
+            assert solver.value(state) == _reference_value(solver, state, memo)
+        start = solver.initial_state()
+        assert solver.value(start) == _reference_value(solver, start, memo) == lower_bound(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_packing_round_trips_and_finds_full_rows(self, n):
+        solver = ExactGameSolver(n)
+        rng = np.random.default_rng(n)
+        states = [tuple(int(r) for r in rng.integers(0, 1 << n, size=n)) for _ in range(500)]
+        states += [tuple((1 << n) - 1 if x == y else 1 << x for x in range(n)) for y in range(n)]
+        packed = solver._pack(np.array(states))
+        assert solver._unpack(packed) == states
+        # Integer order of packed states is tuple order.
+        by_state = sorted(range(len(states)), key=states.__getitem__)
+        assert np.argsort(packed, kind="stable").tolist() == by_state
+        assert solver._finished(packed).tolist() == [solver.is_finished(s) for s in states]
+
+    def test_levels_do_not_depend_on_block_size(self, monkeypatch):
+        def levels():
+            solver = ExactGameSolver(5)
+            calls = _recording(solver, "_next_level")
+            solver.solve()
+            return [sorted(out.tolist()) for _, out in calls]
+
+        default = levels()
+        # Blocks of 3 elements: one frontier state per gather and per
+        # canonical block, one candidate per domination test.
+        monkeypatch.setattr(exact, "_BLOCK", 3)
+        assert levels() == default
+        assert [len(level) for level in default] == [8, 97, 176, 71, 0]
+
+    def test_budget_counts_expanded_states(self):
+        assert ExactGameSolver(5, max_states=353).solve().t_star == 5
+        with pytest.raises(SearchBudgetExceeded) as info:
+            ExactGameSolver(5, max_states=352).solve()
+        assert info.value.states_explored == 352
+
+    def test_one_span_per_level(self, tmp_path):
+        sink = tmp_path / "spans.jsonl"
+        trace.enable(str(sink))
+        try:
+            result = ExactGameSolver(5).solve()
+        finally:
+            trace.disable()
+        spans = [s for s in trace.read_spans(str(sink)) if s["name"] == "exact.level"]
+        assert result.level_sizes == [1, 8, 97, 176, 71]
+        assert [s["attrs"]["frontier"] for s in spans] == result.level_sizes
+        assert [s["attrs"]["kept"] for s in spans] == result.level_sizes[1:] + [0]
+        assert [s["attrs"]["generated"] for s in spans] == [
+            size * result.tree_count for size in result.level_sizes
+        ]
+
     @pytest.mark.parametrize(
-        "n,t_star,states", [(2, 1, 1), (3, 2, 2), (4, 4, 19), (5, 5, 817)]
+        "n,t_star,states", [(2, 1, 1), (3, 2, 2), (4, 4, 16), (5, 5, 353)]
     )
     def test_pinned_solve_counts(self, n, t_star, states):
         result = ExactGameSolver(n).solve()
         assert (result.t_star, result.states_explored) == (t_star, states)
 
     @pytest.mark.parametrize(
-        "n,t_star,states", [(2, 1, 1), (3, 2, 7), (4, 4, 385)]
+        "n,t_star,states", [(2, 1, 1), (3, 2, 7), (4, 4, 277)]
     )
     def test_pinned_uncanonicalized_counts(self, n, t_star, states):
         result = ExactGameSolver(n, canonicalize=False).solve()
