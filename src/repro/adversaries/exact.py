@@ -251,10 +251,11 @@ class ExactGameSolver:
                     self._max_states,
                 )
             sizes.append(len(frontier))
-            with trace.span("exact.level", level=len(sizes) - 1) as sp:
-                generated = len(frontier) * trees
+            with trace.span(
+                "exact.level", frontier=len(frontier), generated=len(frontier) * trees
+            ) as sp:
                 frontier = self._next_level(frontier)
-                sp.set_attrs(frontier=sizes[-1], generated=generated, kept=len(frontier))
+                sp.set_attrs(kept=len(frontier))
         return sizes
 
     # ------------------------------------------------------------------

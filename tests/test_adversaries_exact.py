@@ -294,9 +294,22 @@ class TestPackedEquivalence:
 
     def test_budget_counts_expanded_states(self):
         assert ExactGameSolver(5, max_states=353).solve().t_star == 5
+        solver = ExactGameSolver(5, max_states=352)
+        blocks = _recording(solver, "_expand")
         with pytest.raises(SearchBudgetExceeded) as info:
-            ExactGameSolver(5, max_states=352).solve()
+            solver.solve()
         assert info.value.states_explored == 352
+        assert sum(len(block) for block, _ in blocks) == 352
+
+    def test_value_is_memoized_by_canonical_key(self):
+        solver = ExactGameSolver(4)
+        searches = []
+        search = solver._search
+        solver._search = lambda state: searches.append(state) or search(state)
+        a = (0b0011, 0b0010, 0b0100, 0b1000)  # node 0 reached node 1
+        b = (0b0001, 0b0010, 0b1100, 0b1000)  # node 2 reached node 3
+        assert solver.value(a) == solver.value(b) > 0
+        assert searches == [a]
 
     def test_one_span_per_level(self, tmp_path):
         sink = tmp_path / "spans.jsonl"
