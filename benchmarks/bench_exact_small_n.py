@@ -173,7 +173,7 @@ def test_print_exact_table(capsys):
 
 
 @pytest.mark.skipif(
-    not N6, reason="n=6 exact solve takes ~10 s; set REPRO_BENCH_EXACT_N6=1"
+    not N6, reason="n=6 exact solve takes ~12 s; set REPRO_BENCH_EXACT_N6=1"
 )
 def test_exact_n6_full_solve():
     result = ExactGameSolver(6, max_states=30_000_000).solve()

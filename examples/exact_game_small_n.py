@@ -2,7 +2,7 @@
 """Exact game solving: the true t*(T_n) for small n.
 
 Solves the broadcast game exhaustively for n = 2..5 (optionally 6 with
-``--n6``, ~10 s more), prints the exact values against the Theorem 3.1
+``--n6``, ~12 s more), prints the exact values against the Theorem 3.1
 formulas, and replays an optimal adversary line for n = 5, classifying
 the tree shapes optimal play uses.
 

@@ -39,12 +39,12 @@ Representation and optimizations
   a minimum.
 
 Feasibility: |T_n| = n^(n-1) trees per state.  Measured on a 2-vCPU
-x86-64 VM (numpy 2.4, CPython 3.11): n = 2..5 solve in ~0.02 s together
-(353 expanded states at n = 5; the memoized DFS this replaced memoized 817
-states in ~0.15 s); n = 6 solves in ~26 s (t* = 7, 19,001 expanded states
-in levels of 1, 19, 1359, 7828, 7010, 2769 and 15; ~100 s with the DFS).
-``benchmarks/BENCH_exact.json`` records both.  n = 7 (117,649 trees per
-state) is untried.
+x86-64 VM (numpy 2.4, CPython 3.11): n = 5 solves in ~0.013 s (353
+expanded states; the memoized DFS this replaced memoized 817 states in
+~0.18 s); n = 6 solves in ~12 s with a 47 MB peak RSS (t* = 7, 19,001
+expanded states in levels of 1, 19, 1359, 7828, 7010, 2769 and 15; the
+DFS took ~100 s and 119 MB).  ``benchmarks/BENCH_exact.json`` records
+both.  n = 7 (117,649 trees per state) is untried.
 """
 
 from __future__ import annotations
