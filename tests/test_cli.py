@@ -93,6 +93,8 @@ class TestSweepExactLemmas:
         assert main(["exact", "-n", "3"]) == 0
         out = capsys.readouterr().out
         assert "t*(T_3) = 2 exactly" in out
+        assert "level sizes: 1 1\n" in out
+        assert "states/s)" in out
 
     def test_exact_with_sequence(self, capsys):
         assert main(["exact", "-n", "3", "--show-sequence"]) == 0
