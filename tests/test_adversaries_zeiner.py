@@ -49,6 +49,12 @@ class TestCyclicFamily:
         with pytest.raises(AdversaryError):
             CyclicFamilyAdversary(6, m_stride=0)
 
+    def test_rejects_n_beyond_exact_scoring(self):
+        """Scores are exact only below 6000 nodes (the int64 key)."""
+        CyclicFamilyAdversary(5999)
+        with pytest.raises(AdversaryError, match="6000"):
+            CyclicFamilyAdversary(6000)
+
     def test_wrong_n_rejected_at_play_time(self):
         adv = CyclicFamilyAdversary(6)
         with pytest.raises(AdversaryError):

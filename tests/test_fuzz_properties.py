@@ -16,7 +16,9 @@ adversarial inputs across BOTH matrix backends:
 * per-round gains accounting -- ``gains_under`` predicts exactly the
   reach-size delta of playing the tree;
 * cross-backend equality -- dense and bitset agree on ``t*``, the final
-  matrix, and every intermediate reach count.
+  matrix, and every intermediate reach count;
+* cyclic chain-fan scoring -- the GEMM-squares walk picks the argmin of
+  the full-table score key on any reachable state.
 
 Runs are deterministic: hypothesis is ``derandomize``d (CI exercises the
 suite under a fixed seed on both backends).
@@ -26,9 +28,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.adversaries import zeiner
 from repro.core import kernels
 from repro.core import matrix as M
 from repro.core.backend import get_backend, use_backend
@@ -261,3 +264,34 @@ def test_forced_kernel_compose_matches_reference(backend, kernel, a, seed):
     with kernels.use_kernel(kernel):
         got = bk.to_dense(bk.compose_with_graph(bk.from_dense(a), g))
     assert (got == M.bool_product(a, g)).all()
+
+
+# ----------------------------------------------------------------------
+# Cyclic chain-fan scoring
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@FUZZ
+@given(tree_sequences(min_n=2, max_n=20), st.sampled_from([1, 2, 3]))
+@example(  # the max row breaks a squares tie among non-finishers
+    seq=(18, [
+        RootedTree([5, 7, 12, 6, 0, 15, 6, 14, 12, 7, 2, 3, 11, 3, 6, 11, 10, 13]),
+        RootedTree([2, 3, 4, 12, 9, 11, 17, 0, 12, 17, 10, 0, 4, 8, 11, 2, 10, 16]),
+        RootedTree([12, 7, 16, 4, 17, 11, 11, 11, 4, 9, 17, 16, 3, 11, 15, 5, 9, 16]),
+    ]),
+    stride=1,
+)
+def test_cyclic_gemm_choice_is_full_table_argmin(backend, seq, stride):
+    """The GEMM walk picks the full-table ``(done, squares, top)`` argmin."""
+    n, trees = seq
+    fam = zeiner._chain_fan_family(n, stride)
+    with use_backend(backend):
+        state = BroadcastState.initial(n)
+        for tree in trees:
+            if state.apply_tree(tree).is_broadcast_complete():
+                break
+            state.apply_tree_inplace(tree)
+        reach = state.reach_matrix_view()
+        scores = zeiner._chain_fan_scores(fam, reach)
+        assert zeiner._gemm_choice(fam, reach) == np.lexsort(scores.T[::-1])[0]

@@ -10,11 +10,14 @@ regression, not noise.
 
 The cyclic family is scored from per-round prefix sums
 (:func:`repro.adversaries.zeiner._chain_fan_scores`), never by composing a
-candidate.  :class:`TestBatchedCyclicScorerDecisions` pins that scorer to
-the per-candidate oracle :func:`quadratic_potential_score`: the *full*
-score vector on random states whose reach sets are not cyclic intervals,
-every round of full runs, the earliest-candidate tie-break, and the pool
-sizes the benchmarks quote.
+candidate; larger pools take their squares from GEMMs and build exact
+rows only for the winning group
+(:func:`repro.adversaries.zeiner._gemm_choice`).
+:class:`TestBatchedCyclicScorerDecisions` pins both to the per-candidate
+oracle :func:`quadratic_potential_score`: the *full* score vector and the
+GEMM squares on random states whose reach sets are not cyclic intervals,
+every round of full runs up to n = 64, the last-round fallback, the
+earliest-candidate tie-break, and the pool sizes the benchmarks quote.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.adversaries.zeiner import (
     quadratic_potential_score,
 )
 from repro.analysis.intervals import state_is_interval_structured
-from repro.core.backend import use_backend
+from repro.core.backend import get_backend, use_backend
 from repro.core.broadcast import run_adversary
 from repro.core.state import BroadcastState
 from repro.trees.generators import random_tree
@@ -92,6 +95,14 @@ def test_nonsplit_reduction_reproduces_golden(backend):
             assert t == GOLDEN["nonsplit_cyclic"][str(n)], (n, backend)
 
 
+#: Three random trees at n = 18 after which the max row decides the move.
+TIE_TREES_N18 = (
+    (5, 7, 12, 6, 0, 15, 6, 14, 12, 7, 2, 3, 11, 3, 6, 11, 10, 13),
+    (2, 3, 4, 12, 9, 11, 17, 0, 12, 17, 10, 0, 4, 8, 11, 2, 10, 16),
+    (12, 7, 16, 4, 17, 11, 11, 11, 4, 9, 17, 16, 3, 11, 15, 5, 9, 16),
+)
+
+
 def _reference_scores(adv: CyclicFamilyAdversary, state: BroadcastState):
     """Per-candidate oracle scores over the deduplicated pool."""
     reach = state.reach_matrix_view()
@@ -101,13 +112,28 @@ def _reference_scores(adv: CyclicFamilyAdversary, state: BroadcastState):
     ]
 
 
+def _composed_scores(adv: CyclicFamilyAdversary, state: BroadcastState) -> np.ndarray:
+    """``(C, 3)`` oracle scores of the pool, composing every candidate.
+
+    The :func:`quadratic_potential_score` formula over rows from the
+    bitset backend's batched composition (the fastest one), in blocks of
+    512 candidates.
+    """
+    n, bits = state.n, get_backend("bitset")
+    mat = bits.from_dense(state.reach_matrix_view())
+    parents = adv._candidate_parent_matrix()
+    rows = np.concatenate([
+        bits.batch_reach_sizes(bits.batch_compose_from(mat, parents[i : i + 512]))
+        for i in range(0, len(parents), 512)
+    ]).astype(np.int64)
+    return np.stack([(rows == n).sum(axis=1), (rows**2).sum(axis=1), rows.max(axis=1)], 1)
+
+
 def _reference_next_tree(adv: CyclicFamilyAdversary, state: BroadcastState):
-    """The historical per-candidate scoring loop, kept as the oracle."""
-    best, best_score = None, None
-    for parent, s in zip(adv._candidate_parent_matrix(), _reference_scores(adv, state)):
-        if best_score is None or s < best_score:
-            best, best_score = parent, s
-    return RootedTree([int(p) for p in best])
+    """The oracle's move: lowest composed score, earliest candidate on ties."""
+    scores = _composed_scores(adv, state)
+    best = np.lexsort(scores.T[::-1])[0]  # stable: ties keep pool order
+    return RootedTree(adv._candidate_parent_matrix()[best].tolist())
 
 
 def _reference_pool(n: int, m_stride: int) -> np.ndarray:
@@ -189,6 +215,110 @@ class TestBatchedCyclicScorerDecisions:
                     assert tree.parents == _reference_next_tree(adv, state).parents
                     state.apply_tree_inplace(tree)
                 assert rounds == GOLDEN["cyclic_family"][str(n)]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 17, 33, 64])
+    def test_gemm_squares_match_full_table(self, backend, n):
+        """Squares from the GEMMs equal column 1 of the full table, at any n."""
+        rng = np.random.default_rng(n * 31)
+        with use_backend(backend):
+            for stride in (None, 2, 3):
+                fam = zeiner._chain_fan_family(n, CyclicFamilyAdversary(n, stride)._m_stride)
+                for trial in range(4 if n <= 17 else 2):
+                    reach = _random_prefix_state(n, rng).reach_matrix_view()
+                    squares = zeiner._gemm_squares(fam, zeiner._prefix_tables(fam, reach))
+                    full = zeiner._chain_fan_scores(fam, reach)
+                    np.testing.assert_array_equal(squares, full[:, 1])
+                    assert zeiner._gemm_choice(fam, reach) == zeiner._full_table_choice(
+                        fam, reach
+                    ), (backend, n, stride, trial)
+
+    def test_composed_oracle_is_quadratic_potential_score(self):
+        rng = np.random.default_rng(7)
+        for n in (5, 12, 17):
+            adv = CyclicFamilyAdversary(n)
+            state = _random_prefix_state(n, rng)
+            assert [tuple(r) for r in _composed_scores(adv, state).tolist()] == (
+                _reference_scores(adv, state)
+            )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_full_runs_match_oracle_up_to_64(self, backend):
+        """Every round of full runs on both scorers (the pool passes 1000 at n = 17)."""
+        with use_backend(backend):
+            for n in (17, 33, 64):
+                adv = CyclicFamilyAdversary(n)
+                state = BroadcastState.initial(n)
+                while not state.is_broadcast_complete():
+                    tree = adv.next_tree(state, state.round_index + 1)
+                    assert tree.parents == _reference_next_tree(adv, state).parents, (
+                        n, state.round_index
+                    )
+                    state.apply_tree_inplace(tree)
+
+    def test_max_row_breaks_squares_ties(self):
+        """Within the winning squares group the lower max row wins.
+
+        Rare on random states: after these three trees at n = 18 the
+        lowest-squares non-finishing candidates have max rows 16 and 15,
+        and the earlier one has 16.
+        """
+        n = 18
+        state = BroadcastState.initial(n)
+        for parents in TIE_TREES_N18:
+            state.apply_tree_inplace(RootedTree(parents))
+        adv = CyclicFamilyAdversary(n)
+        fam = zeiner._chain_fan_family(n, 1)
+        reach = state.reach_matrix_view()
+        scores = zeiner._chain_fan_scores(fam, reach)
+        by_squares = np.lexsort(scores[:, :2].T[::-1])[0]
+        best = zeiner._gemm_choice(fam, reach)
+        assert fam.hi.size >= zeiner._FULL_TABLE_POOL
+        assert scores[best, 1] == scores[by_squares, 1]
+        assert scores[best, 2] < scores[by_squares, 2]
+        assert best == zeiner._full_table_choice(fam, reach)
+        assert adv.next_tree(state, 1).parents == _reference_next_tree(adv, state).parents
+
+    def test_last_round_falls_back_to_full_table(self, monkeypatch):
+        """When every candidate finishes, the full table picks the move."""
+        n = 24
+        adv = CyclicFamilyAdversary(n)
+        fam = zeiner._chain_fan_family(n, 1)
+        state = BroadcastState.initial(n)
+        for _ in range(GOLDEN["cyclic_family"][str(n)] - 1):
+            state.apply_tree_inplace(adv.next_tree(state, 1))
+        assert (zeiner._chain_fan_scores(fam, state.reach_matrix_view())[:, 0] > 0).all()
+        calls = []
+        full_table = zeiner._full_table_choice
+        monkeypatch.setattr(
+            zeiner, "_full_table_choice", lambda *a: calls.append(a) or full_table(*a)
+        )
+        tree = adv.next_tree(state, 1)
+        assert len(calls) == 1 and fam.hi.size >= zeiner._FULL_TABLE_POOL
+        assert tree.parents == _reference_next_tree(adv, state).parents
+        assert state.apply_tree(tree).is_broadcast_complete()
+
+    def test_prefilter_empties_minimal_squares_group(self):
+        """The lowest squares all fill a largest row; a later group wins.
+
+        From round 22 of 32 at n = 24 the minimal-squares candidates all
+        finish a largest row, so the prefilter drops that whole group.
+        """
+        n = 24
+        adv = CyclicFamilyAdversary(n)
+        fam = zeiner._chain_fan_family(n, 1)
+        state = BroadcastState.initial(n)
+        for _ in range(n):
+            state.apply_tree_inplace(adv.next_tree(state, 1))
+        reach = state.reach_matrix_view()
+        tables = zeiner._prefix_tables(fam, reach)
+        squares = zeiner._gemm_squares(fam, tables)
+        lowest = squares == squares.min()
+        assert zeiner._fills_largest_rows(fam, tables)[lowest].all()
+        best = zeiner._gemm_choice(fam, reach)
+        assert squares[best] > squares.min()
+        assert best == zeiner._full_table_choice(fam, reach)
+        assert adv.next_tree(state, 1).parents == _reference_next_tree(adv, state).parents
 
     def test_stride_subsampling_keeps_decisions(self):
         """Strided pools (the large-n config) keep their decisions too.
