@@ -19,7 +19,9 @@ that *witness* the bound:
   96, 128.  How it was found: we solved the game exactly for small
   ``n``, observed that optimal play keeps reach sets as cyclic intervals
   and plays chains-with-fans, and closed the family under rotation and
-  direction.
+  direction.  No candidate is composed: sums of squared reach sizes come
+  from GEMMs over per-round prefix sums, and a run takes 0.14 s at
+  n = 48.
 
 * :class:`ZeinerStyleAdversary`, :class:`RunnerAdversary` -- simpler
   two-phase/path heuristics kept as baselines (they only reach ``n - 1``;
@@ -377,10 +379,16 @@ class CyclicFamilyAdversary(Adversary):
     (``benchmarks/BENCH_cyclic.json``; pinned for n <= 24 in
     ``tests/fixtures/golden_tstar.json``).
 
-    The pool is scored without composing any candidate: every score is
-    read off per-round prefix sums along the rotated orders
-    (:func:`_chain_fan_scores`, O(n) per candidate, exact on every state),
-    about 0.2 s per run at n = 48 and 2 s at n = 128.  ``m_stride``
+    The pool is scored without composing any candidate, from per-round
+    prefix sums along the rotated orders (:func:`_prefix_tables`).  Pools
+    of 1000 slots and more (n >= 17 at stride 1) take every candidate's
+    sum of squares from batched GEMMs and build exact rows only for the
+    lowest-squares candidates that fill none of the largest rows
+    (:func:`_gemm_choice`); smaller pools and the last round, where every
+    candidate finishes, read the full table (:func:`_chain_fan_scores`,
+    n lookups per candidate).  Both are exact on every state.  A run
+    takes 0.14 s at n = 48 and 1.6 s at n = 128 (2.3 s with
+    ``m_stride=1``; ``benchmarks/BENCH_cyclic.json``).  ``m_stride``
     defaults to 1 below 64 nodes and ``n // 32`` beyond, which loses
     rounds there (see the module docstring).
     """

@@ -234,6 +234,7 @@ class TestBatchedCyclicScorerDecisions:
                     ), (backend, n, stride, trial)
 
     def test_composed_oracle_is_quadratic_potential_score(self):
+        """The batched oracle returns the per-candidate score tuples."""
         rng = np.random.default_rng(7)
         for n in (5, 12, 17):
             adv = CyclicFamilyAdversary(n)
