@@ -299,8 +299,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     pure aggregation): ``--engine``/``--workers`` pick the executor the
     run tasks batch/shard through, ``--cache`` content-addresses every
     task so a warm rerun computes zero runs and reproduces the table
-    byte-identically, and ``--legacy`` runs the pre-task-API inline path
-    (the equivalence oracle).
+    byte-identically.
     """
     from repro.experiments import get_experiment, list_experiments, run_experiment
 
@@ -309,37 +308,17 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             print(f"{spec.experiment_id}: {spec.title} ({spec.paper_artifact})")
         return 0
 
-    executor = None
+    from repro.engine.executor import get_executor
+
+    _warn_ignored_workers(args)
+    executor = get_executor(args.engine, workers=args.workers)
     cache = None
-    if args.legacy:
-        ignored = [
-            flag
-            for flag, is_set in (
-                ("--engine", args.engine != "sequential"),
-                ("--workers", args.workers != 1),
-                ("--cache", bool(args.cache)),
-            )
-            if is_set
-        ]
-        if ignored:
-            print(
-                f"warning: {', '.join(ignored)} ignored with --legacy "
-                "(the inline path bypasses the task API)",
-                file=sys.stderr,
-            )
-    else:
-        from repro.engine.executor import get_executor
+    if args.cache:
+        from repro.service.cache import ResultCache
 
-        _warn_ignored_workers(args)
-        executor = get_executor(args.engine, workers=args.workers)
-        if args.cache:
-            from repro.service.cache import ResultCache
-
-            cache = ResultCache(path=args.cache)
+        cache = ResultCache(path=args.cache)
 
     def run_one(spec) -> "object":
-        if args.legacy:
-            return spec.run_legacy()
         table, graph_run = run_experiment(
             spec.experiment_id, executor=executor, cache=cache
         )
@@ -943,11 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
             "content-addressed task cache (JSONL): a warm rerun computes "
             "zero runs and reproduces the table byte-identically"
         ),
-    )
-    p.add_argument(
-        "--legacy",
-        action="store_true",
-        help="run the pre-task-API inline implementation (equivalence oracle)",
     )
     p.set_defaults(func=cmd_experiment)
 

@@ -1062,9 +1062,8 @@ def _compute_nonsplit(
     from repro.gossip.consensus import blocks_are_nonsplit
     from repro.trees.generators import random_tree
 
-    # One shared RNG stream across the whole ns list, exactly as the
-    # legacy experiment drew its witness trees -- which is why this is a
-    # single task rather than a per-n grid.
+    # One shared RNG stream across the whole ns list: the E6 golden table
+    # was drawn this way, so splitting into per-n tasks would change it.
     rng = np.random.default_rng(payload["rng_seed"])
     rows = []
     for n in payload["ns"]:
@@ -1100,8 +1099,8 @@ def _compute_arc_game(
     from repro.adversaries.interval_game import arc_game_value
 
     n = payload["n"]
-    # Proved value n-1 beyond the solver's practical range (the legacy
-    # experiment's convention).
+    # The value n-1 is proved for every n; the solver only confirms it
+    # where it is practical (n <= solver_limit).
     value = arc_game_value(n) if n <= payload["solver_limit"] else n - 1
     return {"n": n, "value": int(value)}
 

@@ -3,9 +3,10 @@
 The acceptance criteria pinned here:
 
 * every experiment run through the task-graph path renders byte-identically
-  to the legacy inline registry path AND to the committed golden fixtures
-  (``tests/fixtures/golden_experiments.json``, generated from the legacy
-  path; identical on both backends);
+  to the committed golden fixtures
+  (``tests/fixtures/golden_experiments.json``, identical on both backends),
+  through the library, the ``run_all`` facade and the CLI (one experiment
+  and ``experiment all``);
 * a warm-cache rerun executes **zero** simulation runs (and zero compute
   tasks at all) and reproduces the table byte-identically;
 * an experiment's run grid demonstrably shards across worker processes
@@ -57,12 +58,10 @@ def golden():
 
 class TestGoldenStability:
     @pytest.mark.parametrize("eid", [f"E{i}" for i in range(1, 9)])
-    def test_task_path_matches_golden_and_legacy(self, eid, golden):
-        """The headline acceptance: task path == legacy path == fixture."""
+    def test_task_path_matches_golden(self, eid, golden):
+        """The headline acceptance: task path == fixture."""
         table, run = run_experiment(eid)
-        rendered = table.render()
-        assert rendered == golden[eid], f"{eid} drifted from the golden fixture"
-        assert rendered == get_experiment(eid).run_legacy().render()
+        assert table.render() == golden[eid], f"{eid} drifted from the golden fixture"
         assert run.ok
         assert run.stats["runs_computed"] == EXPECTED_RUN_UNITS[eid]
 
@@ -70,10 +69,6 @@ class TestGoldenStability:
         tables = run_all()
         assert [t.experiment_id for t in tables] == list(known_experiment_ids())
         for table in tables:
-            assert table.render() == golden[table.experiment_id]
-
-    def test_run_all_legacy_matches(self, golden):
-        for table in run_all(legacy=True):
             assert table.render() == golden[table.experiment_id]
 
     def test_table_doc_round_trip_renders_identically(self):
@@ -253,12 +248,14 @@ class TestCliExperimentTaskPath:
         assert "runs computed: 0" in second.err
         assert "0 computed" not in first.err and "6 cached, 0 computed" in second.err
 
-    def test_cli_legacy_flag(self, capsys, golden):
+    def test_cli_all_prints_every_golden(self, capsys, golden):
+        """``experiment all``: every table in id order, exit 0 iff all pass."""
         from repro.cli import main
 
-        assert main(["experiment", "E4", "--legacy"]) == 0
-        out = capsys.readouterr().out
-        assert out.strip() == golden["E4"]
+        ids = known_experiment_ids()
+        all_pass = all(golden[eid].endswith("checks: PASSED") for eid in ids)
+        assert main(["experiment", "all"]) == (0 if all_pass else 1)
+        assert capsys.readouterr().out == "".join(golden[eid] + "\n\n" for eid in ids)
 
     def test_cli_batch_engine(self, capsys, golden):
         from repro.cli import main

@@ -30,7 +30,22 @@ class TestRegistry:
 class TestRunFunctions:
     """Run the fast experiments and validate structure + checks."""
 
-    @pytest.mark.parametrize("eid", ["E1", "E2", "E4"])
+    @pytest.mark.parametrize(
+        "eid",
+        [
+            "E1",
+            "E2",
+            "E4",
+            pytest.param(
+                "E5",
+                marks=pytest.mark.xfail(
+                    strict=True, reason="ROADMAP item 3: E5 check fails and its golden pins it"
+                ),
+            ),
+            "E6",
+            "E8",
+        ],
+    )
     def test_fast_experiments_pass_checks(self, eid):
         table = get_experiment(eid).run()
         assert isinstance(table, ExperimentTable)
