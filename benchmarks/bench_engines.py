@@ -1,10 +1,8 @@
-"""E8a -- engine ablations: matrix vs process engine; compiled vs tree loop.
+"""Engine ablations: tree fast path vs generic matmul; compiled vs tree loop.
 
-Both engines implement the identical model (property-tested); this
-ablation quantifies the cost of the process-level view and of the generic
-boolean matmul versus the O(n²) tree fast path.  The design choice
-justified here: the matrix engine with the column-gather composition is
-the default everywhere.
+The first ablation times the matrix engine and its O(n²) tree
+composition against the generic boolean matmul.  The design choice
+justified here: the column-gather composition is the default everywhere.
 
 The second ablation pins the unified execution layer
 (:mod:`repro.engine.executor`): the compiled parent-schedule fast path
@@ -28,7 +26,6 @@ from repro.core import matrix as M
 from repro.core.backend import use_backend
 from repro.core.broadcast import run_sequence
 from repro.engine.executor import RunSpec, SequentialExecutor
-from repro.engine.simulator import HeardOfSimulator
 from repro.trees.generators import path, random_tree
 
 
@@ -42,19 +39,6 @@ def test_matrix_engine_speed(benchmark, n):
     trees = _sequence(n, rounds=16, seed=0)
     result = benchmark(lambda: run_sequence(trees, n, stop_at_broadcast=False))
     assert result.final_state.round_index == 16
-
-
-@pytest.mark.parametrize("n", [32, 128])
-def test_process_engine_speed(benchmark, n):
-    trees = _sequence(n, rounds=16, seed=0)
-
-    def run():
-        sim = HeardOfSimulator(n)
-        sim.run(trees, stop_at_broadcast=False)
-        return sim
-
-    sim = benchmark(run)
-    assert sim.round_index == 16
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -144,33 +128,4 @@ def test_compiled_schedule_vs_tree_loop(n, capsys):
         assert family_speedup >= 2.0, (
             f"compiled schedules only {family_speedup:.2f}x faster at n={n}; "
             "expected >= 2x on the static-path family under bitset"
-        )
-
-
-@pytest.mark.table
-def test_print_engine_equivalence_note(capsys):
-    """Record the equivalence + a small side-by-side timing table."""
-    import time
-
-    rows = []
-    for n in (32, 128):
-        trees = _sequence(n, rounds=16, seed=3)
-        t0 = time.perf_counter()
-        mat = run_sequence(trees, n, stop_at_broadcast=False)
-        t_matrix = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        sim = HeardOfSimulator(n)
-        sim_t = sim.run(trees, stop_at_broadcast=False)
-        t_sim = time.perf_counter() - t0
-        assert mat.t_star == sim_t
-        rows.append((n, f"{t_matrix * 1e3:.1f}ms", f"{t_sim * 1e3:.1f}ms",
-                     f"{t_sim / max(t_matrix, 1e-9):.0f}x"))
-    with capsys.disabled():
-        print()
-        print(
-            format_table(
-                ["n", "matrix engine", "process engine", "slowdown"],
-                rows,
-                title="E8a: engine ablation (identical results, different cost)",
-            )
         )

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversaries.oblivious import StaticTreeAdversary
-from repro.analysis.evolution import evolution_report
 from repro.analysis.tables import format_table
 from repro.core.broadcast import run_sequence
 from repro.trees.generators import binary_tree, path, star
@@ -28,7 +26,7 @@ def test_print_static_baseline_table(capsys):
         path_t = run_sequence([path(n)] * (n * n), n).t_star
         star_t = run_sequence([star(n)], n).t_star
         tree_t = run_sequence([binary_tree(n)] * n, n).t_star
-        report = evolution_report([path(n)] * (n - 1), n)
+        history = run_sequence([path(n)] * (n - 1), n, keep_history=True).history
         rows.append(
             (
                 n,
@@ -36,7 +34,7 @@ def test_print_static_baseline_table(capsys):
                 n - 1,
                 star_t,
                 tree_t,
-                min(report.new_edge_trajectory),
+                min(snap.new_edges for snap in history),
             )
         )
     with capsys.disabled():

@@ -13,22 +13,15 @@ Run: ``python examples/adversary_tournament.py``
 
 from __future__ import annotations
 
-from repro.adversaries.zeiner import portfolio
 from repro.analysis.sweep import sweep_adversaries
 from repro.analysis.tables import format_table
 from repro.core.bounds import lower_bound, upper_bound
+from repro.service.specs import portfolio_handles
 
 
 def main() -> None:
     ns = [6, 8, 10, 12]
-    # Build one factory per portfolio slot (names must be stable across n).
-    slot_names = [a.name.split("[")[0] for a in portfolio(ns[0], include_search=True)]
-
-    def factory_for(i):
-        return lambda n: portfolio(n, include_search=True)[i]
-
-    factories = {name: factory_for(i) for i, name in enumerate(slot_names)}
-    result = sweep_adversaries(factories, ns)
+    result = sweep_adversaries(portfolio_handles(include_search=True), ns)
 
     headers = ["adversary", *[f"n={n}" for n in ns]]
     rows = []

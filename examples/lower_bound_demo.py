@@ -16,12 +16,16 @@ import sys
 
 from repro.adversaries import CyclicFamilyAdversary
 from repro.analysis.certificates import certify_sequence
-from repro.analysis.evolution import render_matrix
 from repro.analysis.stalling import stall_report
 from repro.core.bounds import lower_bound, upper_bound
 from repro.core.state import BroadcastState
 from repro.core.theorem import sandwich
 from repro.trees.canonical import classify_shape
+
+
+def render_matrix(matrix) -> str:
+    """ASCII art of a boolean matrix: one line per row, ``#`` marks an edge."""
+    return "\n".join("".join("#" if cell else "." for cell in row) for row in matrix)
 
 
 def main() -> None:

@@ -6,8 +6,8 @@ over adversarial sequences of rooted trees, analysed through the evolution
 of boolean adjacency matrices -- plus every substrate the reproduction
 needs: the rooted-tree universe ``T_n``, adversary strategies (explicit
 constructions, greedy/beam search, and an exact game solver for small
-``n``), a process-level heard-of simulator, the bound formulas of Figure 1
-and Theorem 3.1, and analysis/benchmark harnesses.
+``n``), the bound formulas of Figure 1 and Theorem 3.1, the E1..E8
+experiments, and an execution layer served over HTTP.
 
 Quickstart
 ----------
@@ -30,8 +30,8 @@ the word-packed ``bitset``; select via ``REPRO_BACKEND``, the CLI's
 True
 
 Batch many runs into one vectorized step per round with
-:class:`repro.engine.BatchRunner` / :func:`repro.engine.run_multi_seed`;
-see README.md for backend selection and measured speedups.
+:class:`repro.engine.BatchExecutor`; see README.md for backend selection
+and measured speedups.
 """
 
 from repro._version import __version__

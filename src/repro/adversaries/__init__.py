@@ -42,7 +42,6 @@ from repro.adversaries.zeiner import (
     CyclicFamilyAdversary,
     RunnerAdversary,
     ZeinerStyleAdversary,
-    best_known_adversary,
     quadratic_potential_score,
 )
 from repro.adversaries.pool import CandidatePool, PoolConfig
@@ -80,7 +79,6 @@ __all__ = [
     "ZeinerStyleAdversary",
     "RunnerAdversary",
     "CyclicFamilyAdversary",
-    "best_known_adversary",
     "quadratic_potential_score",
     "CandidatePool",
     "PoolConfig",

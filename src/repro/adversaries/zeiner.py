@@ -26,31 +26,21 @@ that *witness* the bound:
 * :class:`ZeinerStyleAdversary`, :class:`RunnerAdversary` -- simpler
   two-phase/path heuristics kept as baselines (they only reach ``n - 1``;
   their failure is itself informative and benchmarked in E8).
-
-* :func:`best_known_adversary` -- portfolio driver returning the strongest
-  measured adversary for a given ``n``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.adversaries.base import Adversary
-from repro.adversaries.paths import (
-    AlternatingPathAdversary,
-    RotatingPathAdversary,
-    SortedPathAdversary,
-    StaticPathAdversary,
-    TwoPhaseFlipAdversary,
-)
-from repro.core.broadcast import BroadcastResult, run_adversary
+from repro.adversaries.paths import StaticPathAdversary
 from repro.core.state import BroadcastState
 from repro.errors import AdversaryError
-from repro.trees.generators import chain_fan, path_from_order, rotated_path
+from repro.trees.generators import chain_fan, path_from_order
 from repro.trees.rooted_tree import RootedTree
 
 
@@ -483,58 +473,3 @@ class RunnerAdversary(Adversary):
         rest = [v for v in range(self._n) if v != runner]
         rest.sort(key=lambda v: (rows[v], v))
         return path_from_order([runner] + rest)
-
-
-def portfolio(n: int, include_search: bool = True, seed: int = 0) -> List[Adversary]:
-    """The standard adversary portfolio used by benchmarks and sweeps.
-
-    Always contains the oblivious and constructive strategies (including
-    the lower-bound-matching :class:`CyclicFamilyAdversary`);
-    ``include_search`` adds the pool-based greedy/beam searchers.
-    """
-    from repro.adversaries.beam import BeamSearchAdversary
-    from repro.adversaries.greedy import GreedyDelayAdversary
-    from repro.adversaries.oblivious import RandomTreeAdversary
-
-    advs: List[Adversary] = [
-        StaticPathAdversary(n),
-        AlternatingPathAdversary(n, period=1),
-        RotatingPathAdversary(n, shift=1),
-        SortedPathAdversary(n, ascending=True),
-        SortedPathAdversary(n, ascending=False),
-        TwoPhaseFlipAdversary(n, alpha=0.5),
-        ZeinerStyleAdversary(n),
-        RunnerAdversary(n),
-        CyclicFamilyAdversary(n),
-        RandomTreeAdversary(n, seed=seed),
-    ]
-    if include_search:
-        advs.append(GreedyDelayAdversary(n, seed=seed))
-        advs.append(BeamSearchAdversary(n, depth=2, width=6, seed=seed))
-    return advs
-
-
-def best_known_adversary(
-    n: int,
-    include_search: bool = True,
-    seed: int = 0,
-) -> Tuple[Adversary, BroadcastResult, Dict[str, int]]:
-    """Run the portfolio and return the strongest adversary for ``n``.
-
-    Returns
-    -------
-    (adversary, result, leaderboard)
-        The adversary achieving the largest ``t*``, its full run result,
-        and a name -> t* leaderboard over the whole portfolio.
-    """
-    best_adv: Optional[Adversary] = None
-    best_result: Optional[BroadcastResult] = None
-    leaderboard: Dict[str, int] = {}
-    for adv in portfolio(n, include_search=include_search, seed=seed):
-        result = run_adversary(adv, n)
-        assert result.t_star is not None  # run_adversary enforces the n² cap
-        leaderboard[adv.name] = result.t_star
-        if best_result is None or result.t_star > best_result.t_star:
-            best_adv, best_result = adv, result
-    assert best_adv is not None and best_result is not None
-    return best_adv, best_result, leaderboard

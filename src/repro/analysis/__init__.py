@@ -1,10 +1,9 @@
 """Analysis and reporting utilities.
 
-Executable versions of the paper's analytical lens (matrix evolution,
-stalling structure) plus the sweep/table machinery the benchmarks use:
+Executable versions of the paper's analytical lens (stalling structure,
+cyclic-interval reach sets) plus the sweep/table machinery the CLI and the
+experiments use:
 
-* :mod:`~repro.analysis.evolution` -- round-by-round matrix evolution
-  reports (the paper's Section 3 perspective);
 * :mod:`~repro.analysis.stalling` -- who stalls, why, and the executable
   lemmas (root-always-gains, stalling characterization);
 * :mod:`~repro.analysis.certificates` -- validation of claimed broadcast
@@ -14,10 +13,11 @@ stalling structure) plus the sweep/table machinery the benchmarks use:
 * :mod:`~repro.analysis.tables` -- plain-text / markdown table rendering
   used by benchmarks and the CLI;
 * :mod:`~repro.analysis.stats` -- small statistics helpers (linear fits
-  for "is it linear in n?" checks).
+  for "is it linear in n?" checks);
+* :mod:`~repro.analysis.intervals` -- cyclic-interval structure of reach
+  sets.
 """
 
-from repro.analysis.evolution import EvolutionReport, evolution_report
 from repro.analysis.stalling import StallReport, stall_report, verify_lemmas_on_round
 from repro.analysis.certificates import (
     certify_adversary_run,
@@ -34,16 +34,8 @@ from repro.analysis.intervals import (
     state_intervals,
     state_is_interval_structured,
 )
-from repro.analysis.plots import bar_chart, sparkline, trajectory_panel
-from repro.analysis.falsification import (
-    CampaignResult,
-    falsification_campaign,
-    measured_gap,
-)
 
 __all__ = [
-    "EvolutionReport",
-    "evolution_report",
     "StallReport",
     "stall_report",
     "verify_lemmas_on_round",
@@ -62,10 +54,4 @@ __all__ = [
     "state_intervals",
     "state_is_interval_structured",
     "interval_preservation_trace",
-    "sparkline",
-    "bar_chart",
-    "trajectory_panel",
-    "CampaignResult",
-    "falsification_campaign",
-    "measured_gap",
 ]

@@ -12,8 +12,6 @@ This package implements Section 2 of the paper verbatim:
 * :mod:`~repro.core.broadcast` -- broadcast time ``t*`` (Definitions 2.2 and
   2.3) for fixed sequences and adversaries;
 * :mod:`~repro.core.bounds` -- every bound in Figure 1 and Theorem 3.1;
-* :mod:`~repro.core.potential` -- per-round quantities of the paper's
-  matrix-evolution analysis;
 * :mod:`~repro.core.theorem` -- executable checks of Theorem 3.1.
 """
 

@@ -1,19 +1,15 @@
-"""Process-level synchronous round engine.
+"""Execution layer over the matrix engine of :mod:`repro.core`.
 
-The matrix engine (:mod:`repro.core`) implements the paper's
-adjacency-matrix view.  This package implements the *same model a second,
-independent way* -- as message-passing processes in the heard-of style
-(Charron-Bost & Schiper [2]): each process holds the set of process ids it
-has heard of; in each round every process sends its set along its outgoing
-tree edges (to its children) and keeps its own (self-loop).
-
-Equivalence of the two engines over arbitrary tree sequences is one of the
-repository's core property tests.  The package also provides trace
-recording/replay and per-round metrics collection.
+* :mod:`~repro.engine.executor` -- ``RunSpec`` in, ``RunReport`` out: the
+  sequential, batched and sharded executors every entry point drives;
+* :mod:`~repro.engine.batch` -- :class:`BatchRunner`, many runs advanced
+  in lockstep as one vectorized step per round;
+* :mod:`~repro.engine.trace` / :mod:`~repro.engine.events` -- replayable
+  run traces and their per-round records;
+* :mod:`~repro.engine.metrics` -- per-round metrics of instrumented runs.
 """
 
-from repro.engine.simulator import HeardOfSimulator, Process
-from repro.engine.events import RoundRecord, TraceEvent
+from repro.engine.events import RoundRecord
 from repro.engine.trace import Trace, TraceRecorder, replay_trace
 from repro.engine.batch import BatchRunner, run_sequences_batch, score_candidates
 from repro.engine.executor import (
@@ -25,20 +21,10 @@ from repro.engine.executor import (
     ShardedExecutor,
     get_executor,
 )
-from repro.engine.runner import (
-    compare_engines,
-    run_adversaries_batch,
-    run_engine,
-    run_multi_seed,
-)
 from repro.engine.metrics import MetricsCollector, RunMetrics
-from repro.engine.rng import derive_rng, spawn_seeds
 
 __all__ = [
-    "HeardOfSimulator",
-    "Process",
     "RoundRecord",
-    "TraceEvent",
     "Trace",
     "TraceRecorder",
     "replay_trace",
@@ -52,12 +38,6 @@ __all__ = [
     "BatchExecutor",
     "ShardedExecutor",
     "get_executor",
-    "run_engine",
-    "run_adversaries_batch",
-    "run_multi_seed",
-    "compare_engines",
     "MetricsCollector",
     "RunMetrics",
-    "derive_rng",
-    "spawn_seeds",
 ]

@@ -4,7 +4,7 @@ Two workloads dominate this repo's compute, and both are embarrassingly
 batchable:
 
 * **multi-run sweeps** -- many seeds / many tree sequences over the same
-  ``n`` (benchmarks, falsification sweeps).  :class:`BatchRunner` stacks
+  ``n`` (sweeps, experiment grids).  :class:`BatchRunner` stacks
   the runs' matrices along a leading axis (``(B, n, n)`` dense,
   ``(B, n, words)`` bitset) and performs one vectorized
   compose + completion check per round for all runs at once.

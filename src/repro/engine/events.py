@@ -1,14 +1,13 @@
 """Event records produced by instrumented runs.
 
 Traces are sequences of :class:`RoundRecord`; each captures the tree
-played and progress statistics.  :class:`TraceEvent` is the generic tagged
-record used for non-round events (run start/end, adversary notes).
+played and progress statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -47,30 +46,4 @@ class RoundRecord:
             max_reach=int(d["max_reach"]),
             min_reach=int(d["min_reach"]),
             broadcaster_count=int(d["broadcaster_count"]),
-        )
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """A generic tagged event (non-round metadata in a trace)."""
-
-    kind: str
-    round_index: int
-    payload: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dictionary."""
-        return {
-            "kind": self.kind,
-            "round_index": self.round_index,
-            "payload": dict(self.payload),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "TraceEvent":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            kind=str(d["kind"]),
-            round_index=int(d["round_index"]),
-            payload=dict(d.get("payload", {})),
         )

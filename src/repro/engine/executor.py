@@ -1,11 +1,8 @@
 """Unified execution layer: one ``RunSpec`` in, one ``RunReport`` out.
 
-Before this module the repository had four divergent ways to drive a
-broadcast run (``core.broadcast.run_adversary``, the instrumented
-``engine.runner.run_engine``, the batched ``engine.runner``/``engine.batch``
-path, and the sharded ``engine.shard`` pool), each with its own loop,
-round-cap policy, and result shape.  They are now all facades over this
-layer:
+Every way to drive a broadcast run -- ``core.broadcast.run_adversary``,
+instrumented runs with traces and metrics, the lockstep ``engine.batch``
+path and the sharded ``engine.shard`` pool -- goes through this layer:
 
 * :class:`RunSpec` -- the full description of one run: adversary (instance
   or ``n -> adversary`` factory), ``n``, seed, ``max_rounds``, backend, and

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.core.broadcast import run_sequence
 from repro.engine.events import RoundRecord
@@ -51,11 +51,18 @@ class Trace:
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
-        """Parse a trace from JSON; validates the format version."""
+        """Parse a trace from JSON.
+
+        Raises :class:`TraceError` on invalid JSON, a non-object document,
+        a wrong format version, a missing key, a non-integer ``n`` or a
+        malformed round.
+        """
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise TraceError(f"trace is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise TraceError(f"trace must be a JSON object, not {type(doc).__name__}")
         version = doc.get("format_version")
         if version != TRACE_FORMAT_VERSION:
             raise TraceError(
@@ -65,10 +72,22 @@ class Trace:
         for key in ("n", "adversary_name", "rounds"):
             if key not in doc:
                 raise TraceError(f"trace is missing required key {key!r}")
+        try:
+            n = int(doc["n"])
+        except (TypeError, ValueError) as exc:
+            raise TraceError(f"trace 'n' is not an integer: {doc['n']!r}") from exc
+        if not isinstance(doc["rounds"], list):
+            raise TraceError("trace 'rounds' must be a JSON array")
+        rounds = []
+        for index, raw in enumerate(doc["rounds"]):
+            try:
+                rounds.append(RoundRecord.from_dict(raw))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TraceError(f"trace round {index} is malformed: {exc!r}") from exc
         return cls(
-            n=int(doc["n"]),
+            n=n,
             adversary_name=str(doc["adversary_name"]),
-            rounds=[RoundRecord.from_dict(r) for r in doc["rounds"]],
+            rounds=rounds,
             t_star=doc.get("t_star"),
             seed=doc.get("seed"),
         )
@@ -86,8 +105,9 @@ class Trace:
 class TraceRecorder:
     """Build a :class:`Trace` from an instrumented run.
 
-    Use with :func:`repro.engine.runner.run_engine` or feed it round
-    records manually.
+    :class:`~repro.engine.executor.SequentialExecutor` feeds it one
+    record per round when a spec asks for ``instrumentation="trace"``;
+    it can also be fed round records manually.
     """
 
     def __init__(self, n: int, adversary_name: str, seed: Optional[int] = None) -> None:

@@ -17,12 +17,6 @@ from repro.gossip.consensus import (
     nonsplit_block_count,
     simulate_nonsplit_rounds,
 )
-from repro.gossip.threshold import (
-    ThresholdProfile,
-    compare_profiles,
-    threshold_profile_adversary,
-    threshold_profile_sequence,
-)
 
 __all__ = [
     "GossipResult",
@@ -31,8 +25,4 @@ __all__ = [
     "blocks_are_nonsplit",
     "nonsplit_block_count",
     "simulate_nonsplit_rounds",
-    "ThresholdProfile",
-    "threshold_profile_sequence",
-    "threshold_profile_adversary",
-    "compare_profiles",
 ]

@@ -483,11 +483,12 @@ def portfolio_handles(
 ) -> Dict[str, SpecHandle]:
     """The standard sweep portfolio as declarative, cacheable handles.
 
-    Mirrors :func:`repro.adversaries.zeiner.portfolio` -- same
-    adversaries with the same constructor arguments, in the same order --
-    but keyed by display label, and every factory is a picklable
-    :class:`SpecHandle`, so the portfolio crosses ``spawn`` boundaries
-    and ``Executor.sweep`` can content-address each cell.
+    The oblivious and constructive strategies (including the
+    lower-bound-matching ``cyclic`` adversary), plus the greedy and beam
+    searchers when ``include_search`` is set, keyed by display label in
+    a fixed order.  Every factory is a picklable :class:`SpecHandle`, so
+    the portfolio crosses ``spawn`` boundaries and ``Executor.sweep`` can
+    content-address each cell.
     """
     handles = {
         "StaticPath": SpecHandle("static-path", label="StaticPath"),

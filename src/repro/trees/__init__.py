@@ -58,11 +58,6 @@ from repro.trees.subtree import (
     is_union_of_subtrees,
     stalled_nodes,
 )
-from repro.trees.distance import (
-    edge_jaccard_distance,
-    parent_hamming,
-    sequence_dynamicity,
-)
 
 __all__ = [
     "RootedTree",
@@ -95,7 +90,4 @@ __all__ = [
     "closure_under_children",
     "is_union_of_subtrees",
     "stalled_nodes",
-    "parent_hamming",
-    "edge_jaccard_distance",
-    "sequence_dynamicity",
 ]

@@ -1,15 +1,15 @@
-"""Heard-of-style process-level simulator.
+"""Heard-of-style process-level simulator: a test oracle for the matrix engine.
 
-Processes are explicit objects exchanging id-sets along tree edges.  This
-engine is intentionally implemented *without* the adjacency-matrix
-shortcut: rounds deliver messages parent -> child, each process unions
-what it receives.  Its per-process "heard of" sets must equal the
+The library computes broadcast through the adjacency-matrix view of
+:mod:`repro.core`.  This module implements the *same model a second,
+independent way* -- as message-passing processes in the heard-of style
+(Charron-Bost & Schiper): each process holds the set of process ids it
+has heard of; in each round every process sends its set along its outgoing
+tree edges (to its children) and keeps its own (self-loop).  No adjacency
+matrix is involved.  Its per-process "heard of" sets must equal the
 *columns* of the matrix engine's product graph (and the "reached" sets,
-tracked on the sender side, the rows); the equivalence is property-tested.
-
-The simulator is slower than the matrix engine (that is fine -- it exists
-for validation and for process-level instrumentation, e.g. message
-counts), but still comfortably handles thousands of processes.
+tracked on the sender side, the rows); :func:`compare_engines` checks
+exactly that, and the property tests drive it on random sequences.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.core.broadcast import run_sequence
 from repro.errors import DimensionMismatchError, SimulationError
 from repro.trees.rooted_tree import RootedTree
 from repro.types import validate_node_count
@@ -146,13 +147,6 @@ class HeardOfSimulator:
                     break
         return t_star
 
-    def heard_matrix(self) -> List[List[bool]]:
-        """``m[x][y]`` = x has heard of y (transpose of the reach matrix)."""
-        return [
-            [y in self._processes[x].heard for y in range(self._n)]
-            for x in range(self._n)
-        ]
-
     def state_summary(self) -> str:
         """One-line progress summary."""
         sizes = sorted(len(p.heard) for p in self._processes)
@@ -167,3 +161,44 @@ class HeardOfSimulator:
         self._processes = [Process(pid) for pid in range(self._n)]
         self._round = 0
         self._messages_total = 0
+
+
+def compare_engines(
+    trees: Sequence[RootedTree], n: Optional[int] = None
+) -> Tuple[Optional[int], Optional[int]]:
+    """Run a sequence through both engines; raise on any disagreement.
+
+    Returns the (identical) broadcast times as a pair.  Checks, after the
+    full sequence:
+
+    * identical broadcast times,
+    * the matrix engine's rows equal the simulator's reach sets,
+    * the matrix engine's columns equal the simulator's heard-of sets.
+    """
+    if n is None:
+        if not trees:
+            raise SimulationError("cannot infer n from an empty sequence")
+        n = trees[0].n
+    matrix_result = run_sequence(trees, n=n, stop_at_broadcast=False)
+    sim = HeardOfSimulator(n)
+    sim_t = sim.run(trees, stop_at_broadcast=False)
+    if matrix_result.t_star != sim_t:
+        raise SimulationError(
+            f"engines disagree on t*: matrix={matrix_result.t_star}, "
+            f"simulator={sim_t}"
+        )
+    final = matrix_result.final_state
+    for x in range(n):
+        if final.reach_set(x) != sim.reach_of(x):
+            raise SimulationError(
+                f"engines disagree on reach set of node {x}: "
+                f"matrix={sorted(final.reach_set(x))}, "
+                f"simulator={sorted(sim.reach_of(x))}"
+            )
+        if final.heard_of_set(x) != sim.heard_of(x):
+            raise SimulationError(
+                f"engines disagree on heard-of set of node {x}: "
+                f"matrix={sorted(final.heard_of_set(x))}, "
+                f"simulator={sorted(sim.heard_of(x))}"
+            )
+    return matrix_result.t_star, sim_t

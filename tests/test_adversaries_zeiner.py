@@ -8,14 +8,15 @@ from repro.adversaries.zeiner import (
     CyclicFamilyAdversary,
     RunnerAdversary,
     ZeinerStyleAdversary,
-    best_known_adversary,
-    portfolio,
     quadratic_potential_score,
 )
 from repro.core.bounds import lower_bound, upper_bound
 from repro.core.broadcast import run_adversary
 from repro.core.state import BroadcastState
 from repro.errors import AdversaryError
+from repro.service.specs import portfolio_handles
+
+from helpers import expected_portfolio, portfolio_rows
 
 
 class TestCyclicFamily:
@@ -109,18 +110,20 @@ class TestHeuristicBaselines:
 
 class TestPortfolio:
     def test_contains_cyclic_family(self):
-        names = [a.name for a in portfolio(6, include_search=False)]
-        assert any("CyclicFamily" in name for name in names)
+        handles = portfolio_handles(include_search=False)
+        assert portfolio_rows(handles) == expected_portfolio(include_search=False)
 
     def test_best_known_is_cyclic_at_small_n(self):
-        adv, result, board = best_known_adversary(6, include_search=False)
-        assert result.t_star == lower_bound(6)
-        assert board[adv.name] == result.t_star
+        board = {
+            label: run_adversary(handle(6), 6).t_star
+            for label, handle in portfolio_handles(include_search=False).items()
+        }
+        assert board["CyclicFamily"] == lower_bound(6)
         # The portfolio's weaker members must all be <= the winner.
-        assert all(v <= result.t_star for v in board.values())
+        assert max(board.values()) == board["CyclicFamily"]
 
     def test_every_portfolio_member_respects_theorem(self):
         n = 7
-        _, _, board = best_known_adversary(n, include_search=False)
-        for name, t in board.items():
-            assert t <= upper_bound(n), f"{name} violated the upper bound"
+        for label, handle in portfolio_handles(include_search=False).items():
+            t = run_adversary(handle(n), n).t_star
+            assert t <= upper_bound(n), f"{label} violated the upper bound"

@@ -1,5 +1,5 @@
-"""Tests for the analysis package (evolution, stalling, certificates,
-sweeps, tables, stats)."""
+"""Tests for the analysis package (stalling, certificates, sweeps, tables,
+stats)."""
 
 from __future__ import annotations
 
@@ -13,18 +13,13 @@ from repro.analysis.certificates import (
     certify_lower_bound_witness,
     certify_sequence,
 )
-from repro.analysis.evolution import (
-    evolution_report,
-    knowledge_matrix_snapshots,
-    render_matrix,
-)
 from repro.analysis.stalling import (
     max_stall_fraction,
     stall_report,
     stall_trajectory,
     verify_lemmas_on_round,
 )
-from repro.analysis.stats import LinearFit, growth_ratio_table, linear_fit
+from repro.analysis.stats import growth_ratio_table, linear_fit
 from repro.analysis.sweep import sweep_adversaries, sweep_n
 from repro.analysis.tables import format_markdown_table, format_table
 from repro.core.state import BroadcastState
@@ -32,37 +27,6 @@ from repro.errors import AdversaryError
 from repro.trees.generators import path, random_tree, star
 
 from helpers import make_unfinished_state
-
-
-class TestEvolution:
-    def test_report_static_path(self):
-        n = 6
-        report = evolution_report([path(n)] * 10, n)
-        assert report.t_star == n - 1
-        assert report.rounds() == n - 1
-        assert report.invariant_min_one_new_edge()
-        assert report.leader_trajectory == list(range(2, n + 1))
-
-    def test_new_edge_trajectory_positive(self, rng):
-        n = 7
-        trees = [random_tree(n, rng) for _ in range(20)]
-        report = evolution_report(trees, n)
-        assert all(e >= 1 for e in report.new_edge_trajectory)
-
-    def test_snapshots_every(self):
-        snaps = knowledge_matrix_snapshots([path(5)] * 10, 5, every=2)
-        assert len(snaps) >= 2
-        assert snaps[-1].any(axis=1).all()
-
-    def test_snapshots_validation(self):
-        with pytest.raises(ValueError):
-            knowledge_matrix_snapshots([path(4)], every=0)
-        with pytest.raises(ValueError):
-            knowledge_matrix_snapshots([])
-
-    def test_render_matrix(self):
-        art = render_matrix(np.eye(3, dtype=bool))
-        assert art.splitlines() == ["#..", ".#.", "..#"]
 
 
 class TestStalling:

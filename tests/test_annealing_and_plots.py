@@ -1,11 +1,10 @@
-"""Tests for the annealing searcher and the ASCII plot helpers."""
+"""Tests for the simulated-annealing sequence searcher."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.adversaries.annealing import anneal_sequence
-from repro.analysis.plots import bar_chart, series_compare, sparkline, trajectory_panel
 from repro.core.bounds import upper_bound
 from repro.core.broadcast import run_sequence
 from repro.errors import AdversaryError
@@ -52,55 +51,3 @@ class TestAnnealing:
             anneal_sequence(1, iterations=5)
         with pytest.raises(AdversaryError):
             anneal_sequence(5, iterations=0)
-
-
-class TestSparkline:
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_constant_is_flat(self):
-        line = sparkline([3, 3, 3])
-        assert len(set(line)) == 1
-        assert len(line) == 3
-
-    def test_monotone_ramps(self):
-        line = sparkline([1, 2, 3, 4])
-        assert line[0] < line[-1]
-        assert len(line) == 4
-
-
-class TestBarChart:
-    def test_proportions(self):
-        out = bar_chart(["a", "bb"], [1, 2], width=10)
-        lines = out.splitlines()
-        assert lines[0].count("#") == 5
-        assert lines[1].count("#") == 10
-
-    def test_empty(self):
-        assert bar_chart([], []) == ""
-
-    def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1, 2])
-
-
-class TestSeriesCompare:
-    def test_contains_markers_and_legend(self):
-        out = series_compare(
-            [4, 8, 12],
-            {"path": [3, 7, 11], "cyclic": [4, 10, 16]},
-            width=30,
-            height=8,
-        )
-        assert "o = path" in out
-        assert "x = cyclic" in out
-        assert "n: 4 .. 12" in out
-
-    def test_empty(self):
-        assert series_compare([], {}) == ""
-
-
-def test_trajectory_panel():
-    out = trajectory_panel("T", {"up": [1, 2, 3]})
-    assert out.splitlines()[0] == "T"
-    assert "(1 -> 3)" in out

@@ -17,12 +17,18 @@ from repro.adversaries.paths import StaticPathAdversary
 from repro.core.broadcast import broadcast_time_sequence, run_adversary
 from repro.core.state import BroadcastState
 from repro.engine.batch import BatchRunner, run_sequences_batch
-from repro.engine.runner import run_adversaries_batch, run_multi_seed
+from repro.engine.executor import BatchExecutor, RunSpec
 from repro.errors import AdversaryError, DimensionMismatchError, SimulationError
 from repro.trees.generators import path, random_tree
 from repro.trees.rooted_tree import RootedTree
 
 BACKENDS = ["dense", "bitset"]
+
+
+def _run_batch(adversaries, n, **kwargs):
+    """Drive ``adversaries`` over the same ``n`` in one lockstep batch."""
+    specs = [RunSpec(adversary=adv, n=n, **kwargs) for adv in adversaries]
+    return BatchExecutor().run_many(specs)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -91,7 +97,7 @@ def test_adversaries_batch_matches_sequential(backend, factory):
     n = 7
     advs_batch = [factory(n, s) for s in range(4)]
     advs_seq = [factory(n, s) for s in range(4)]
-    batched = run_adversaries_batch(advs_batch, n, backend=backend)
+    batched = _run_batch(advs_batch, n, backend=backend)
     for b, adv in enumerate(advs_seq):
         ref = run_adversary(adv, n, backend=backend)
         assert batched[b].t_star == ref.t_star
@@ -102,8 +108,8 @@ def test_adversaries_batch_matches_sequential(backend, factory):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_run_multi_seed(backend):
     n = 6
-    results = run_multi_seed(
-        lambda s: RandomTreeAdversary(n, seed=s), n, seeds=[0, 1, 2], backend=backend
+    results = _run_batch(
+        [RandomTreeAdversary(n, seed=s) for s in [0, 1, 2]], n, backend=backend
     )
     for s, res in zip([0, 1, 2], results):
         ref = run_adversary(RandomTreeAdversary(n, seed=s), n, backend=backend)
@@ -114,7 +120,7 @@ def test_run_multi_seed(backend):
 def test_max_rounds_truncation(backend):
     """An explicit cap yields t_star=None for unfinished runs, no raise."""
     n = 8
-    results = run_adversaries_batch(
+    results = _run_batch(
         [StaticPathAdversary(n), StaticPathAdversary(n)],
         n,
         max_rounds=2,
@@ -158,9 +164,8 @@ def test_state_copy_and_view(backend):
 
 
 def test_empty_batch_returns_empty():
-    """No adversaries / no seeds degenerates to [] like the sequential loop."""
-    assert run_adversaries_batch([], 5) == []
-    assert run_multi_seed(lambda s: RandomTreeAdversary(5, seed=s), 5, seeds=[]) == []
+    """No adversaries degenerates to [] like the sequential loop."""
+    assert _run_batch([], 5) == []
 
 
 def test_wrong_sized_tree_raises_adversary_error():
@@ -176,7 +181,7 @@ def test_wrong_sized_tree_raises_adversary_error():
             return path(state.n + 1)
 
     with pytest.raises(AdversaryError, match="tree over 6 nodes in a game over 5"):
-        run_adversaries_batch([WrongSize()], 5)
+        _run_batch([WrongSize()], 5)
 
 
 def test_invalid_arguments():

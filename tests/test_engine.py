@@ -1,20 +1,22 @@
-"""Tests for the process-level engine, traces, metrics, and runner."""
+"""Tests for the heard-of oracle, traced runs, traces, and metrics."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.adversaries.oblivious import RandomTreeAdversary, StaticTreeAdversary
+from repro.adversaries.oblivious import StaticTreeAdversary
 from repro.adversaries.zeiner import CyclicFamilyAdversary
-from repro.engine.events import RoundRecord, TraceEvent
+from repro.engine.events import RoundRecord
 from repro.engine.metrics import MetricsCollector
-from repro.engine.rng import derive_rng, spawn_seeds
-from repro.engine.runner import compare_engines, run_engine
-from repro.engine.simulator import HeardOfSimulator
 from repro.engine.trace import TRACE_FORMAT_VERSION, Trace, TraceRecorder, replay_trace
 from repro.errors import DimensionMismatchError, TraceError
 from repro.trees.generators import path, random_tree, star
+
+from heard_of import HeardOfSimulator, compare_engines
+from helpers import run_traced
 
 
 class TestSimulator:
@@ -89,30 +91,35 @@ class TestEngineEquivalence:
 class TestRunEngine:
     def test_instrumented_run_matches_plain(self):
         n = 8
-        run = run_engine(StaticTreeAdversary(path(n)), n)
+        run = run_traced(StaticTreeAdversary(path(n)), n)
         assert run.t_star == n - 1
         assert run.metrics.rounds == n - 1
         assert run.metrics.min_new_edges_per_round >= 1
         assert len(run.trace.rounds) == n - 1
 
     def test_trace_replays(self):
-        run = run_engine(CyclicFamilyAdversary(7), 7, seed=3)
+        run = run_traced(CyclicFamilyAdversary(7), 7, seed=3)
         assert replay_trace(run.trace)
 
     def test_metrics_shapes_recorded(self):
-        run = run_engine(CyclicFamilyAdversary(8), 8)
+        run = run_traced(CyclicFamilyAdversary(8), 8)
         assert sum(run.metrics.shape_histogram.values()) == run.t_star
         assert run.metrics.normalized_time == run.t_star / 8
 
     def test_truncation_with_cap(self):
-        run = run_engine(StaticTreeAdversary(path(6)), 6, max_rounds=2)
+        run = run_traced(StaticTreeAdversary(path(6)), 6, max_rounds=2)
         assert run.t_star is None
         assert run.trace.t_star is None
 
 
+def _trace_doc() -> dict:
+    """A recorded 4-node static-path trace as a parsed JSON document."""
+    return json.loads(run_traced(StaticTreeAdversary(path(4)), 4).trace.to_json())
+
+
 class TestTraceSerialization:
     def test_json_roundtrip(self):
-        run = run_engine(StaticTreeAdversary(path(5)), 5)
+        run = run_traced(StaticTreeAdversary(path(5)), 5)
         text = run.trace.to_json(indent=2)
         back = Trace.from_json(text)
         assert back.n == 5
@@ -123,7 +130,7 @@ class TestTraceSerialization:
         assert replay_trace(back)
 
     def test_save_load(self, tmp_path):
-        run = run_engine(StaticTreeAdversary(path(4)), 4)
+        run = run_traced(StaticTreeAdversary(path(4)), 4)
         p = tmp_path / "trace.json"
         run.trace.save(p)
         assert replay_trace(Trace.load(p))
@@ -140,8 +147,41 @@ class TestTraceSerialization:
         with pytest.raises(TraceError, match="missing"):
             Trace.from_json(f'{{"format_version": {TRACE_FORMAT_VERSION}}}')
 
+    @pytest.mark.parametrize("text", ["[]", "3", '"trace"', "null"])
+    def test_non_object_document_rejected(self, text):
+        with pytest.raises(TraceError, match="JSON object"):
+            Trace.from_json(text)
+
+    def test_round_missing_parents_rejected(self):
+        doc = _trace_doc()
+        del doc["rounds"][1]["parents"]
+        with pytest.raises(TraceError, match="round 1 is malformed.*parents"):
+            Trace.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "bad_round", [None, [1, 2], {"round_index": "one"}, {"parents": 5}]
+    )
+    def test_malformed_round_rejected(self, bad_round):
+        doc = _trace_doc()
+        doc["rounds"][0] = bad_round
+        with pytest.raises(TraceError, match="round 0 is malformed"):
+            Trace.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("n", ["five", None, [5]])
+    def test_non_integer_n_rejected(self, n):
+        doc = _trace_doc()
+        doc["n"] = n
+        with pytest.raises(TraceError, match="'n' is not an integer"):
+            Trace.from_json(json.dumps(doc))
+
+    def test_rounds_must_be_an_array(self):
+        doc = _trace_doc()
+        doc["rounds"] = 7
+        with pytest.raises(TraceError, match="array"):
+            Trace.from_json(json.dumps(doc))
+
     def test_tampered_trace_fails_replay(self):
-        run = run_engine(StaticTreeAdversary(path(4)), 4)
+        run = run_traced(StaticTreeAdversary(path(4)), 4)
         run.trace.rounds[0] = RoundRecord(
             round_index=1,
             parents=run.trace.rounds[0].parents,
@@ -158,23 +198,6 @@ class TestTraceSerialization:
         record = RoundRecord(2, (0, 0, 1), 1, 2, 1, 0)
         with pytest.raises(TraceError, match="out of order"):
             rec.record_round(record)
-
-    def test_trace_event_roundtrip(self):
-        e = TraceEvent("note", 3, {"msg": "hello"})
-        assert TraceEvent.from_dict(e.to_dict()) == e
-
-
-class TestRng:
-    def test_derive_rng_independent_streams(self):
-        a = derive_rng(7, 0).integers(0, 1000, size=5)
-        b = derive_rng(7, 1).integers(0, 1000, size=5)
-        a2 = derive_rng(7, 0).integers(0, 1000, size=5)
-        assert (a == a2).all()
-        assert not (a == b).all()
-
-    def test_spawn_seeds_deterministic(self):
-        assert spawn_seeds(5, 4) == spawn_seeds(5, 4)
-        assert len(set(spawn_seeds(5, 10))) == 10
 
 
 def test_metrics_collector_direct():

@@ -15,6 +15,8 @@ from repro.engine.metrics import MetricsCollector, RunMetrics
 from repro.trees.canonical import classify_shape
 from repro.trees.rooted_tree import RootedTree
 
+from helpers import run_traced
+
 
 def _record(round_index: int, parents, new_edges: int, max_reach: int) -> RoundRecord:
     return RoundRecord(
@@ -100,10 +102,9 @@ def test_collector_min_new_edges_tracks_minimum_not_last():
 def test_collector_matches_instrumented_run():
     """The collector agrees with a real instrumented engine run."""
     from repro.adversaries import CyclicFamilyAdversary
-    from repro.engine.runner import run_engine
 
     n = 8
-    run = run_engine(CyclicFamilyAdversary(n), n)
+    run = run_traced(CyclicFamilyAdversary(n), n)
     metrics = run.metrics
     assert metrics.t_star == run.t_star
     assert metrics.rounds == len(run.trace.rounds)

@@ -31,7 +31,7 @@ from repro.adversaries.paths import (
     SortedPathAdversary,
     StaticPathAdversary,
 )
-from repro.adversaries.zeiner import CyclicFamilyAdversary, portfolio
+from repro.adversaries.zeiner import CyclicFamilyAdversary
 from repro.analysis.sweep import sweep_adversaries
 from repro.core.backend import use_backend
 from repro.core.bounds import resolve_round_cap, trivial_upper_bound
@@ -54,7 +54,7 @@ BACKENDS = ["dense", "bitset"]
 
 def _fresh_portfolio(n: int):
     """Portfolio instances (search included -- n stays small here)."""
-    return portfolio(n, include_search=True, seed=0)
+    return [handle(n) for handle in portfolio_handles(include_search=True, seed=0).values()]
 
 
 def _report_key(report):

@@ -14,14 +14,18 @@ import pytest
 from repro.adversaries.exact import ExactGameSolver
 from repro.adversaries.oblivious import RandomTreeAdversary, StaticTreeAdversary
 from repro.adversaries.restricted import KInnerAdversary, KLeafAdversary
-from repro.adversaries.zeiner import CyclicFamilyAdversary, best_known_adversary
+from repro.adversaries.zeiner import CyclicFamilyAdversary
 from repro.analysis.certificates import certify_sequence
 from repro.analysis.stats import linear_fit
 from repro.core.bounds import lower_bound, upper_bound
 from repro.core.broadcast import run_adversary, run_sequence
-from repro.engine.runner import compare_engines, run_engine
+from repro.engine.executor import BatchExecutor, RunSpec
 from repro.engine.trace import replay_trace
+from repro.service.specs import portfolio_handles
 from repro.trees.generators import path
+
+from heard_of import compare_engines
+from helpers import run_traced
 
 
 class TestExactValuesE3:
@@ -52,7 +56,7 @@ class TestLowerBoundWitnessE2:
 
     def test_witness_trace_replays_and_certifies(self):
         n = 10
-        run = run_engine(CyclicFamilyAdversary(n), n)
+        run = run_traced(CyclicFamilyAdversary(n), n)
         assert run.t_star == lower_bound(n)
         assert replay_trace(run.trace)
         cert = certify_sequence(run.trace.trees(), run.t_star, n)
@@ -64,9 +68,13 @@ class TestTheorem31E2:
 
     @pytest.mark.parametrize("n", [5, 8, 11])
     def test_portfolio_respects_upper_bound(self, n):
-        _, best, board = best_known_adversary(n, include_search=False)
+        handles = portfolio_handles(include_search=False)
+        reports = BatchExecutor().run_many(
+            [RunSpec(adversary=handle, n=n) for handle in handles.values()]
+        )
+        board = dict(zip(handles, (report.t_star for report in reports)))
         assert all(t <= upper_bound(n) for t in board.values())
-        assert best.t_star == lower_bound(n)  # cyclic family wins
+        assert max(board.values()) == board["CyclicFamily"] == lower_bound(n)
 
     def test_random_adversaries_respect_upper_bound(self):
         for seed in range(5):
@@ -84,7 +92,7 @@ class TestStaticBaselinesE4:
 
     def test_every_round_adds_an_edge_even_adversarially(self):
         n = 9
-        run = run_engine(CyclicFamilyAdversary(n), n)
+        run = run_traced(CyclicFamilyAdversary(n), n)
         assert run.metrics.min_new_edges_per_round >= 1
 
     def test_linear_growth_of_best_adversary(self):

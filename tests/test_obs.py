@@ -336,8 +336,7 @@ def test_sync_observer_installs_and_removes_hook():
 
 def test_profiling_captures_real_engine_run():
     from repro.adversaries import CyclicFamilyAdversary
-    from repro.engine.executor import SequentialExecutor
-    from repro.engine.runner import RunSpec
+    from repro.engine.executor import RunSpec, SequentialExecutor
 
     obs_profile.enable()
     report = SequentialExecutor().run(
@@ -353,8 +352,7 @@ def test_profiling_captures_real_engine_run():
 
 def test_disabled_run_skips_timings():
     from repro.adversaries import CyclicFamilyAdversary
-    from repro.engine.executor import SequentialExecutor
-    from repro.engine.runner import RunSpec
+    from repro.engine.executor import RunSpec, SequentialExecutor
 
     report = SequentialExecutor().run(
         RunSpec(adversary=CyclicFamilyAdversary, n=10)
@@ -364,8 +362,7 @@ def test_disabled_run_skips_timings():
 
 def test_traced_engine_run_produces_kernel_spans(tmp_path):
     from repro.adversaries import CyclicFamilyAdversary
-    from repro.engine.executor import SequentialExecutor
-    from repro.engine.runner import RunSpec
+    from repro.engine.executor import RunSpec, SequentialExecutor
 
     sink = tmp_path / "spans.jsonl"
     obs_trace.enable(str(sink))

@@ -24,10 +24,11 @@ from repro.core.bounds import trivial_upper_bound, upper_bound
 from repro.core.broadcast import run_sequence
 from repro.core.product import is_nonsplit, product_of_trees
 from repro.core.state import BroadcastState
-from repro.engine.runner import compare_engines
 from repro.trees.prufer import from_prufer, to_prufer
 from repro.trees.rooted_tree import RootedTree
 from repro.trees.subtree import is_union_of_subtrees, stalled_nodes
+
+from heard_of import compare_engines
 
 # ----------------------------------------------------------------------
 # Strategies

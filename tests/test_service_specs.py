@@ -32,6 +32,8 @@ from repro.service.specs import (
     to_run_spec,
 )
 
+from helpers import expected_portfolio, portfolio_rows
+
 #: (adversary, params-grid) pairs the randomized digest grid draws from.
 PORTFOLIO_GRID = [
     ("static-path", [{}]),
@@ -236,13 +238,10 @@ class TestDigestProperties:
 
 class TestSpecHandle:
     def test_handle_builds_the_portfolio_adversaries(self):
-        """The portfolio handles build :func:`zeiner.portfolio`'s
+        """The portfolio handles build the standard portfolio's
         adversaries, in order, and each survives a pickle round trip."""
-        from repro.adversaries.zeiner import portfolio
-
         handles = portfolio_handles(include_search=True)
-        names = [handle(6).name for handle in handles.values()]
-        assert names == [adv.name for adv in portfolio(6, include_search=True)]
+        assert portfolio_rows(handles) == expected_portfolio()
         for label, handle in handles.items():
             clone = pickle.loads(pickle.dumps(handle))
             assert clone.label == label

@@ -22,11 +22,12 @@ from repro.adversaries.oblivious import RandomTreeAdversary
 from repro.adversaries.paths import StaticPathAdversary
 from repro.analysis.sweep import sweep_adversaries, sweep_n
 from repro.core.backend import use_backend
-from repro.engine.executor import RunSpec, ShardedExecutor
-from repro.engine.runner import run_multi_seed
+from repro.engine.executor import BatchExecutor, RunSpec, ShardedExecutor
 from repro.engine.shard import split_shards
 from repro.errors import SimulationError
 from repro.service.specs import portfolio_handles
+
+from helpers import expected_portfolio, portfolio_rows
 
 #: Worker counts exercised everywhere: inline, even split, more workers
 #: than some shards can fill (uneven shards).
@@ -47,8 +48,8 @@ def _states_equal(a, b) -> bool:
     )
 
 
-def _multi_seed_specs(factory, n, seeds):
-    return [RunSpec(adversary=factory(seed), n=n) for seed in seeds]
+def _multi_seed_specs(factory, n, seeds, backend=None):
+    return [RunSpec(adversary=factory(seed), n=n, backend=backend) for seed in seeds]
 
 
 class TestSplitShards:
@@ -129,7 +130,7 @@ class TestMultiSeedEquivalence:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_bit_identical_results(self, workers):
         factory = partial(RandomTreeAdversary, 9)
-        seq = run_multi_seed(factory, 9, self.SEEDS)
+        seq = BatchExecutor().run_many(_multi_seed_specs(factory, 9, self.SEEDS))
         got = ShardedExecutor(workers=workers).run_many(
             _multi_seed_specs(factory, 9, self.SEEDS)
         )
@@ -138,7 +139,7 @@ class TestMultiSeedEquivalence:
 
     def test_single_seed(self):
         factory = partial(RandomTreeAdversary, 7)
-        seq = run_multi_seed(factory, 7, [42])
+        seq = BatchExecutor().run_many(_multi_seed_specs(factory, 7, [42]))
         got = ShardedExecutor(workers=2).run_many(_multi_seed_specs(factory, 7, [42]))
         assert _states_equal(seq[0], got[0])
 
@@ -151,7 +152,9 @@ class TestMultiSeedEquivalence:
             got = ShardedExecutor(workers=2).run_many(
                 _multi_seed_specs(factory, 8, self.SEEDS[:4])
             )
-        seq = run_multi_seed(factory, 8, self.SEEDS[:4], backend="bitset")
+        seq = BatchExecutor().run_many(
+            _multi_seed_specs(factory, 8, self.SEEDS[:4], backend="bitset")
+        )
         assert all(g.final_state.backend.name == "bitset" for g in got)
         assert all(_states_equal(a, b) for a, b in zip(seq, got))
 
@@ -184,8 +187,5 @@ class TestValidationAndSafety:
             assert clone(6).name == handle(6).name
 
     def test_default_factories_mirror_portfolio(self):
-        from repro.adversaries.zeiner import portfolio
-
         handles = portfolio_handles(include_search=True, seed=0)
-        names = [handle(6).name for handle in handles.values()]
-        assert names == [adv.name for adv in portfolio(6, include_search=True)]
+        assert portfolio_rows(handles) == expected_portfolio()

@@ -18,14 +18,15 @@ from repro.adversaries.zeiner import CyclicFamilyAdversary
 from repro.core.backend import use_backend
 from repro.core.broadcast import run_adversary
 from repro.engine.executor import BatchExecutor, RunSpec, SequentialExecutor
-from repro.engine.runner import run_engine
 from repro.engine.trace import Trace, replay_trace
+
+from helpers import run_traced
 
 BACKENDS = ["dense", "bitset"]
 
 
 def _recorded_trace(make_adversary, n: int) -> Trace:
-    run = run_engine(make_adversary(n), n, seed=0)
+    run = run_traced(make_adversary(n), n, seed=0)
     assert run.t_star is not None
     return run.trace
 
