@@ -26,7 +26,7 @@ from repro.core import matrix as M
 from repro.core.backend import use_backend
 from repro.core.broadcast import run_sequence
 from repro.engine.executor import RunSpec, SequentialExecutor
-from repro.trees.generators import path, random_tree
+from repro.trees.generators import random_tree
 
 
 def _sequence(n: int, rounds: int, seed: int):

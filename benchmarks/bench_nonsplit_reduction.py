@@ -22,7 +22,6 @@ from repro.adversaries.nonsplit import (
     broadcast_time_nonsplit,
     cyclic_nonsplit_graph,
     nonsplit_radius,
-    random_nonsplit_graph,
 )
 from repro.adversaries.zeiner import CyclicFamilyAdversary
 from repro.analysis.tables import format_table

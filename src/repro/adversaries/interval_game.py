@@ -29,10 +29,9 @@ moves.  The solver here quantifies that gap (benchmark E8b's narrative).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.analysis.intervals import CyclicInterval, as_cyclic_interval
+from repro.analysis.intervals import CyclicInterval
 from repro.core.state import BroadcastState
 from repro.errors import SearchBudgetExceeded
 from repro.trees.generators import rotated_path

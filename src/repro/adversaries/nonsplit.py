@@ -19,7 +19,7 @@ they produce adjacency matrices and are driven by
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

@@ -16,9 +16,7 @@ broadcast times grow linearly, the claim behind Figure 1's ``O(kn)`` rows.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import List
 
 from repro.adversaries.base import Adversary
 from repro.core.state import BroadcastState

@@ -40,7 +40,7 @@ from repro.adversaries.base import Adversary
 from repro.adversaries.paths import StaticPathAdversary
 from repro.core.state import BroadcastState
 from repro.errors import AdversaryError
-from repro.trees.generators import chain_fan, path_from_order
+from repro.trees.generators import path_from_order
 from repro.trees.rooted_tree import RootedTree
 
 

@@ -367,7 +367,7 @@ register_backend(DenseBackend())
 # The bitset backend registers itself on import; importing it here keeps a
 # single registry entry point without a circular import (bitset only needs
 # MatrixBackend and numpy).
-from repro.core import bitset as _bitset  # noqa: E402  (registry side effect)
+from repro.core import bitset as _bitset  # noqa: E402, F401  (registry side effect)
 
 __all__ = [
     "ENV_VAR",

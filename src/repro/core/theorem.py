@@ -12,7 +12,6 @@ between the two formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.bounds import lower_bound, upper_bound
 from repro.types import validate_node_count

@@ -16,7 +16,11 @@ Layers
 The in-memory tier is a bounded LRU (``capacity`` entries, recency updated
 on hit).  The optional persistent tier is an append-only JSONL file:
 every store appends one self-describing line, and opening a cache replays
-the file (later lines win).  Eviction only trims the memory tier -- the
+the file (later lines win).  Replay streams the file once, parsing and
+inserting one line at a time (an invalid line is named by
+``path:lineno``).  A line in exactly the envelope a store writes carries
+its payload's canonical JSON, so the entry is sized from that text rather
+than encoded again.  Eviction only trims the memory tier -- the
 file keeps the full history until :meth:`ResultCache.compact` rewrites it
 (atomically, temp file + rename) down to exactly the live entries.
 Compaction runs on demand (``repro-broadcast cache compact``) and
@@ -43,6 +47,7 @@ import json
 import os
 import threading
 from collections import OrderedDict
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
@@ -172,69 +177,84 @@ class ResultCache:
         self._loaded = 0
         self._compactions = 0
         self._evicted_bytes_since_compact = 0
-        self._replaying = False
         if self._path is not None and self._path.exists():
-            if self._path.stat().st_size > 0:
-                raw = self._path.read_bytes()
-                if not raw.endswith(b"\n"):
-                    # A process killed mid-append leaves a torn final
-                    # line; the entry was never acknowledged, so drop it
-                    # rather than fail every future replay (and keep new
-                    # appends off the fragment).
-                    with self._path.open("r+b") as fh:
-                        fh.truncate(raw.rfind(b"\n") + 1)
-            self._replaying = True
-            try:
-                self._replay()
-            finally:
-                self._replaying = False
+            self._replay()
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
 
     def _replay(self) -> None:
-        with self._path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CacheError(
-                        f"{self._path}:{lineno}: cache line is not valid JSON: {exc}"
-                    ) from exc
-                if not isinstance(entry, dict):
-                    raise CacheError(f"{self._path}:{lineno}: cache line is not an object")
-                if entry.get("format_version") != CACHE_FORMAT_VERSION:
-                    # A stale-version entry must be rejected, never served.
-                    self._stale_rejected += 1
-                    continue
-                try:
-                    digest = str(entry["digest"])
-                    kind = str(entry["kind"])
-                    payload = entry["payload"]
-                except KeyError as exc:
-                    raise CacheError(
-                        f"{self._path}:{lineno}: cache line is missing {exc}"
-                    ) from exc
-                if kind not in ENTRY_KINDS:
-                    raise CacheError(f"{self._path}:{lineno}: unknown entry kind {kind!r}")
-                self._insert(digest, kind, payload)
-                self._loaded += 1
+        # One streaming pass: each line is parsed and inserted before the
+        # next is read, so replay holds one line beyond the live entries.
+        kept = 0
+        torn = False
+        with self._path.open("rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.endswith(b"\n"):
+                    torn = True
+                    break
+                kept += len(raw)
+                line = raw.decode("utf-8").strip()
+                if line:
+                    self._replay_line(lineno, line)
+        if torn:
+            # A process killed mid-append leaves a torn final line; the
+            # entry was never acknowledged, so drop it rather than fail
+            # every future replay (and keep new appends off the fragment).
+            with self._path.open("r+b") as fh:
+                fh.truncate(kept)
+
+    def _replay_line(self, lineno: int, line: str) -> None:
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CacheError(
+                f"{self._path}:{lineno}: cache line is not valid JSON: {exc}"
+            ) from exc
+        if not isinstance(entry, dict):
+            raise CacheError(f"{self._path}:{lineno}: cache line is not an object")
+        if entry.get("format_version") != CACHE_FORMAT_VERSION:
+            # A stale-version entry must be rejected, never served.
+            self._stale_rejected += 1
+            return
+        try:
+            digest = str(entry["digest"])
+            kind = str(entry["kind"])
+            payload = entry["payload"]
+        except KeyError as exc:
+            raise CacheError(f"{self._path}:{lineno}: cache line is missing {exc}") from exc
+        if kind not in ENTRY_KINDS:
+            raise CacheError(f"{self._path}:{lineno}: unknown entry kind {kind!r}")
+        # A line in exactly the envelope :meth:`_entry_line` writes holds
+        # the payload's canonical JSON verbatim: size the entry from that
+        # text instead of encoding the payload again.
+        envelope = self._envelope(digest, kind)
+        nbytes = None
+        if line.startswith(envelope) and line.endswith("}"):
+            nbytes = len(digest) + len(line) - len(envelope) - 1
+        self._insert(digest, kind, payload, nbytes=nbytes)
+        self._loaded += 1
 
     @staticmethod
-    def _entry_line(digest: str, kind: str, payload_json: str) -> str:
-        # The payload is already serialized (shared with byte accounting);
-        # splice it into the envelope rather than serializing twice.  Keys
-        # stay in sorted order ("payload" sorts last), so the line is
-        # byte-identical to a full ``json.dumps(entry, sort_keys=True)``.
-        envelope = json.dumps(
-            {"digest": digest, "format_version": CACHE_FORMAT_VERSION, "kind": kind},
-            sort_keys=True,
+    def _envelope(digest: str, kind: str) -> str:
+        """An entry line up to its payload JSON.
+
+        Keys in sorted order ("payload" sorts last) and ``json.dumps``'s
+        string escaping, so a full line is byte-identical to
+        ``json.dumps(entry, sort_keys=True)``.
+        """
+        return (
+            f'{{"digest": {encode_basestring_ascii(digest)}, '
+            f'"format_version": {CACHE_FORMAT_VERSION}, '
+            f'"kind": {encode_basestring_ascii(kind)}, "payload": '
         )
-        return f'{envelope[:-1]}, "payload": {payload_json}}}\n'
+
+    @classmethod
+    def _entry_line(cls, digest: str, kind: str, payload_json: str) -> str:
+        # The payload is already serialized (shared with byte accounting);
+        # splice it into the envelope rather than serializing twice.
+        return f"{cls._envelope(digest, kind)}{payload_json}}}\n"
 
     def _append_line(self, digest: str, kind: str, payload_json: str) -> None:
         with self._path.open("a", encoding="utf-8") as fh:

@@ -66,9 +66,9 @@ from repro.obs.metrics import CounterMap, Registry
 from repro.service.cache import ResultCache, SweepCellCache, report_to_doc
 from repro.service.journal import JobJournal, JournalEntry
 from repro.service.specs import (
+    _canonical_digest,
     canonical_run_spec,
     canonical_sweep_spec,
-    spec_digest,
     sweep_handles,
     to_run_spec,
 )
@@ -442,14 +442,14 @@ class JobScheduler:
     ) -> Job:
         """Submit one run spec; returns the (possibly pre-existing) job."""
         spec = canonical_run_spec(raw_spec)
-        return self._submit("run", spec, spec_digest(spec), tenant=tenant)
+        return self._submit("run", spec, _canonical_digest(spec), tenant=tenant)
 
     def submit_sweep(
         self, raw_spec: Dict[str, Any], tenant: str = DEFAULT_TENANT
     ) -> Job:
         """Submit one sweep spec; grid cells warm the shared cell cache."""
         spec = canonical_sweep_spec(raw_spec)
-        return self._submit("sweep", spec, spec_digest(spec), tenant=tenant)
+        return self._submit("sweep", spec, _canonical_digest(spec), tenant=tenant)
 
     def submit_tasks(
         self, raw: Dict[str, Any], tenant: str = DEFAULT_TENANT

@@ -43,8 +43,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.backend import get_backend
 from repro.errors import SpecError
@@ -390,6 +391,16 @@ def spec_digest(spec: Mapping[str, Any]) -> str:
         spec = canonical_sweep_spec(spec)
     else:
         spec = canonical_run_spec(spec)
+    return _canonical_digest(spec)
+
+
+def _canonical_digest(spec: Mapping[str, Any]) -> str:
+    """:func:`spec_digest` of a document that is *already* canonical.
+
+    For callers holding the output of :func:`canonical_run_spec` /
+    :func:`canonical_sweep_spec`, so the spec is validated and encoded
+    once; anything else must go through :func:`spec_digest`.
+    """
     payload = f"repro-spec-v{SPEC_VERSION}:{canonical_json(spec)}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -16,7 +16,11 @@ computation over the same upstream results share an address, whatever
 graph they appear in.  ``run``-kind tasks with no inputs deliberately
 share their digest with :func:`repro.service.specs.spec_digest`, so task
 results, ``POST /v1/runs`` submissions, and scheduler jobs all hit the
-same cache entries.
+same cache entries.  :func:`canonical_task` validates and encodes a task
+once: it hashes the payload it has just canonicalized and carries the
+digest on the :class:`TaskSpec`, so adding a task to a graph never
+re-validates it.  A hand-built ``TaskSpec`` carries no digest and is
+re-validated through :func:`task_digest`.
 
 Three registries make the module extensible without touching the engine:
 
@@ -46,14 +50,16 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.executor import Executor, get_executor
 from repro.errors import TaskError
 from repro.obs import trace as _trace
 from repro.service.cache import ResultCache, report_from_doc, report_to_doc
 from repro.service.specs import (
+    _canonical_digest,
     canonical_json,
     canonical_run_spec,
     canonical_sweep_spec,
@@ -228,10 +234,14 @@ class TaskSpec:
     kind: str
     payload: Mapping[str, Any]
     inputs: Tuple[str, ...] = ()
+    _digest: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     @property
     def digest(self) -> str:
-        return task_digest(self)
+        """Carried from :func:`canonical_task`; else re-validated by :func:`task_digest`."""
+        return self._digest if self._digest is not None else task_digest(self)
 
     def to_doc(self) -> Dict[str, Any]:
         """The JSON document form (inputs as digest strings)."""
@@ -268,7 +278,11 @@ def canonical_task(raw: Mapping[str, Any]) -> TaskSpec:
             )
         inputs.append(ref)
     payload = entry.canonicalize(raw.get("payload", {}), len(inputs))
-    return TaskSpec(kind=entry.name, payload=payload, inputs=tuple(inputs))
+    task = TaskSpec(kind=entry.name, payload=payload, inputs=tuple(inputs))
+    # Frozen dataclass: the digest is attached past __init__, so that
+    # ``dataclasses.replace`` never copies it onto a different payload.
+    object.__setattr__(task, "_digest", _task_digest(task, _canonical_digest))
+    return task
 
 
 def task_digest(task: TaskSpec) -> str:
@@ -280,8 +294,13 @@ def task_digest(task: TaskSpec) -> str:
     other shape hashes the canonical ``(kind, payload, inputs)`` document
     under the :data:`TASK_VERSION` prefix.
     """
+    return _task_digest(task, spec_digest)
+
+
+def _task_digest(task: TaskSpec, run_digest: Callable[[Mapping[str, Any]], str]) -> str:
+    """Hash a task, addressing a no-input ``run`` task by ``run_digest``."""
     if task.kind == "run" and not task.inputs:
-        return spec_digest(task.payload)
+        return run_digest(task.payload)
     doc = {
         "kind": task.kind,
         "payload": dict(task.payload),

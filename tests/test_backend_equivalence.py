@@ -26,7 +26,6 @@ from repro.core.product import product_of_trees
 from repro.core.state import BroadcastState
 from repro.engine.batch import score_candidates
 from repro.trees.generators import random_tree
-from repro.trees.rooted_tree import RootedTree
 
 #: Node counts straddling every packing boundary (1 bit .. 2 words).
 N_VALUES = [

@@ -15,7 +15,6 @@ from repro.adversaries.greedy import GreedyDelayAdversary
 from repro.adversaries.oblivious import RandomTreeAdversary
 from repro.adversaries.paths import StaticPathAdversary
 from repro.core.broadcast import broadcast_time_sequence, run_adversary
-from repro.core.state import BroadcastState
 from repro.engine.batch import BatchRunner, run_sequences_batch
 from repro.engine.executor import BatchExecutor, RunSpec
 from repro.errors import AdversaryError, DimensionMismatchError, SimulationError

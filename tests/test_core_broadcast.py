@@ -15,8 +15,7 @@ from repro.core.broadcast import (
     verify_certificate,
 )
 from repro.errors import AdversaryError, SimulationError
-from repro.trees.generators import path, random_tree, star
-from repro.trees.rooted_tree import RootedTree
+from repro.trees.generators import path, star
 
 
 class TestRunSequence:

@@ -19,10 +19,13 @@ The acceptance criteria pinned here:
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import List, Sequence
 
 import pytest
+
+import repro.service.specs as specs
 
 from repro.engine.executor import (
     BatchExecutor,
@@ -35,7 +38,6 @@ from repro.experiments import (
     experiment_graph,
     get_experiment,
     known_experiment_ids,
-    list_experiments,
     run_all,
     run_experiment,
     table_from_doc,
@@ -105,6 +107,42 @@ class TestWarmCache:
         # E8's static-path@n=8 run cell was already computed by E4.
         assert e8.stats["runs_computed"] == EXPECTED_RUN_UNITS["E8"] - 1
         assert e8.stats["cached"] == 1
+
+
+def count_calls(monkeypatch, module, name: str) -> List[int]:
+    """Count calls to ``module.name`` wherever a module binds it by name."""
+    original = getattr(module, name)
+    calls: List[int] = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+class TestEncodeOnce:
+    """A warm rerun validates and encodes each task and cache line once."""
+
+    def test_graph_assembly_canonicalizes_each_run_task_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, specs, "canonical_run_spec")
+        for eid in known_experiment_ids():
+            experiment_graph(eid)
+        assert len(calls) == sum(EXPECTED_RUN_UNITS.values()) == 35
+
+    def test_reopening_canonical_lines_encodes_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "experiments.jsonl"
+        cache = ResultCache(path=path)
+        for eid in known_experiment_ids():
+            run_experiment(eid, cache=cache)
+        dumps = count_calls(monkeypatch, json, "dumps")
+        reopened = ResultCache(path=path)
+        assert len(dumps) == 0
+        assert reopened.stats()["loaded_from_disk"] == len(path.read_text().splitlines())
+        assert reopened.stats()["bytes"] == cache.stats()["bytes"]
 
 
 class RecordingExecutor(SequentialExecutor):

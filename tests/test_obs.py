@@ -14,7 +14,6 @@ import threading
 import pytest
 
 from repro.core import kernels as core_kernels
-from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import (

@@ -11,23 +11,28 @@ package ``__init__`` (a re-export nobody uses) counts as unreached.  A
 package's other re-exports are not followed unless the package object
 itself is imported.
 
-The same file pins ruff's F822 gate (undefined names in ``__all__``),
-since the lint job is not runnable everywhere the tests are.
+The same file pins ruff's F822 gate (undefined names in ``__all__``) and
+its F401 gate (unused imports outside package ``__init__`` files), since
+the lint job is not runnable everywhere the tests are.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import pytest
 
 import repro
 
 SRC = Path(repro.__file__).resolve().parent
-PERFBENCH = SRC.parent.parent / "perfbench"
+ROOT = SRC.parent.parent
+PERFBENCH = ROOT / "perfbench"
+#: The trees the lint job checks (``ruff check src tests benchmarks examples``).
+LINTED = [ROOT / name for name in ("src", "tests", "benchmarks", "examples")]
 
 # Unreached on purpose.  ROADMAP open item 4 gives the certificate
 # checkers a pinned caller (E3 replays its optimal sequence through
@@ -188,3 +193,132 @@ def test_dunder_all_entries_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names undefined {missing}"
+
+
+# ----------------------------------------------------------------------
+# Unused imports (ruff F401)
+# ----------------------------------------------------------------------
+
+_NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9,\s]+))?", re.IGNORECASE)
+
+
+def _noqa_f401(line: str) -> bool:
+    match = _NOQA.search(line)
+    return bool(match) and (
+        match.group("codes") is None or "F401" in match.group("codes").upper()
+    )
+
+
+def _names_in(node: ast.AST, quoted: bool) -> Set[str]:
+    """Names a subtree loads (assignment and ``del`` targets are not
+    uses); with ``quoted``, string constants are parsed as expressions too
+    (quoted annotations such as ``"RunReport"``)."""
+    names: Set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif quoted and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _names_in(ast.parse(sub.value, mode="eval"), quoted)
+            except SyntaxError:
+                pass
+    return names
+
+
+def _used_names(tree: ast.AST) -> Set[str]:
+    """Every name ``tree`` uses, in code, quoted annotations or ``__all__``."""
+    used = _names_in(tree, quoted=False)
+    for node in ast.walk(tree):
+        annotation = None
+        if isinstance(node, ast.arg):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, ast.AnnAssign):
+            annotation = node.annotation
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                c.value
+                for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            }
+        if annotation is not None:
+            used |= _names_in(annotation, quoted=True)
+    return used
+
+
+def _scope_imports(scope: ast.AST) -> Iterator[ast.stmt]:
+    """Import statements of one scope, not of the functions nested in it."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unused_imports(source: str) -> List[Tuple[int, str]]:
+    """``(line, name)`` for every import binding its scope never uses.
+
+    A module-level import counts as used anywhere in the file, a
+    function-level one only inside its function.  ``__future__`` imports,
+    star imports and lines marked ``# noqa`` (bare or naming F401) are
+    skipped.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    found = []
+    scopes = [tree] + [
+        n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    for scope in scopes:
+        used = _used_names(scope)
+        for node in _scope_imports(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if alias.name == "*" or name in used:
+                    continue
+                if _noqa_f401(lines[alias.lineno - 1]) or _noqa_f401(lines[node.lineno - 1]):
+                    continue
+                found.append((alias.lineno, name))
+    return sorted(found)
+
+
+def test_unused_import_scan():
+    source = """
+from typing import TYPE_CHECKING, List, Optional
+import os.path
+import json  # noqa: F401
+import re  # noqa: E402
+if TYPE_CHECKING:
+    from collections import OrderedDict
+    from pathlib import Path
+
+def f(x: "Optional[OrderedDict[str, int]]") -> None:
+    import sys
+    import time
+    v: "List[int]" = os.path.join(time.ctime())
+
+def g():
+    return sys
+
+from os import sep
+sep = "/"
+"""
+    assert unused_imports(source) == [(5, "re"), (8, "Path"), (11, "sys"), (18, "sep")]
+
+
+def test_no_unused_imports():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for root in LINTED
+        for path in sorted(root.rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, "unused imports (ruff F401):\n" + "\n".join(found)

@@ -267,6 +267,124 @@ class TestCacheMechanics:
         assert len(ResultCache(path=path)) == 0
 
 
+def _entry(digest: str, payload) -> str:
+    """One cache line exactly as ``ResultCache.store`` writes it."""
+    return json.dumps(
+        {"digest": digest, "format_version": CACHE_FORMAT_VERSION,
+         "kind": "cell", "payload": payload},
+        sort_keys=True,
+    )
+
+
+def _doubled(separator: str):
+    """Three lines, the second holding two values."""
+    return [
+        _entry("a", {"t_star": 1}),
+        _entry("b", {"t_star": 2}) + separator + _entry("c", {"t_star": 3}),
+        _entry("d", {"t_star": 4}),
+    ]
+
+
+def _split_and_doubled():
+    """One value broken over two lines next to a line holding two values:
+    as many values as lines, but every one a line off."""
+    whole = _entry("a", {"t_star": 1})
+    cut = whole.index('"format_version"')
+    return [
+        whole[:cut].rstrip(", "),
+        whole[cut:],
+        _entry("b", {"t_star": 2}) + "," + _entry("c", {"t_star": 3}),
+    ]
+
+
+def _small_cache_file(tmp_path, compacted: bool):
+    """A small cache file, as appended or after ``compact()``; its sizes."""
+    path = tmp_path / "cache.jsonl"
+    cache = ResultCache(path=path)
+    cache.store("a", "cell", {"t_star": 1})
+    cache.store('q"uote\\', "task", {"task_kind": "bounds", "doc": {"z": [1, 2.5, None]}})
+    cache.store("b", "sweep", {"points": [], "label": "caf\u00e9 \u2028"})
+    cache.store("a", "cell", {"t_star": None})  # overwrite: a dead line
+    cache.store_report("r", SequentialExecutor().run(to_run_spec({"adversary": "cyclic", "n": 6})))
+    if compacted:
+        cache.compact()
+    sizes = {d: cache.entry_nbytes(d) for d in ("a", 'q"uote\\', "b", "r")}
+    return path, sizes, cache.stats()["bytes"]
+
+
+class TestReplayEquivalence:
+    """Reopening replays to exactly the state and sizes stores produced."""
+
+    @pytest.mark.parametrize("compacted", [False, True], ids=["appended", "compacted"])
+    def test_sizes_equal_store_time_values(self, tmp_path, compacted):
+        path, sizes, total = _small_cache_file(tmp_path, compacted)
+        reopened = ResultCache(path=path)
+        assert {d: reopened.entry_nbytes(d) for d in sizes} == sizes
+        assert reopened.stats()["bytes"] == total
+        assert reopened.lookup("a") == {"t_star": None}
+
+    def test_non_canonical_line_is_sized_like_a_store(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(
+            '{"payload":{"t_star":  7},"kind":"cell","digest":"x","format_version":1}\n'
+        )
+        stored = ResultCache()
+        stored.store("x", "cell", {"t_star": 7})
+        assert ResultCache(path=path).entry_nbytes("x") == stored.entry_nbytes("x")
+
+    @pytest.mark.parametrize("compacted", [False, True], ids=["appended", "compacted"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("{not json}", "not valid JSON"),
+            ("[1, 2]", "not an object"),
+            ('{"format_version": 1, "kind": "cell", "payload": {}}', "missing"),
+            ('{"digest": "z", "format_version": 1, "kind": "bogus", "payload": {}}',
+             "unknown entry kind"),
+        ],
+    )
+    def test_bad_line_among_valid_ones_names_its_line(
+        self, tmp_path, compacted, bad, message
+    ):
+        path, _, _ = _small_cache_file(tmp_path, compacted)
+        lineno = len(path.read_text().splitlines()) + 2  # after one blank line
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("\n" + bad + "\n" + _entry("c", {"t_star": 3}) + "\n")
+        with pytest.raises(CacheError, match=f"{path.name}:{lineno}: .*{message}"):
+            ResultCache(path=path)
+
+    @pytest.mark.parametrize(
+        "lines, lineno",
+        [
+            (_doubled(" "), 2),
+            (_doubled(","), 2),
+            (_split_and_doubled(), 1),
+        ],
+        ids=["space", "comma", "split-value"],
+    )
+    def test_two_values_on_one_line_do_not_shift_entries(self, tmp_path, lines, lineno):
+        """A doubled line must fail loudly, never load entries one line off."""
+        path = tmp_path / "cache.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            CacheError, match=f"{path.name}:{lineno}: cache line is not valid JSON"
+        ):
+            ResultCache(path=path)
+
+    @pytest.mark.parametrize("compacted", [False, True], ids=["appended", "compacted"])
+    def test_torn_final_line_repair(self, tmp_path, compacted):
+        path, _, total = _small_cache_file(tmp_path, compacted)
+        intact = path.read_bytes()
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(_entry("torn", {"t_star": 9})[:25])  # killed mid-append
+        reopened = ResultCache(path=path)
+        assert path.read_bytes() == intact
+        assert "torn" not in reopened
+        assert reopened.stats()["bytes"] == total
+        reopened.store("c", "cell", {"t_star": 3})
+        assert ResultCache(path=path).lookup("c") == {"t_star": 3}
+
+
 class TestCachedSweeps:
     """The satellite: ``Executor.sweep(..., cache=...)`` computes only new
     cells and stays bit-identical to a cold sweep."""

@@ -32,7 +32,7 @@ import pytest
 from repro.engine.executor import get_executor
 from repro.errors import LeaseExpiredError, ServiceConnectionError, ServiceError
 from repro.obs import trace as obs_trace
-from repro.service.cache import ResultCache, report_from_doc, report_to_doc
+from repro.service.cache import ResultCache, report_to_doc
 from repro.service.client import ServiceClient
 from repro.service.fleet import FleetExecutor, WorkQueue
 from repro.service.journal import JobJournal

@@ -13,19 +13,24 @@ The acceptance properties pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
 
 from repro.analysis.sweep import SweepResult
+from repro.core.backend import use_backend
 from repro.engine.executor import BatchExecutor, RunSpec, SequentialExecutor
-from repro.errors import AdversaryError, TaskError
+from repro.errors import AdversaryError, SpecError, TaskError
+from repro.experiments import experiment_graph
 from repro.service.cache import ResultCache
+from repro.service.scheduler import JobScheduler
 from repro.service.specs import canonical_sweep_spec, spec_digest, sweep_handles
 from repro.service.tasks import (
     TaskGraph,
     TaskGraphRunner,
     TaskInflight,
+    TaskSpec,
     canonical_task,
     describe_task_kinds,
     get_codec,
@@ -130,6 +135,71 @@ class TestCanonicalization:
         assert doc["experiment"]["codec"] == "experiment-table"
         assert get_codec("json").name == "json"
         assert get_task_kind("run").compute is None
+
+
+#: Literal content addresses.  Persisted cache lines and journal entries
+#: are keyed by these: a changed address orphans every stored result.
+PINNED_RUN = "b07dfc177c4f836e0d02b84b6d778db5703cc9b16fe35bc7f2befc710a17abe5"
+PINNED_BOUNDS = "643192b2720634c96a57fee4ca889057bfac600a555d52fad5fe4a5cdf5ef4ed"
+#: backend -> (E2 output digest, E2 graph digest); E2's run cells omit the
+#: backend, so their addresses follow the process default.
+PINNED_E2 = {
+    "dense": (
+        "eda9d36356bac58d59624daf58029a2265e06ff04e239d02323e17be875fa5e8",
+        "dcebb87b3e2a68ccc3ee1b8042eb4bb3689ac4a88604c7c00c9f16e377676295",
+    ),
+    "bitset": (
+        "14fdf5f8fbd1a9ff2c80cc748cebe1a0edd331d3dbdb4289e82882df6b381fee",
+        "e71ba2b10191035e0e0edfef30dd0f66c0969a05704c4c7c62e80b2046fdb91b",
+    ),
+}
+
+
+class TestPinnedDigests:
+    def test_run_spec_with_defaults_omitted(self):
+        raw = {"adversary": "rotating-path", "n": 12, "backend": "dense"}
+        spelled = {
+            "kind": "run", "version": 1, "adversary": "rotating-path",
+            "params": {"shift": 1}, "n": 12, "seed": 0, "max_rounds": None,
+            "backend": "dense",
+        }
+        assert spec_digest(raw) == spec_digest(spelled) == PINNED_RUN
+        assert canonical_task({"kind": "run", "payload": raw}).digest == PINNED_RUN
+        assert TaskSpec("run", raw).digest == PINNED_RUN  # hand-built path
+        assert JobScheduler().submit_run(raw).digest == PINNED_RUN
+
+    def test_bounds_task(self):
+        task = canonical_task({"kind": "bounds", "payload": {"n": 16}})
+        assert task.digest == task_digest(task) == PINNED_BOUNDS
+        assert TaskSpec("bounds", {"n": 16}).digest == PINNED_BOUNDS
+
+    @pytest.mark.parametrize("backend", sorted(PINNED_E2))
+    def test_e2_output_and_graph_digest(self, backend):
+        with use_backend(backend):
+            graph, output = experiment_graph("E2")
+            revalidated = task_digest(graph[output])
+        assert (output, graph_digest(graph, [output])) == PINNED_E2[backend]
+        assert revalidated == output
+
+
+class TestCarriedDigest:
+    def test_carried_digest_is_invisible(self):
+        task = canonical_task({"kind": "bounds", "payload": {"n": 16}})
+        plain = TaskSpec("bounds", {"n": 16})
+        assert task == plain
+        assert repr(task) == repr(plain) and "_digest" not in repr(task)
+
+    def test_replace_does_not_copy_the_digest(self):
+        task = canonical_task({"kind": "bounds", "payload": {"n": 16}})
+        moved = dataclasses.replace(task, payload={"n": 17})
+        assert moved.digest == canonical_task({"kind": "bounds", "payload": {"n": 17}}).digest
+        assert moved.digest != task.digest
+
+    def test_hand_built_run_task_revalidates(self):
+        with pytest.raises(SpecError, match="unknown adversary"):
+            TaskSpec("run", {"adversary": "nope", "n": 4}).digest
+        loose = TaskSpec("run", {"n": 12, "adversary": "rotating-path", "backend": "dense"})
+        assert loose.digest == PINNED_RUN
 
 
 class TestGraphConstruction:
@@ -435,7 +505,6 @@ class TestCacheInterop:
 
     def test_adversary_cap_error_message_preserved(self):
         from repro.service.specs import register_adversary, unregister_adversary
-        from repro.trees.rooted_tree import RootedTree
 
         class StallingAdversary:
             name = "Staller"

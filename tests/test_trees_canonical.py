@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.trees.canonical import (
     ahu_signature,
     are_isomorphic,

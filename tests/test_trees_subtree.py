@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.state import BroadcastState
 from repro.trees.generators import path, star
-from repro.trees.rooted_tree import RootedTree
 from repro.trees.subtree import (
     closure_under_children,
     growing_nodes,
