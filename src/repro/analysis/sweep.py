@@ -165,9 +165,9 @@ def make_sweep_point(adversary: str, n: int, t_star: Optional[int]) -> Optional[
 
     Returns ``None`` for runs truncated by an explicit cap (``t_star``
     ``None``) -- such points are dropped from sweep results.  Every
-    executor's sweep (:meth:`repro.engine.executor.Executor.sweep`)
-    builds its points here, which is what keeps the engines
-    bit-identical by construction.
+    executor's sweep (:meth:`repro.engine.executor.Executor.sweep`) and
+    the task graph's ``sweep-agg`` node build their points here, which
+    is what keeps them bit-identical by construction.
     """
     if t_star is None:
         return None
@@ -186,7 +186,6 @@ def sweep_adversaries(
     max_rounds: Optional[int] = None,
     workers: Optional[int] = None,
     executor: Union[str, "Executor", None] = None,
-    cache: Optional[object] = None,
 ) -> SweepResult:
     """Measure ``t*`` for every (factory, n) pair, ``n``-major.
 
@@ -202,18 +201,16 @@ def sweep_adversaries(
       be picklable;
     * neither -- the sequential executor.
 
-    ``cache`` (opt-in) is a cell-cache adapter, typically
-    :class:`repro.service.cache.SweepCellCache` over declarative
-    :class:`~repro.service.specs.SpecHandle` factories: already-measured
-    grid cells become O(1) lookups and only new cells compute, with the
-    merged result bit-identical to a cold sweep.
+    Nothing is cached: plain factories carry no spec to address a cell
+    by.  A cached sweep is a sweep spec run as a task graph
+    (:func:`repro.service.tasks.sweep_graph`, CLI ``sweep --cache``).
     """
     from repro.engine.executor import get_executor
 
     if executor is None:
         executor = "sharded" if workers is not None and workers != 1 else "sequential"
     return get_executor(executor, workers=workers).sweep(
-        adversary_factories, ns, max_rounds=max_rounds, cache=cache
+        adversary_factories, ns, max_rounds=max_rounds
     )
 
 

@@ -47,34 +47,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro._version import __version__
-
-
-def _adversary_factories() -> Dict[str, Callable[[int], object]]:
-    """Name -> factory map for the ``simulate`` subcommand."""
-    from repro.adversaries import (
-        AlternatingPathAdversary,
-        CyclicFamilyAdversary,
-        GreedyDelayAdversary,
-        RandomTreeAdversary,
-        RunnerAdversary,
-        SortedPathAdversary,
-        StaticPathAdversary,
-        ZeinerStyleAdversary,
-    )
-
-    return {
-        "static-path": StaticPathAdversary,
-        "alternating": lambda n: AlternatingPathAdversary(n, period=1),
-        "sorted": lambda n: SortedPathAdversary(n),
-        "zeiner-style": ZeinerStyleAdversary,
-        "runner": RunnerAdversary,
-        "cyclic": CyclicFamilyAdversary,
-        "greedy": GreedyDelayAdversary,
-        "random": lambda n: RandomTreeAdversary(n, seed=0),
-    }
 
 
 def _warn_ignored_workers(args: argparse.Namespace) -> None:
@@ -134,18 +109,35 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    """Run one adversary, print the sandwich report, optionally trace."""
-    from repro.core.theorem import sandwich
-    from repro.engine.executor import RunSpec, get_executor
+def _print_graph_stats(label: str, stats: Dict[str, int]) -> None:
+    """One task-graph run's work counters, on stderr."""
+    print(
+        f"[{label}] task graph: {stats['tasks']} tasks, "
+        f"{stats['cached']} cached, {stats['computed']} computed, "
+        f"runs computed: {stats['runs_computed']}",
+        file=sys.stderr,
+    )
 
-    factories = _adversary_factories()
-    if args.adversary not in factories:
-        print(
-            f"unknown adversary {args.adversary!r}; choose from "
-            f"{sorted(factories)}",
-            file=sys.stderr,
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    """Run one registered adversary, print the sandwich report, optionally trace."""
+    from dataclasses import replace
+
+    from repro.core.theorem import sandwich
+    from repro.engine.executor import get_executor
+    from repro.errors import SpecError
+    from repro.service.specs import to_run_spec
+
+    try:
+        spec = to_run_spec(
+            {
+                "adversary": args.adversary,
+                "n": args.n,
+                "params": _parse_param_pairs(args.param),
+            }
         )
+    except SpecError as exc:  # unknown name or bad param: lists the registry
+        print(exc, file=sys.stderr)
         return 2
     _warn_ignored_workers(args)
     executor = get_executor(args.engine, workers=args.workers)
@@ -156,13 +148,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     instrumentation = (
         "trace" if args.trace or args.engine == "sequential" else "none"
     )
-    report = executor.run(
-        RunSpec(
-            adversary=factories[args.adversary],
-            n=args.n,
-            instrumentation=instrumentation,
-        )
-    )
+    report = executor.run(replace(spec, instrumentation=instrumentation))
     assert report.t_star is not None
     print(sandwich(args.n, report.t_star))
     if report.metrics is not None:
@@ -179,22 +165,38 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Portfolio sweep over a range of ``n`` (any engine, optionally sharded)."""
+    """Portfolio sweep over a range of ``n``, run as a task graph.
+
+    Every grid cell is a ``run`` task (``--engine``/``--workers`` pick
+    the executor the cells batch/shard through); ``--cache`` makes each
+    cell a cache entry, so a warm rerun computes zero runs and an
+    enlarged grid computes only its new cells.
+    """
     from repro.analysis.tables import format_table
     from repro.engine.executor import get_executor
     from repro.service.specs import portfolio_handles
+    from repro.service.tasks import run_graph, sweep_graph
 
-    # Declarative handles are picklable (spawn-safe for sharding) and make
-    # each grid cell content-addressable for --cache.
-    factories = portfolio_handles(include_search=not args.fast)
+    handles = portfolio_handles(include_search=not args.fast)
+    graph, output = sweep_graph(
+        {
+            "adversaries": [
+                {"adversary": h.adversary, "params": h.params, "label": label}
+                for label, h in handles.items()
+            ],
+            "ns": args.ns,
+        }
+    )
     cache = None
     if args.cache:
-        from repro.service.cache import ResultCache, SweepCellCache
+        from repro.service.cache import ResultCache
 
-        cache = SweepCellCache(ResultCache(path=args.cache))
+        cache = ResultCache(path=args.cache)
     _warn_ignored_workers(args)
     executor = get_executor(args.engine, workers=args.workers)
-    result = executor.sweep(factories, args.ns, cache=cache)
+    run = run_graph(graph, executor=executor, cache=cache)
+    _print_graph_stats("sweep", run.stats)
+    result = run.decoded(graph, output)
     best = result.best_per_n()
     rows = []
     for n in args.ns:
@@ -203,9 +205,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             continue
         # Re-instantiate the winner so the table shows its self-reported
         # name (e.g. "CyclicFamily[stride=2]"), not just the factory key.
-        display = getattr(
-            factories[point.adversary](n), "name", point.adversary
-        )
+        display = getattr(handles[point.adversary](n), "name", point.adversary)
         rows.append(
             (
                 n,
@@ -226,12 +226,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         result.save(args.out)
         print(f"sweep results written to {args.out}")
-    if cache is not None:
-        stats = cache.cache.stats()
-        print(
-            f"cell cache {args.cache}: {stats['hits']} hits, "
-            f"{stats['misses']} misses, {stats['entries']} entries"
-        )
     if args.engine == "sharded" and args.workers != 1:
         print(f"(sweep sharded over {executor.workers} worker processes)")
     return 0
@@ -322,13 +316,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         table, graph_run = run_experiment(
             spec.experiment_id, executor=executor, cache=cache
         )
-        s = graph_run.stats
-        print(
-            f"[{spec.experiment_id}] task graph: {s['tasks']} tasks, "
-            f"{s['cached']} cached, {s['computed']} computed, "
-            f"runs computed: {s['runs_computed']}",
-            file=sys.stderr,
-        )
+        _print_graph_stats(spec.experiment_id, graph_run.stats)
         return table
 
     if args.id == "all":
@@ -822,7 +810,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one adversary")
     p.add_argument("-n", type=int, required=True)
     p.add_argument(
-        "--adversary", default="cyclic", help="adversary name (see docs)"
+        "--adversary",
+        default="cyclic",
+        help="registered adversary name (the service registry, /v1/specs)",
+    )
+    p.add_argument(
+        "--param",
+        action="append",
+        metavar="KEY=VALUE",
+        help="adversary param (repeatable; values parsed as JSON literals)",
     )
     p.add_argument("--trace", default=None, help="write a JSON trace here")
     p.add_argument(
@@ -875,9 +871,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "opt-in content-addressed cell cache (JSONL): rerunning an "
-            "enlarged grid only computes the new cells, bit-identical "
-            "to a cold sweep"
+            "opt-in content-addressed result cache (JSONL): every grid "
+            "cell is a cached run task, so rerunning an enlarged grid "
+            "only computes the new cells, bit-identical to a cold sweep"
         ),
     )
     p.set_defaults(func=cmd_sweep)

@@ -207,10 +207,6 @@ class MatrixBackend:
         """``(B,)`` boolean: which runs have completed broadcast."""
         return self.batch_full_rows(bmat).any(axis=1)
 
-    def batch_edge_count(self, bmat: np.ndarray) -> np.ndarray:
-        """``(B,)`` int64 edge counts."""
-        raise NotImplementedError
-
     def slice_run(self, bmat: np.ndarray, b: int) -> np.ndarray:
         """Single-run handle for run ``b`` -- a VIEW into the batch."""
         return bmat[b]
@@ -293,9 +289,6 @@ class DenseBackend(MatrixBackend):
 
     def batch_full_rows(self, bmat: np.ndarray) -> np.ndarray:
         return bmat.all(axis=2)
-
-    def batch_edge_count(self, bmat: np.ndarray) -> np.ndarray:
-        return bmat.sum(axis=(1, 2), dtype=np.int64)
 
 
 # ----------------------------------------------------------------------

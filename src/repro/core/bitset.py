@@ -227,9 +227,6 @@ class BitsetBackend(MatrixBackend):
     def batch_has_broadcaster(self, bmat: np.ndarray) -> np.ndarray:
         return np.bitwise_and.reduce(bmat, axis=1).any(axis=1)
 
-    def batch_edge_count(self, bmat: np.ndarray) -> np.ndarray:
-        return _popcount(bmat).sum(axis=(1, 2), dtype=np.int64)
-
 
 # On a big-endian host the uint64 view of packbits(bitorder="little")
 # output would scramble bit positions and silently compute wrong results;

@@ -413,22 +413,18 @@ class Executor:
         ns: Sequence[int],
         max_rounds: Optional[int] = None,
         backend: BackendLike = None,
-        cache: Optional[object] = None,
     ) -> "SweepResult":
         """Measure ``t*`` for every (factory, n) grid point, ``n``-major.
 
         Points truncated by an explicit ``max_rounds`` are dropped, same
         as :func:`repro.analysis.sweep.sweep_adversaries`.
 
-        ``cache`` (opt-in) is a cell-cache adapter -- typically
-        :class:`repro.service.cache.SweepCellCache` -- with three duck
-        hooks: ``key_for(run_spec)`` (``None`` = cell not addressable),
-        ``lookup(key) -> (hit, t_star)``, and ``store(key, t_star)``.
-        Cached cells skip execution entirely; only the missing cells run,
-        and the merged result is bit-identical to a cold sweep (the
-        cached value *is* the cold value, and point order is grid order
-        either way).  Cells whose factories carry no declarative spec
-        (plain callables) bypass the cache and always compute.
+        This is the uncached grid over plain factories (benchmarks,
+        examples, :func:`~repro.analysis.sweep.sweep_adversaries`): a
+        factory carries no spec, so a cell has no digest to cache under.
+        A sweep described by a spec runs as a task graph instead
+        (:func:`repro.service.tasks.sweep_graph`), where every cell is a
+        cached ``run`` task.
         """
         from repro.analysis.sweep import SweepResult, make_sweep_point
 
@@ -443,28 +439,9 @@ class Executor:
             for n in ns
             for name, factory in adversary_factories.items()
         ]
-        t_stars: List[Optional[int]] = [None] * len(specs)
-        if cache is None:
-            missing = list(range(len(specs)))
-            keys: List[Optional[str]] = [None] * len(specs)
-        else:
-            missing = []
-            keys = [cache.key_for(spec) for spec in specs]
-            for i, key in enumerate(keys):
-                hit, value = cache.lookup(key) if key is not None else (False, None)
-                if hit:
-                    t_stars[i] = value
-                else:
-                    missing.append(i)
-        if missing:
-            reports = self.run_many([specs[i] for i in missing])
-            for i, report in zip(missing, reports):
-                t_stars[i] = report.t_star
-                if cache is not None and keys[i] is not None:
-                    cache.store(keys[i], report.t_star)
         points = [
-            make_sweep_point(spec.name, spec.n, t_star)
-            for spec, t_star in zip(specs, t_stars)
+            make_sweep_point(spec.name, spec.n, report.t_star)
+            for spec, report in zip(specs, self.run_many(specs))
         ]
         return SweepResult(points=[p for p in points if p is not None])
 
@@ -805,7 +782,7 @@ class ShardedExecutor(Executor):
     spec index -- so results are element-wise identical to
     :class:`BatchExecutor` (hence :class:`SequentialExecutor`) for any
     worker count.  Sweeps inherit :meth:`Executor.sweep`, which sends
-    every uncached grid cell through this sharded :meth:`run_many`.
+    every grid cell through this sharded :meth:`run_many`.
     Specs must be picklable for ``workers > 1``: use factories
     (module-level callables / classes / ``functools.partial`` /
     :class:`repro.service.specs.SpecHandle`) rather than closures.

@@ -9,9 +9,9 @@ front-end that actually *serves* users instead of scripts:
   specs with a registry over the adversary portfolio and a canonical
   content-addressed digest per spec;
 * :mod:`~repro.service.cache` -- a versioned result store keyed by spec
-  digest (in-memory LRU + optional append-only JSONL persistence), with a
-  :class:`~repro.service.cache.SweepCellCache` adapter that plugs into
-  ``Executor.sweep`` so enlarged grids only compute new cells;
+  digest (in-memory LRU + optional append-only JSONL persistence); a
+  sweep's grid cells are stored there as ``run`` entries, so enlarged
+  grids only compute new cells;
 * :mod:`~repro.service.scheduler` -- a thread-based job queue with
   queued/running/done/failed states, in-flight dedup of identical digests,
   and batching of compatible queued specs into single executor dispatches;
@@ -30,7 +30,6 @@ front-end that actually *serves* users instead of scripts:
 from repro.service.cache import (
     CACHE_FORMAT_VERSION,
     ResultCache,
-    SweepCellCache,
     report_from_doc,
     report_to_doc,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "ServiceClient",
     "ServiceServer",
     "SpecHandle",
-    "SweepCellCache",
     "TaskGraph",
     "TaskGraphRunner",
     "TaskSpec",

@@ -46,7 +46,7 @@ from repro.engine.executor import Executor, get_executor
 from repro.errors import CacheError, LeaseExpiredError, ServiceError
 from repro.obs import trace as _trace
 from repro.service.cache import ResultCache, report_from_doc, report_to_doc
-from repro.service.specs import spec_digest, to_run_spec
+from repro.service.specs import _canonical_digest, to_run_spec
 
 __all__ = ["WorkQueue", "FleetExecutor", "DEFAULT_LEASE_TTL"]
 
@@ -612,7 +612,7 @@ class FleetExecutor(Executor):
             if payload is None:
                 local_idx.append(i)
             else:
-                digest = spec_digest(payload)
+                digest = _canonical_digest(payload)  # cell_spec is canonical
                 remote_idx.setdefault(digest, []).append(i)
                 payloads.setdefault(digest, payload)
         if local_idx:

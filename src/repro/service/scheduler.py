@@ -49,7 +49,6 @@ graphs with zero recomputation of cached work.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 import secrets
 import threading
@@ -63,21 +62,22 @@ from repro.engine.executor import Executor, get_executor
 from repro.errors import ServiceError
 from repro.obs import trace as _trace
 from repro.obs.metrics import CounterMap, Registry
-from repro.service.cache import ResultCache, SweepCellCache, report_to_doc
+from repro.service.cache import ResultCache, report_to_doc
 from repro.service.journal import JobJournal, JournalEntry
 from repro.service.specs import (
     _canonical_digest,
     canonical_run_spec,
     canonical_sweep_spec,
-    sweep_handles,
     to_run_spec,
 )
 from repro.service.tasks import (
+    GraphRun,
     TaskGraph,
     TaskGraphRunner,
     TaskInflight,
     graph_digest,
     initial_statuses,
+    sweep_graph,
 )
 from repro.service.tenancy import DEFAULT_TENANT, TenantRegistry
 
@@ -219,7 +219,6 @@ class JobScheduler:
             )
         self._executor: Executor = get_executor(executor)
         self.cache = cache if cache is not None else ResultCache()
-        self._cell_cache = SweepCellCache(self.cache)
         self._task_inflight = TaskInflight()
         self._max_batch = max_batch
         self._workers = workers
@@ -447,7 +446,12 @@ class JobScheduler:
     def submit_sweep(
         self, raw_spec: Dict[str, Any], tenant: str = DEFAULT_TENANT
     ) -> Job:
-        """Submit one sweep spec; grid cells warm the shared cell cache."""
+        """Submit one sweep spec; returns the (possibly pre-existing) job.
+
+        The sweep runs as its task graph (:func:`~repro.service.tasks.sweep_graph`):
+        each grid cell is a cached ``run`` task at the address a
+        :meth:`submit_run` of that cell uses.
+        """
         spec = canonical_sweep_spec(raw_spec)
         return self._submit("sweep", spec, _canonical_digest(spec), tenant=tenant)
 
@@ -832,11 +836,10 @@ class JobScheduler:
                     self._counters.inc("computations")
                 self._finish(job, report_to_doc(outcome), None)
 
-    def _dispatch_graph(self, job: Job) -> None:
+    def _run_graph(self, job: Job, graph: TaskGraph, outputs: List[str]) -> GraphRun:
+        """Run ``graph`` for ``job`` on the shared executor, cache and claims."""
         with self._cv:
             self._counters.inc("dispatches")
-        graph, _ = TaskGraph.from_doc(job.spec)
-        outputs = job.spec["outputs"]
 
         def on_update(digest: str, node: Dict[str, Any]) -> None:
             with self._cv:
@@ -853,44 +856,48 @@ class JobScheduler:
             inflight=self._task_inflight,
             on_update=on_update,
         )
-        run = runner.run(graph, outputs)
+        return runner.run(graph, outputs)
+
+    @staticmethod
+    def _missing_outputs(run: GraphRun, outputs: List[str]) -> Optional[str]:
+        """``None`` when every output finished, else the per-output errors."""
+        errors = {
+            d[:16]: run.statuses[d].get("error") or run.statuses[d]["status"]
+            for d in outputs
+            if d not in run.results
+        }
+        return f"graph outputs did not complete: {errors}" if errors else None
+
+    def _dispatch_graph(self, job: Job) -> None:
+        graph, _ = TaskGraph.from_doc(job.spec)
+        outputs = job.spec["outputs"]
+        run = self._run_graph(job, graph, outputs)
         result = {
             "tasks": run.statuses,
             "outputs": {d: run.results.get(d) for d in outputs},
             "stats": run.stats,
         }
-        missing = [d for d in outputs if d not in run.results]
-        if missing:
-            errors = {
-                d[:16]: run.statuses[d].get("error") or run.statuses[d]["status"]
-                for d in missing
-            }
+        error = self._missing_outputs(run, outputs)
+        if error is not None:
             # The partial result still carries per-node statuses; only
             # successful graphs are cached (``_finish`` skips on error).
-            self._finish(job, result, f"graph outputs did not complete: {errors}")
+            self._finish(job, result, error)
             return
         with self._cv:
             self._counters.inc("computations")
         self._finish(job, result, None)
 
     def _dispatch_sweep(self, job: Job) -> None:
-        with self._cv:
-            self._counters.inc("dispatches")
-        try:
-            handles = sweep_handles(job.spec)
-            result = self._executor.sweep(
-                handles,
-                job.spec["ns"],
-                max_rounds=job.spec["max_rounds"],
-                backend=job.spec["backend"],
-                cache=self._cell_cache,
-            )
-        except Exception as exc:
-            self._finish(job, None, f"{type(exc).__name__}: {exc}")
+        graph, output = sweep_graph(job.spec)
+        run = self._run_graph(job, graph, [output])
+        error = self._missing_outputs(run, [output])
+        if error is not None:
+            self._finish(job, None, error)
             return
         with self._cv:
             self._counters.inc("computations")
-        self._finish(job, json.loads(result.to_json()), None)
+        # The sweep-agg document is the serialized SweepResult.
+        self._finish(job, run.results[output], None)
 
 
 __all__ = ["JOB_STATES", "Job", "JobScheduler"]

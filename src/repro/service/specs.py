@@ -34,9 +34,9 @@ Canonicalization rules (what "same run" means):
 :class:`SpecHandle` bridges specs to the executor layer: it is a
 picklable ``n -> adversary`` factory (usable anywhere a sweep factory
 is, including across ``spawn`` boundaries) that *carries its
-declarative spec*, which is what lets
-``Executor.sweep`` content-address individual grid cells (see
-:class:`repro.service.cache.SweepCellCache`).
+declarative spec*, which is what lets the fleet
+(:class:`repro.service.fleet.FleetExecutor`) address each run it is
+handed by that run's digest.
 """
 
 from __future__ import annotations
@@ -415,9 +415,9 @@ class SpecHandle:
 
     Usable anywhere the executor stack accepts a factory (including
     across ``spawn`` process boundaries); additionally exposes
-    :meth:`cell_spec` so cache layers can content-address each (n,
-    max_rounds, backend) grid cell this family produces -- that hook is
-    what ``Executor.sweep(..., cache=...)`` keys on.
+    :meth:`cell_spec`, the canonical run spec of each (n, max_rounds,
+    backend) cell this family produces -- the fleet offers a run to its
+    workers under that spec's digest.
     """
 
     def __init__(
@@ -465,9 +465,18 @@ def to_run_spec(raw: Mapping[str, Any]) -> "RunSpec":
     no kept trees) -- the cacheable shape -- and its adversary factory is a
     :class:`SpecHandle`, so it survives sharded execution.
     """
+    return _to_run_spec(canonical_run_spec(raw))
+
+
+def _to_run_spec(spec: Mapping[str, Any]) -> "RunSpec":
+    """:func:`to_run_spec` of a document that is *already* canonical.
+
+    For callers holding the output of :func:`canonical_run_spec` (a
+    ``run`` task's payload), so the spec is not validated a second
+    time; anything else must go through :func:`to_run_spec`.
+    """
     from repro.engine.executor import RunSpec
 
-    spec = canonical_run_spec(raw)
     handle = SpecHandle(spec["adversary"], spec["params"], seed=spec["seed"])
     return RunSpec(
         adversary=handle,
@@ -476,17 +485,6 @@ def to_run_spec(raw: Mapping[str, Any]) -> "RunSpec":
         max_rounds=spec["max_rounds"],
         backend=spec["backend"],
     )
-
-
-def sweep_handles(spec: Mapping[str, Any]) -> Dict[str, SpecHandle]:
-    """Label -> :class:`SpecHandle` map for a canonical sweep spec."""
-    spec = canonical_sweep_spec(spec)
-    return {
-        row["label"]: SpecHandle(
-            row["adversary"], row["params"], seed=spec["seed"], label=row["label"]
-        )
-        for row in spec["adversaries"]
-    }
 
 
 def portfolio_handles(
@@ -498,8 +496,8 @@ def portfolio_handles(
     lower-bound-matching ``cyclic`` adversary), plus the greedy and beam
     searchers when ``include_search`` is set, keyed by display label in
     a fixed order.  Every factory is a picklable :class:`SpecHandle`, so
-    the portfolio crosses ``spawn`` boundaries and ``Executor.sweep`` can
-    content-address each cell.
+    the portfolio crosses ``spawn`` boundaries and each row turns into a
+    sweep-spec row (the CLI ``sweep`` runs it as a task graph).
     """
     handles = {
         "StaticPath": SpecHandle("static-path", label="StaticPath"),
@@ -669,7 +667,6 @@ __all__ = [
     "portfolio_handles",
     "register_adversary",
     "spec_digest",
-    "sweep_handles",
     "to_run_spec",
     "unregister_adversary",
 ]

@@ -60,11 +60,11 @@ from repro.obs import trace as _trace
 from repro.service.cache import ResultCache, report_from_doc, report_to_doc
 from repro.service.specs import (
     _canonical_digest,
+    _to_run_spec,
     canonical_json,
     canonical_run_spec,
     canonical_sweep_spec,
     spec_digest,
-    to_run_spec,
 )
 
 #: Version prefix baked into every non-run task digest; bump when task
@@ -754,7 +754,9 @@ class TaskGraphRunner:
             if owned_runs:
                 for digest in owned_runs:
                     mark(digest, status="running")
-                specs = [to_run_spec(graph[d].payload) for d in owned_runs]
+                # A run task's payload is canonical (``canonical_task``
+                # validated it), so it is not validated again here.
+                specs = [_to_run_spec(graph[d].payload) for d in owned_runs]
                 # One "node" span covers the whole batched dispatch (the
                 # wave's run tasks share a single executor call).
                 with _trace.span("node", kind="run", tasks=len(owned_runs)):

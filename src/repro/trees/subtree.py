@@ -139,18 +139,3 @@ def maximal_stallable_family(tree: RootedTree) -> List[FrozenSet[int]]:
     """
     return [tree.subtree_nodes(v) for v in tree.topological_order()]
 
-
-def stalling_tree_exists(n: int, reach_row: AbstractSet[int]) -> bool:
-    """Can *some* rooted tree stall a node with this reach row?
-
-    A proper subset ``R`` of ``[n]`` containing the node is stallable by any
-    tree rooted outside ``R`` whose members' children stay inside ``R`` --
-    always constructible unless ``R = [n]``: root the tree at any node
-    outside ``R``, hang ``R``'s nodes as a chain below some member of
-    ``R``... in fact hanging all of ``R`` as a subtree below the root works.
-    Hence the answer is simply ``len(R) < n`` (or trivially True when the
-    node has finished and no growth is possible anyway).
-    """
-    if len(reach_row) >= n:
-        return True  # finished row: nothing left to gain, stalled under any tree
-    return True  # any proper subset is stallable; kept explicit for readability

@@ -56,14 +56,6 @@ class AdversaryProtocol(Protocol):
         ...  # pragma: no cover - protocol body
 
 
-class TreeSequence(Protocol):
-    """Anything that yields rooted trees indexed by round (1-based)."""
-
-    def __getitem__(self, index: int) -> "RootedTree": ...  # pragma: no cover
-
-    def __len__(self) -> int: ...  # pragma: no cover
-
-
 def validate_node_count(n: int) -> int:
     """Validate and return a node count.
 

@@ -41,8 +41,32 @@ class TestSimulate:
         assert "t*=10" in out  # LB formula at n=8
 
     def test_simulate_unknown_adversary(self, capsys):
+        from repro.service.specs import adversary_names
+
         assert main(["simulate", "-n", "6", "--adversary", "nope"]) == 2
-        assert "unknown adversary" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown adversary" in err
+        assert all(repr(name) in err for name in adversary_names())
+
+    @pytest.mark.parametrize(
+        "argv,t_star",
+        [
+            (["--adversary", "static-star"], 1),
+            (["--adversary", "static-path"], 7),
+            (["--adversary", "k-leaf", "--param", "k=2"], None),
+        ],
+    )
+    def test_simulate_resolves_the_service_registry(self, capsys, argv, t_star):
+        assert main(["simulate", "-n", "8", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "t*=" in out
+        if t_star is not None:
+            assert f"t*={t_star} " in out
+
+    def test_simulate_rejects_a_bad_param(self, capsys):
+        argv = ["simulate", "-n", "6", "--adversary", "k-leaf", "--param", "kk=2"]
+        assert main(argv) == 2
+        assert "unknown params ['kk']" in capsys.readouterr().err
 
     def test_simulate_writes_trace(self, tmp_path, capsys):
         trace_file = tmp_path / "t.json"
@@ -76,6 +100,20 @@ class TestSweepExactLemmas:
             assert main(["sweep", "--ns", "5", "6", "--fast", "--engine", engine]) == 0
             tables.append(capsys.readouterr().out)
         assert tables[0] == tables[1] == tables[2]
+
+    def test_sweep_cache_warm_rerun_computes_no_runs(self, tmp_path, capsys):
+        cache = str(tmp_path / "sweep.jsonl")
+        outs = []
+        for i, ns in enumerate((["5", "6"], ["5", "6"], ["5", "6", "7"])):
+            out = str(tmp_path / f"sweep{i}.json")
+            argv = ["sweep", "--ns", *ns, "--fast", "--cache", cache, "--out", out]
+            assert main(argv) == 0
+            outs.append((capsys.readouterr().err, (tmp_path / f"sweep{i}.json").read_text()))
+        assert "0 cached, 21 computed, runs computed: 20" in outs[0][0]
+        assert "21 cached, 0 computed, runs computed: 0" in outs[1][0]
+        assert outs[1][1] == outs[0][1]
+        # the enlarged grid computes only the new n=7 column (+ its agg)
+        assert "20 cached, 11 computed, runs computed: 10" in outs[2][0]
 
     def test_simulate_batch_engine(self, capsys):
         assert main(["simulate", "-n", "8", "--engine", "batch"]) == 0

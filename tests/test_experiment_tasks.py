@@ -133,6 +133,15 @@ class TestEncodeOnce:
             experiment_graph(eid)
         assert len(calls) == sum(EXPECTED_RUN_UNITS.values()) == 35
 
+    def test_cold_pass_canonicalizes_each_run_task_once(self, monkeypatch):
+        """Executing a run task reuses its canonical payload: a cold E1-E8
+        pass validates each of its 35 run specs once, at graph assembly."""
+        calls = count_calls(monkeypatch, specs, "canonical_run_spec")
+        for eid in known_experiment_ids():
+            _, run = run_experiment(eid)
+            assert run.ok
+        assert len(calls) == sum(EXPECTED_RUN_UNITS.values()) == 35
+
     def test_reopening_canonical_lines_encodes_nothing(self, tmp_path, monkeypatch):
         path = tmp_path / "experiments.jsonl"
         cache = ResultCache(path=path)

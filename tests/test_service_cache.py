@@ -13,18 +13,17 @@ import json
 
 import pytest
 
-from repro.analysis.sweep import sweep_adversaries
 from repro.core.backend import use_backend
 from repro.engine.executor import BatchExecutor, SequentialExecutor, ShardedExecutor
 from repro.errors import CacheError
 from repro.service.cache import (
     CACHE_FORMAT_VERSION,
     ResultCache,
-    SweepCellCache,
     report_from_doc,
     report_to_doc,
 )
 from repro.service.specs import portfolio_handles, spec_digest, to_run_spec
+from repro.service.tasks import run_graph, sweep_graph
 
 #: Every portfolio family, with small-n-safe params.
 PORTFOLIO = [
@@ -385,84 +384,92 @@ class TestReplayEquivalence:
         assert ResultCache(path=path).lookup("c") == {"t_star": 3}
 
 
+#: A ``cell`` line exactly as the retired sweep cell cache appended it
+#: (static-path at n=6 on the dense backend).
+PARENT_CELL_LINE = (
+    '{"digest": "cell:1b66fe5bc10178bfe2b6e7bf113cef7f0a148a6ef1ea5a85f9a143635bd68d47", '
+    '"format_version": 1, "kind": "cell", "payload": {"t_star": 5}}\n'
+)
+
+
+def _portfolio_sweep(ns, **extra):
+    """The CLI's fast portfolio as a sweep spec over ``ns``."""
+    rows = [
+        {"adversary": h.adversary, "params": h.params, "label": label}
+        for label, h in portfolio_handles(include_search=False).items()
+    ]
+    return sweep_graph({"adversaries": rows, "ns": ns, **extra})
+
+
 class TestCachedSweeps:
-    """The satellite: ``Executor.sweep(..., cache=...)`` computes only new
-    cells and stays bit-identical to a cold sweep."""
+    """A sweep runs as a task graph: every grid cell is a cached ``run``
+    task, so a warm sweep computes only new cells and stays bit-identical
+    to a cold one."""
 
     @pytest.mark.parametrize("executor_cls", [SequentialExecutor, BatchExecutor])
     def test_warm_sweep_bit_identical_and_incremental(self, executor_cls):
         executor = executor_cls()
-        handles = portfolio_handles(include_search=False)
-        cache = SweepCellCache(ResultCache())
-        cold_small = executor.sweep(handles, [6, 8])
-        warm_small = executor.sweep(handles, [6, 8], cache=cache)
-        assert warm_small.to_json() == cold_small.to_json()
-        filled = cache.cache.stats()
-        assert filled["entries"] == 2 * len(handles)
-        # enlarging the grid recomputes only the new n=10 column
-        cold_big = executor.sweep(handles, [6, 8, 10])
-        warm_big = executor.sweep(handles, [6, 8, 10], cache=cache)
-        assert warm_big.to_json() == cold_big.to_json()
-        stats = cache.cache.stats()
-        assert stats["hits"] - filled["hits"] == 2 * len(handles)
-        assert stats["entries"] == 3 * len(handles)
-        # a fully-warm rerun computes nothing new
-        before = cache.cache.stats()["stores"]
-        assert executor.sweep(handles, [6, 8, 10], cache=cache).to_json() == cold_big.to_json()
-        assert cache.cache.stats()["stores"] == before
+        rows = len(portfolio_handles(include_search=False))
+        cache = ResultCache()
+        small, small_out = _portfolio_sweep([6, 8])
+        cold_small = run_graph(small, executor=executor).result(small_out)
+        warm_small = run_graph(small, executor=executor, cache=cache)
+        assert warm_small.result(small_out) == cold_small
+        assert warm_small.stats["runs_computed"] == 2 * rows
+        # enlarging the grid computes only the new n=10 column
+        big, big_out = _portfolio_sweep([6, 8, 10])
+        cold_big = run_graph(big, executor=executor).result(big_out)
+        warm_big = run_graph(big, executor=executor, cache=cache)
+        assert warm_big.result(big_out) == cold_big
+        assert warm_big.stats["runs_computed"] == rows
+        assert warm_big.stats["cached"] == 2 * rows
+        # a fully-warm rerun computes and stores nothing
+        before = cache.stats()["stores"]
+        rerun = run_graph(big, executor=executor, cache=cache)
+        assert rerun.result(big_out) == cold_big
+        assert rerun.stats["computed"] == 0
+        assert cache.stats()["stores"] == before
 
     def test_sharded_executor_uses_the_cache_in_the_parent(self):
-        handles = portfolio_handles(include_search=False)
-        cache = SweepCellCache(ResultCache())
+        graph, out = _portfolio_sweep([6, 8])
+        cache = ResultCache()
         sharded = ShardedExecutor(workers=2)
-        cold = sharded.sweep(handles, [6, 8])
-        warm = sharded.sweep(handles, [6, 8], cache=cache)
-        assert warm.to_json() == cold.to_json()
-        rerun = sharded.sweep(handles, [6, 8], cache=cache)
-        assert rerun.to_json() == cold.to_json()
-        stats = cache.cache.stats()
-        assert stats["hits"] >= 2 * len(handles)
+        cold = run_graph(graph, executor=sharded).result(out)
+        warm = run_graph(graph, executor=sharded, cache=cache)
+        assert warm.result(out) == cold
+        rerun = run_graph(graph, executor=sharded, cache=cache)
+        assert rerun.result(out) == cold
+        assert rerun.stats["runs_computed"] == 0
+        assert rerun.stats["cached"] == len(graph)
 
-    def test_sweep_adversaries_cache_passthrough(self):
-        handles = portfolio_handles(include_search=False)
-        cache = SweepCellCache(ResultCache())
-        first = sweep_adversaries(handles, [6], cache=cache)
-        second = sweep_adversaries(handles, [6], cache=cache)
-        assert second.to_json() == first.to_json()
-        assert cache.cache.stats()["hits"] == len(handles)
-
-    def test_plain_factories_bypass_the_cache(self):
-        from repro.adversaries.paths import StaticPathAdversary
-
-        cache = SweepCellCache(ResultCache())
-        result = SequentialExecutor().sweep(
-            {"plain": StaticPathAdversary}, [6, 8], cache=cache
+    def test_cache_file_with_a_cell_line_still_opens(self, tmp_path):
+        """A file holding a ``cell`` line the retired sweep path wrote opens;
+        the sweep computes its run entry beside it and nothing reads it."""
+        path = tmp_path / "cache.jsonl"
+        path.write_text(PARENT_CELL_LINE)
+        cache = ResultCache(path=path)
+        assert cache.stats()["loaded_from_disk"] == 1
+        cell = "cell:" + spec_digest({"adversary": "static-path", "n": 6, "backend": "dense"})
+        assert cell in cache
+        graph, out = sweep_graph(
+            {"adversaries": ["static-path"], "ns": [6], "backend": "dense"}
         )
-        assert [p.t_star for p in result.points] == [5, 7]
-        assert cache.cache.stats()["entries"] == 0
-
-    def test_cell_entries_do_not_collide_with_run_entries(self):
-        """A cell spec *is* a run spec: the two kinds must coexist under
-        one store (cell keys are namespaced), never evict each other."""
-        executor = SequentialExecutor()
-        store = ResultCache()
-        cells = SweepCellCache(store)
-        handles = {"StaticPath": portfolio_handles()["StaticPath"]}
-        raw = {"adversary": "static-path", "n": 8}
-        run_digest = spec_digest(raw)
-        store.store_report(run_digest, executor.run(to_run_spec(raw)))
-        executor.sweep(handles, [8], cache=cells)  # same underlying spec
-        assert store.lookup_report(run_digest) is not None  # run survived
-        key = cells.key_for(to_run_spec(raw))
-        assert key != run_digest and cells.lookup(key) == (True, 7)
+        run = run_graph(graph, cache=cache)
+        assert run.stats["runs_computed"] == 1
+        assert [p["t_star"] for p in run.result(out)["points"]] == [5]
+        reopened = ResultCache(path=path)
+        assert reopened.lookup(cell, kind="cell") == {"t_star": 5}
+        assert len(reopened) == len(cache) == 3  # the cell, the run, the agg
 
     def test_cache_respects_backend_in_the_cell_address(self):
         """Cells are addressed per backend name: no cross-backend serving."""
-        handles = {"Rot": portfolio_handles()["RotatingPath"]}
-        cache = SweepCellCache(ResultCache())
-        executor = SequentialExecutor()
-        with use_backend("dense"):
-            executor.sweep(handles, [8], cache=cache)
-        with use_backend("bitset"):
-            executor.sweep(handles, [8], cache=cache)
-        assert cache.cache.stats()["entries"] == 2
+        cache = ResultCache()
+        runs = []
+        for backend in ("dense", "bitset"):
+            with use_backend(backend):
+                graph, _ = sweep_graph({"adversaries": ["rotating-path"], "ns": [8]})
+                runs.append(run_graph(graph, cache=cache).stats["runs_computed"])
+        assert runs == [1, 1]
+        for backend in ("dense", "bitset"):
+            raw = {"adversary": "rotating-path", "n": 8, "backend": backend}
+            assert spec_digest(raw) in cache

@@ -217,6 +217,19 @@ def test_sweeps_alias_and_job_envelope(service):
     assert alias["spec"]["ns"] == [6]
 
 
+def test_sweep_cells_answer_run_submits_from_cache(service):
+    """A sweep's grid cells are run entries at the /v1/runs address."""
+    _, client = service
+    sweep = client.submit_sweep(
+        {"adversaries": ["static-path", "rotating-path"], "ns": [6, 8]}
+    )
+    assert client.wait(sweep["job_id"], timeout=30)["status"] == "done"
+    run = client.submit_run({"adversary": "rotating-path", "n": 8})
+    assert run["status"] == "done" and run["cached"] is True
+    assert run["result"]["t_star"] == 7
+    assert client.metrics()["computations"] == 1  # the sweep job alone
+
+
 def test_cli_submit_reports_truncated_runs_cleanly(service, capsys):
     """A run capped by max_rounds has t_star=None; submit must not crash."""
     from repro.cli import main

@@ -159,10 +159,11 @@ def test_sweep_job_and_cell_cache_warmup():
         job = scheduler.wait(scheduler.submit_sweep(sweep).job_id, timeout=30)
         assert job.status == "done"
         assert len(job.result["points"]) == 4
-        # the sweep warmed per-cell entries plus its own aggregate entry
-        assert cache.stats()["entries"] == 5
-        # run submits matching a warmed cell still compute (different kind,
-        # full report vs t*-only cell) -- but an identical sweep is O(1)
+        # the sweep runs as its task graph, so the cache holds the 4 grid
+        # cells as run entries, the graph's sweep-agg node, and the sweep
+        # job's own entry
+        assert cache.stats()["entries"] == 6
+        # an identical sweep is answered from the job's entry
         again = scheduler.submit_sweep(
             {"ns": [8, 6], "adversaries": ["rotating-path", "static-path"]}
         )

@@ -25,7 +25,7 @@ from repro.errors import AdversaryError, SpecError, TaskError
 from repro.experiments import experiment_graph
 from repro.service.cache import ResultCache
 from repro.service.scheduler import JobScheduler
-from repro.service.specs import canonical_sweep_spec, spec_digest, sweep_handles
+from repro.service.specs import SpecHandle, canonical_sweep_spec, spec_digest
 from repro.service.tasks import (
     TaskGraph,
     TaskGraphRunner,
@@ -288,9 +288,12 @@ class TestExecution:
         graph, out = sweep_graph(spec)
         run = run_graph(graph)
         assert run.ok
-        ref = SequentialExecutor().sweep(
-            sweep_handles(spec), canonical_sweep_spec(spec)["ns"]
-        )
+        canonical = canonical_sweep_spec(spec)
+        handles = {
+            row["label"]: SpecHandle(row["adversary"], row["params"], label=row["label"])
+            for row in canonical["adversaries"]
+        }
+        ref = SequentialExecutor().sweep(handles, canonical["ns"])
         assert run.result(out) == ref.to_doc()
         decoded = run.decoded(graph, out)
         assert isinstance(decoded, SweepResult)
