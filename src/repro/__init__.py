@@ -49,8 +49,6 @@ from repro.core import (
     BroadcastResult,
     BroadcastState,
     broadcast_time_adversary,
-    broadcast_time_sequence,
-    check_theorem_31,
     lower_bound,
     run_adversary,
     run_sequence,
@@ -73,13 +71,11 @@ __all__ = [
     # core
     "BroadcastState",
     "BroadcastResult",
-    "broadcast_time_sequence",
     "broadcast_time_adversary",
     "run_sequence",
     "run_adversary",
     "lower_bound",
     "upper_bound",
-    "check_theorem_31",
     "sandwich",
     # trees
     "RootedTree",

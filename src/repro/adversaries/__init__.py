@@ -6,7 +6,7 @@ the broadcast time ``t*``.  This package implements the full spectrum:
 * :mod:`~repro.adversaries.base` -- the :class:`Adversary` ABC and sequence
   adapters;
 * :mod:`~repro.adversaries.oblivious` -- adversaries that ignore the state
-  (static tree, round-robin, random);
+  (static tree, random);
 * :mod:`~repro.adversaries.paths` -- path-based strategies, including the
   two-phase flip families;
 * :mod:`~repro.adversaries.zeiner` -- explicit lower-bound constructions in
@@ -24,12 +24,10 @@ the broadcast time ``t*``.  This package implements the full spectrum:
 
 from repro.adversaries.base import (
     Adversary,
-    FunctionAdversary,
     SequenceAdversary,
 )
 from repro.adversaries.oblivious import (
     RandomTreeAdversary,
-    RoundRobinAdversary,
     StaticTreeAdversary,
 )
 from repro.adversaries.paths import (
@@ -46,12 +44,11 @@ from repro.adversaries.zeiner import (
 )
 from repro.adversaries.pool import CandidatePool, PoolConfig
 from repro.adversaries.greedy import (
-    ExhaustiveGreedyAdversary,
     GreedyDelayAdversary,
     score_tree,
 )
 from repro.adversaries.beam import BeamSearchAdversary
-from repro.adversaries.exact import ExactGameSolver, ExactResult, exact_broadcast_time
+from repro.adversaries.exact import ExactGameSolver, ExactResult
 from repro.adversaries.restricted import (
     KInnerAdversary,
     KLeafAdversary,
@@ -68,9 +65,7 @@ from repro.adversaries.interval_game import (
 __all__ = [
     "Adversary",
     "SequenceAdversary",
-    "FunctionAdversary",
     "StaticTreeAdversary",
-    "RoundRobinAdversary",
     "RandomTreeAdversary",
     "StaticPathAdversary",
     "AlternatingPathAdversary",
@@ -83,12 +78,10 @@ __all__ = [
     "CandidatePool",
     "PoolConfig",
     "GreedyDelayAdversary",
-    "ExhaustiveGreedyAdversary",
     "score_tree",
     "BeamSearchAdversary",
     "ExactGameSolver",
     "ExactResult",
-    "exact_broadcast_time",
     "KLeafAdversary",
     "KInnerAdversary",
     "NonsplitAdversary",

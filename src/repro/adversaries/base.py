@@ -9,7 +9,7 @@ interface is the general one; oblivious adversaries simply ignore ``state``.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -175,25 +175,3 @@ class SequenceAdversary(Adversary):
 
     def __len__(self) -> int:
         return len(self._trees)
-
-
-class FunctionAdversary(Adversary):
-    """Wrap a plain function ``(state, round_index) -> RootedTree``."""
-
-    def __init__(
-        self,
-        fn: Callable[[BroadcastState, int], RootedTree],
-        name: Optional[str] = None,
-        reset_fn: Optional[Callable[[], None]] = None,
-    ) -> None:
-        self._fn = fn
-        self._reset_fn = reset_fn
-        self.name = name or getattr(fn, "__name__", "FunctionAdversary")
-        super().__init__()
-
-    def next_tree(self, state: BroadcastState, round_index: int) -> RootedTree:
-        return self._fn(state, round_index)
-
-    def reset(self) -> None:
-        if self._reset_fn is not None:
-            self._reset_fn()

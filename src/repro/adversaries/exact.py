@@ -378,11 +378,3 @@ def _dominated(kept: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         chunk = ~candidates[lo:lo + step]
         out[lo:lo + step] = ((kept[:, None] & chunk) == 0).any(axis=0)
     return out
-
-
-def exact_broadcast_time(n: int, max_states: int = 5_000_000) -> int:
-    """Convenience wrapper: the exact ``t*(T_n)`` for small ``n``."""
-    if n == 1:
-        return 0
-    solver = ExactGameSolver(n, max_states=max_states)
-    return solver.solve().t_star

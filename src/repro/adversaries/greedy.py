@@ -22,9 +22,7 @@ as the single-candidate reference implementation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from repro.adversaries.base import Adversary
 from repro.adversaries.pool import CandidatePool, PoolConfig
@@ -90,62 +88,3 @@ class GreedyDelayAdversary(Adversary):
 
     def reset(self) -> None:
         self._pool.reset()
-
-
-def rank_candidates(
-    state: BroadcastState, candidates: List[RootedTree]
-) -> List[Tuple[Score, RootedTree]]:
-    """Sort candidates by score (best first); exposed for analysis tools."""
-    scored = list(zip(score_candidates(state, candidates), candidates))
-    scored.sort(key=lambda pair: pair[0])
-    return scored
-
-
-class ExhaustiveGreedyAdversary(Adversary):
-    """Greedy over *all* ``n^(n-1)`` rooted trees (small ``n`` only).
-
-    Each round every tree in ``T_n`` is scored with the quadratic
-    potential (see
-    :func:`repro.adversaries.zeiner.quadratic_potential_score`) and the
-    minimizer is played.  For ``n <= 6`` this reproduces the exact game
-    values; it is the strongest practical adversary before the
-    state-space solver becomes necessary, and a reference point for the
-    pool-restricted searchers.
-
-    The tree set is enumerated once at construction (``n <= 7`` enforced:
-    ``7^6 = 117649`` trees is the practical ceiling).
-    """
-
-    #: Enumerating all trees beyond this n is refused.
-    MAX_N = 7
-
-    def __init__(self, n: int) -> None:
-        if not 2 <= n <= self.MAX_N:
-            raise AdversaryError(
-                f"ExhaustiveGreedyAdversary supports 2 <= n <= {self.MAX_N}, got {n}"
-            )
-        from repro.trees.enumerate import all_parent_arrays
-
-        self._n = n
-        self._parents = [
-            np.asarray(pa, dtype=np.int64) for pa in all_parent_arrays(n)
-        ]
-        self.name = f"ExhaustiveGreedy[n={n}]"
-        super().__init__()
-
-    def next_tree(self, state: BroadcastState, round_index: int) -> RootedTree:
-        from repro.adversaries.zeiner import quadratic_potential_score
-
-        if state.n != self._n:
-            raise AdversaryError(
-                f"adversary built for n={self._n}, driven with n={state.n}"
-            )
-        reach = state.reach_matrix_view()
-        best = None
-        best_score = None
-        for parent in self._parents:
-            s = quadratic_potential_score(reach, parent, self._n)
-            if best_score is None or s < best_score:
-                best, best_score = parent, s
-        assert best is not None
-        return RootedTree([int(p) for p in best])

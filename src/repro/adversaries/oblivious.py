@@ -9,7 +9,7 @@ bound).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -53,39 +53,6 @@ class StaticTreeAdversary(Adversary):
         if self._tree.n != n:
             return None
         return parent_row(self._tree)
-
-
-class RoundRobinAdversary(Adversary):
-    """Cycle through a fixed list of trees, round-robin."""
-
-    def __init__(self, trees: Sequence[RootedTree], name: Optional[str] = None) -> None:
-        if not trees:
-            raise AdversaryError("RoundRobinAdversary needs at least one tree")
-        n = trees[0].n
-        for t in trees:
-            if t.n != n:
-                raise AdversaryError("all round-robin trees must share n")
-        self._trees = list(trees)
-        self.name = name or f"RoundRobin[{len(trees)}]"
-        super().__init__()
-
-    def next_tree(self, state: BroadcastState, round_index: int) -> RootedTree:
-        return self._trees[(round_index - 1) % len(self._trees)]
-
-    def compile_schedule(self, n: int, rounds: int) -> Optional[np.ndarray]:
-        from repro.trees.compile import cycle_schedule
-
-        if self._trees[0].n != n:
-            return None
-        return cycle_schedule(self._trees, rounds)
-
-    def compile_static_row(self, n: int) -> Optional[np.ndarray]:
-        """A one-tree round robin is a static schedule."""
-        from repro.trees.compile import parent_row
-
-        if len(self._trees) != 1 or self._trees[0].n != n:
-            return None
-        return parent_row(self._trees[0])
 
 
 class RandomTreeAdversary(Adversary):

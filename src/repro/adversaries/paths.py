@@ -216,15 +216,3 @@ class TwoPhaseFlipAdversary(Adversary):
         if round_index <= self._phase1_rounds:
             return self._static.next_tree(state, round_index)
         return self._sorted.next_tree(state, round_index)
-
-
-def path_sorted_by(values: np.ndarray, ascending: bool = True) -> RootedTree:
-    """Build a path ordered by an arbitrary per-node key vector.
-
-    Helper shared by pool builders; ties break by node index.
-    """
-    n = len(values)
-    idx = sorted(range(n), key=lambda v: (values[v], v))
-    if not ascending:
-        idx = idx[::-1]
-    return path_from_order(idx)

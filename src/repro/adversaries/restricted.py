@@ -120,13 +120,3 @@ class KInnerAdversary(Adversary):
                 f"budget is {self._k}"
             )
         return tree
-
-
-def check_k_leaves(tree: RootedTree, k: int) -> bool:
-    """Validate membership in the k-leaf restricted family."""
-    return tree.leaf_count() == k
-
-
-def check_k_inner(tree: RootedTree, k: int) -> bool:
-    """Validate membership in the k-inner-node restricted family."""
-    return tree.inner_count() == k

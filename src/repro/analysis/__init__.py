@@ -24,15 +24,12 @@ from repro.analysis.certificates import (
     certify_lower_bound_witness,
     certify_sequence,
 )
-from repro.analysis.sweep import SweepResult, sweep_adversaries, sweep_n
-from repro.analysis.tables import format_markdown_table, format_table
+from repro.analysis.sweep import SweepResult, sweep_adversaries
+from repro.analysis.tables import format_table
 from repro.analysis.stats import linear_fit, LinearFit
 from repro.analysis.intervals import (
     CyclicInterval,
     as_cyclic_interval,
-    interval_preservation_trace,
-    state_intervals,
-    state_is_interval_structured,
 )
 
 __all__ = [
@@ -43,15 +40,10 @@ __all__ = [
     "certify_adversary_run",
     "certify_lower_bound_witness",
     "SweepResult",
-    "sweep_n",
     "sweep_adversaries",
     "format_table",
-    "format_markdown_table",
     "linear_fit",
     "LinearFit",
     "CyclicInterval",
     "as_cyclic_interval",
-    "state_intervals",
-    "state_is_interval_structured",
-    "interval_preservation_trace",
 ]

@@ -6,11 +6,7 @@ every reach set stays a *cyclic interval* -- a set of the form
 around this observation, and this module makes the invariant checkable:
 
 * :class:`CyclicInterval` -- normalized arc representation;
-* :func:`as_cyclic_interval` -- recognize a set as an arc (or None);
-* :func:`state_intervals` / :func:`state_is_interval_structured` --
-  per-state recognition;
-* :func:`interval_preservation_trace` -- run an adversary and report when
-  (if ever) the interval structure breaks.
+* :func:`as_cyclic_interval` -- recognize a set as an arc (or None).
 
 The interval lens also explains the stalling calculus: under a rotated
 *forward* cyclic path starting at ``s``, an arc grows at its right end
@@ -21,10 +17,9 @@ unless that end is ``s + 1``.  Chain-fan trees mix the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, List, Optional, Sequence
+from typing import AbstractSet, Optional
 
-from repro.core.state import BroadcastState
-from repro.types import AdversaryProtocol, validate_node_count
+from repro.types import validate_node_count
 
 
 @dataclass(frozen=True)
@@ -56,11 +51,6 @@ class CyclicInterval:
     def members(self) -> frozenset:
         """The arc as a set of nodes."""
         return frozenset((self.start + i) % self.n for i in range(self.length))
-
-    def contains(self, v: int) -> bool:
-        """Membership test without materializing the set."""
-        offset = (v - self.start) % self.n
-        return offset < self.length
 
     def extend_right(self) -> "CyclicInterval":
         """The arc grown by one at its right end (saturates at full)."""
@@ -113,64 +103,4 @@ def as_cyclic_interval(nodes: AbstractSet[int], n: int) -> Optional[CyclicInterv
     start = starts[0]
     if all(member[(start + i) % n] for i in range(size)):
         return CyclicInterval(n, start, size)
-    return None
-
-
-def state_intervals(state: BroadcastState) -> List[Optional[CyclicInterval]]:
-    """Recognize every reach set of a state as an arc (None where not)."""
-    return [as_cyclic_interval(state.reach_set(x), state.n) for x in range(state.n)]
-
-
-def state_is_interval_structured(state: BroadcastState) -> bool:
-    """True iff every reach set is a cyclic interval."""
-    return all(arc is not None for arc in state_intervals(state))
-
-
-@dataclass
-class IntervalTraceEntry:
-    """One round of an interval-preservation trace."""
-
-    round_index: int
-    structured: bool
-    arcs: List[Optional[CyclicInterval]]
-
-
-def interval_preservation_trace(
-    adversary: AdversaryProtocol,
-    n: int,
-    max_rounds: Optional[int] = None,
-) -> List[IntervalTraceEntry]:
-    """Run ``adversary`` and record the interval structure each round.
-
-    Used to validate the cyclic chain-fan adversary's design claim: the
-    trace entries should all have ``structured=True``.
-    """
-    from repro.core.bounds import trivial_upper_bound
-
-    validate_node_count(n)
-    cap = max_rounds if max_rounds is not None else trivial_upper_bound(n)
-    adversary.reset()
-    state = BroadcastState.initial(n)
-    trace: List[IntervalTraceEntry] = []
-    t = 0
-    while not state.is_broadcast_complete() and t < cap:
-        t += 1
-        tree = adversary.next_tree(state, t)
-        state.apply_tree_inplace(tree)
-        arcs = state_intervals(state)
-        trace.append(
-            IntervalTraceEntry(
-                round_index=t,
-                structured=all(a is not None for a in arcs),
-                arcs=arcs,
-            )
-        )
-    return trace
-
-
-def first_structure_break(trace: Sequence[IntervalTraceEntry]) -> Optional[int]:
-    """The first round whose state is not interval-structured, if any."""
-    for entry in trace:
-        if not entry.structured:
-            return entry.round_index
     return None

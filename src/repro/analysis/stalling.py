@@ -16,7 +16,7 @@ random states and trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, Tuple
 
 from repro.core.state import BroadcastState
 from repro.trees.rooted_tree import RootedTree
@@ -91,22 +91,3 @@ def verify_lemmas_on_round(
         if stalled_matrix != stalled_decomp:
             lemma_s_decomposition = False
     return lemma_r, lemma_s_closure, lemma_s_decomposition
-
-
-def stall_trajectory(
-    trees: Sequence[RootedTree], n: int
-) -> List[StallReport]:
-    """Per-round stall reports along a whole run."""
-    state = BroadcastState.initial(n)
-    reports: List[StallReport] = []
-    for tree in trees:
-        reports.append(stall_report(state, tree))
-        state.apply_tree_inplace(tree)
-        if state.is_broadcast_complete():
-            break
-    return reports
-
-
-def max_stall_fraction(reports: Sequence[StallReport]) -> float:
-    """The best stalling round of a run (0.0 for an empty run)."""
-    return max((r.stall_fraction for r in reports), default=0.0)

@@ -22,10 +22,6 @@ class LinearFit:
     intercept: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        """Fitted value at ``x``."""
-        return self.slope * x + self.intercept
-
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     """Ordinary least squares fit of ``ys`` on ``xs``.
@@ -49,10 +45,3 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return LinearFit(slope=float(slope), intercept=float(intercept), r_squared=r_squared)
-
-
-def growth_ratio_table(ns: Sequence[int], ts: Sequence[int]) -> list:
-    """Rows ``(n, t, t/n)`` used by several benchmark printouts."""
-    if len(ns) != len(ts):
-        raise ValueError("ns and ts must have equal length")
-    return [(n, t, t / n) for n, t in zip(ns, ts)]

@@ -212,16 +212,3 @@ def sweep_adversaries(
     return get_executor(executor, workers=workers).sweep(
         adversary_factories, ns, max_rounds=max_rounds
     )
-
-
-def sweep_n(
-    factory: Callable[[int], AdversaryProtocol],
-    ns: Sequence[int],
-    name: str = "adversary",
-    workers: Optional[int] = None,
-    executor: Union[str, "Executor", None] = None,
-) -> SweepResult:
-    """Sweep one adversary family over ``n`` (optionally sharded)."""
-    return sweep_adversaries(
-        {name: factory}, ns, workers=workers, executor=executor
-    )

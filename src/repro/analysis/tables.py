@@ -52,22 +52,3 @@ def format_table(
     lines.append("  ".join("-" * w for w in widths))
     lines.extend(fmt_row(r) for r in str_rows)
     return "\n".join(lines)
-
-
-def format_markdown_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-) -> str:
-    """Render a GitHub-flavoured markdown table."""
-    str_rows = [[_stringify(c) for c in row] for row in rows]
-    for row in str_rows:
-        if len(row) != len(headers):
-            raise ValueError(
-                f"row has {len(row)} cells, headers have {len(headers)}"
-            )
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
-    ]
-    lines.extend("| " + " | ".join(row) + " |" for row in str_rows)
-    return "\n".join(lines)

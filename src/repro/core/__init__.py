@@ -27,16 +27,14 @@ from repro.core.matrix import (
     bool_product,
     compose_with_tree,
     identity_matrix,
-    is_reflexive,
     matrix_key,
     validate_adjacency,
 )
 from repro.core.state import BroadcastState
-from repro.core.product import product_of_trees, product_graph
+from repro.core.product import product_of_trees
 from repro.core.broadcast import (
     BroadcastResult,
     broadcast_time_adversary,
-    broadcast_time_sequence,
     run_adversary,
     run_sequence,
 )
@@ -49,7 +47,7 @@ from repro.core.bounds import (
     trivial_upper_bound,
     upper_bound,
 )
-from repro.core.theorem import check_theorem_31, sandwich
+from repro.core.theorem import sandwich
 
 __all__ = [
     "MatrixBackend",
@@ -60,15 +58,12 @@ __all__ = [
     "use_backend",
     "identity_matrix",
     "validate_adjacency",
-    "is_reflexive",
     "bool_product",
     "compose_with_tree",
     "matrix_key",
     "BroadcastState",
-    "product_graph",
     "product_of_trees",
     "BroadcastResult",
-    "broadcast_time_sequence",
     "broadcast_time_adversary",
     "run_sequence",
     "run_adversary",
@@ -79,6 +74,5 @@ __all__ = [
     "fugger_nowak_winkler_upper_bound",
     "k_leaves_upper_bound",
     "k_inner_upper_bound",
-    "check_theorem_31",
     "sandwich",
 ]

@@ -154,10 +154,6 @@ class MatrixBackend:
         """Column ``y`` (the heard-of set of ``y``) as a boolean vector."""
         raise NotImplementedError
 
-    def gains_under(self, mat: np.ndarray, parent: np.ndarray) -> np.ndarray:
-        """Per-node count of new nodes gained if the tree were played."""
-        raise NotImplementedError
-
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         """True iff two handles hold the same matrix."""
         return a.shape == b.shape and bool((a == b).all())
@@ -269,10 +265,6 @@ class DenseBackend(MatrixBackend):
 
     def col(self, mat: np.ndarray, y: int) -> np.ndarray:
         return mat[:, y].copy()
-
-    def gains_under(self, mat: np.ndarray, parent: np.ndarray) -> np.ndarray:
-        gains = mat[:, parent] & ~mat
-        return gains.sum(axis=1, dtype=np.int64)
 
     def batch_compose_inplace(self, bmat: np.ndarray, parents: np.ndarray) -> np.ndarray:
         idx = np.broadcast_to(parents[:, None, :], bmat.shape)

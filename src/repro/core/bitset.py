@@ -194,11 +194,6 @@ class BitsetBackend(MatrixBackend):
         n = mat.shape[0]
         return _unpack_bits(mat[y], n).astype(np.bool_)
 
-    def gains_under(self, mat: np.ndarray, parent: np.ndarray) -> np.ndarray:
-        n = mat.shape[0]
-        new_bits = mat[parent] & ~mat
-        return _unpack_bits(new_bits, n).sum(axis=0, dtype=np.int64)
-
     # -- batched kernels ----------------------------------------------
 
     def batch_compose_inplace(self, bmat: np.ndarray, parents: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Two entry points mirror the paper's two definitions:
 
-* :func:`broadcast_time_sequence` -- ``t*(G_1, G_2, ...)`` for an explicit
-  sequence of trees (Definition 2.2);
+* :func:`run_sequence` -- ``t*(G_1, G_2, ...)`` for an explicit sequence
+  of trees (Definition 2.2);
 * :func:`broadcast_time_adversary` -- drive an adversary until broadcast
   completes, returning the achieved ``t*`` (a *witness* for Definition
   2.3's max; the exact solver in ``repro.adversaries.exact`` computes the
@@ -69,12 +69,6 @@ class BroadcastResult:
     def completed(self) -> bool:
         """True iff broadcast finished within the allotted rounds."""
         return self.t_star is not None
-
-    def normalized_time(self) -> Optional[float]:
-        """``t*/n`` -- the constant the paper's bounds are about."""
-        if self.t_star is None:
-            return None
-        return self.t_star / self.n
 
 
 def run_sequence(
@@ -184,15 +178,6 @@ def run_adversary(
     return report.to_broadcast_result()
 
 
-def broadcast_time_sequence(
-    trees: Sequence[RootedTree],
-    n: Optional[int] = None,
-    backend: BackendLike = None,
-) -> Optional[int]:
-    """``t*`` of an explicit sequence (Definition 2.2); ``None`` if unfinished."""
-    return run_sequence(trees, n=n, backend=backend).t_star
-
-
 def broadcast_time_adversary(
     adversary: AdversaryProtocol,
     n: int,
@@ -201,14 +186,6 @@ def broadcast_time_adversary(
 ) -> Optional[int]:
     """``t*`` achieved by an adversary on ``n`` processes."""
     return run_adversary(adversary, n, max_rounds=max_rounds, backend=backend).t_star
-
-
-def first_broadcaster(trees: Sequence[RootedTree], n: Optional[int] = None) -> Optional[int]:
-    """The smallest-index node that completes broadcast first, if any."""
-    result = run_sequence(trees, n=n)
-    if not result.broadcasters:
-        return None
-    return result.broadcasters[0]
 
 
 def verify_certificate(

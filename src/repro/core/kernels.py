@@ -220,15 +220,6 @@ def set_compose_observer(
     _compose_observer = observer
 
 
-def register_kernel(
-    backend_name: str,
-    kernel_name: str,
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> None:
-    """Register a graph-compose kernel for one backend's handle layout."""
-    _KERNELS.setdefault(backend_name, {})[kernel_name] = fn
-
-
 def available_kernels(backend_name: str) -> Tuple[str, ...]:
     """Kernel names registered for a backend, sorted."""
     return tuple(sorted(_KERNELS.get(backend_name, ())))
@@ -304,12 +295,6 @@ def current_rules() -> Dict[str, Dict[str, float]]:
     if _rules_cache is None:
         _rules_cache = _load_rules()
     return _rules_cache[0]
-
-
-def reload_kernel_table() -> None:
-    """Drop the cached rule table (picks up ``REPRO_KERNEL_TABLE`` changes)."""
-    global _rules_cache
-    _rules_cache = None
 
 
 def choose_kernel(backend_name: str, n: int, g: np.ndarray) -> Optional[str]:
@@ -609,14 +594,12 @@ __all__ = [
     "BLAS_CHUNK_BYTES",
     "GATHER_CHUNK_BYTES",
     "DEFAULT_RULES",
-    "register_kernel",
     "available_kernels",
     "known_kernel_names",
     "set_kernel",
     "use_kernel",
     "forced_kernel_name",
     "current_rules",
-    "reload_kernel_table",
     "choose_kernel",
     "graph_compose",
     "set_compose_observer",

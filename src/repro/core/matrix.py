@@ -18,7 +18,7 @@ Two composition routines are provided:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -70,11 +70,6 @@ def validate_adjacency(a: np.ndarray, require_reflexive: bool = False) -> np.nda
             "the model never forgets information"
         )
     return arr
-
-
-def is_reflexive(a: np.ndarray) -> bool:
-    """True iff every diagonal entry (self-loop) is present."""
-    return bool(np.asarray(a).diagonal().all())
 
 
 def bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,13 +157,6 @@ def new_edges(before: np.ndarray, after: np.ndarray) -> int:
     return int((after & ~before).sum())
 
 
-def is_monotone_step(before: np.ndarray, after: np.ndarray) -> bool:
-    """True iff ``before ⊆ after`` edge-wise (self-loops make this invariant)."""
-    before = np.asarray(before, dtype=np.bool_)
-    after = np.asarray(after, dtype=np.bool_)
-    return bool((~before | after).all())
-
-
 def matrix_key(a: np.ndarray) -> bytes:
     """A hashable, compact key for a boolean matrix (row-major packed bits).
 
@@ -177,12 +165,6 @@ def matrix_key(a: np.ndarray) -> bytes:
     """
     arr = np.asarray(a, dtype=np.bool_)
     return np.packbits(arr, axis=None).tobytes()
-
-
-def key_to_matrix(key: bytes, n: int) -> np.ndarray:
-    """Inverse of :func:`matrix_key` given the node count."""
-    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n * n)
-    return bits.astype(np.bool_).reshape(n, n)
 
 
 def permute_matrix(a: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -196,37 +178,3 @@ def permute_matrix(a: np.ndarray, perm: np.ndarray) -> np.ndarray:
     inv = np.empty(n, dtype=np.int64)
     inv[np.asarray(perm, dtype=np.int64)] = np.arange(n)
     return a[np.ix_(inv, inv)]
-
-
-def canonical_key(a: np.ndarray, perms: Optional[np.ndarray] = None) -> bytes:
-    """Lexicographically-minimal :func:`matrix_key` over node relabelings.
-
-    ``perms`` may carry a precomputed ``(k, n)`` array of permutations
-    (typically all ``n!`` for exact small-``n`` work); by default all
-    permutations are generated, which is only sensible for ``n <= 7``.
-    Collapsing states by symmetry keeps the exact solver's memo table small:
-    the broadcast game is invariant under relabeling nodes.
-    """
-    a = np.asarray(a, dtype=np.bool_)
-    n = a.shape[0]
-    if perms is None:
-        perms = all_permutations(n)
-    best: Optional[bytes] = None
-    for perm in perms:
-        key = matrix_key(permute_matrix(a, perm))
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
-
-
-def all_permutations(n: int) -> np.ndarray:
-    """All ``n!`` permutations of ``range(n)`` as an ``(n!, n)`` array."""
-    from itertools import permutations
-
-    if n > 8:
-        raise InvalidGraphError(
-            f"refusing to materialize {n}! permutations; canonicalization is "
-            "meant for small n"
-        )
-    return np.array(list(permutations(range(n))), dtype=np.int64)

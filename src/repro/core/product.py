@@ -7,7 +7,7 @@ graphs, used by tests, the trace replayer, and the nonsplit reduction
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -15,24 +15,6 @@ from repro.core import matrix as M
 from repro.core.backend import BackendLike, get_backend
 from repro.errors import DimensionMismatchError
 from repro.trees.rooted_tree import RootedTree
-
-
-def product_graph(graphs: Iterable[np.ndarray]) -> np.ndarray:
-    """Compose arbitrary adjacency matrices left to right.
-
-    ``product_graph([G1, G2, G3]) = G1 ∘ G2 ∘ G3``.  An empty iterable is
-    rejected because the node count would be unknown.
-    """
-    result = None
-    for g in graphs:
-        g = M.validate_adjacency(g)
-        if result is None:
-            result = g.copy()
-        else:
-            result = M.bool_product(result, g)
-    if result is None:
-        raise DimensionMismatchError("cannot take the product of zero graphs")
-    return result
 
 
 def product_of_trees(

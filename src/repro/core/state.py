@@ -14,7 +14,7 @@ boolean matrices for analysis code.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -249,16 +249,6 @@ class BroadcastState:
         new_mat = self._backend.compose_with_graph(self._mat, g)
         return BroadcastState._wrap(new_mat, self._n, self._round + 1, self._backend)
 
-    def would_stall(self, tree: RootedTree) -> FrozenSet[int]:
-        """Nodes that would gain nothing if ``tree`` were played next."""
-        from repro.trees.subtree import stalled_nodes
-
-        return stalled_nodes(tree, self.reach_matrix_view())
-
-    def gains_under(self, tree: RootedTree) -> np.ndarray:
-        """Per-node number of new nodes gained if ``tree`` were played."""
-        return self._backend.gains_under(self._mat, tree.parent_array_numpy())
-
     # ------------------------------------------------------------------
     # Identity / bookkeeping
     # ------------------------------------------------------------------
@@ -267,15 +257,6 @@ class BroadcastState:
         """Deep copy."""
         return BroadcastState._wrap(
             self._backend.copy(self._mat), self._n, self._round, self._backend
-        )
-
-    def with_backend(self, backend: BackendLike) -> "BroadcastState":
-        """This state converted to another backend (copies the matrix)."""
-        target = get_backend(backend)
-        if target is self._backend:
-            return self.copy()
-        return BroadcastState._wrap(
-            target.from_dense(self.reach_matrix), self._n, self._round, target
         )
 
     def key(self) -> bytes:
@@ -314,19 +295,3 @@ class BroadcastState:
     def initial(cls, n: int, backend: BackendLike = None) -> "BroadcastState":
         """The canonical starting state ``G(0) = identity``."""
         return cls(n, backend=backend)
-
-    @classmethod
-    def from_rows(
-        cls,
-        rows: List[FrozenSet[int]],
-        round_index: int = 0,
-        backend: BackendLike = None,
-    ) -> "BroadcastState":
-        """Build a state from explicit reach sets (row ``x`` = ``rows[x]``)."""
-        n = len(rows)
-        reach = np.zeros((n, n), dtype=np.bool_)
-        for x, row in enumerate(rows):
-            for y in row:
-                reach[x, int(y)] = True
-            reach[x, x] = True
-        return cls(n, reach, round_index, backend=backend)

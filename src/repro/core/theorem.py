@@ -2,11 +2,10 @@
 
     ⌈(3n−1)/2⌉ − 2  ≤  t*(T_n)  ≤  ⌈(1+√2)·n − 1⌉
 
-The upper bound must hold for *every* adversary: :func:`check_theorem_31`
-verifies a measured broadcast time against it (any violation would falsify
-the reproduction -- or the theorem).  The lower bound is witnessed by
-specific adversaries; :func:`sandwich` reports where a measured value falls
-between the two formulas.
+The upper bound must hold for *every* adversary (any violation would
+falsify the reproduction -- or the theorem); the lower bound is witnessed
+by specific adversaries.  :func:`sandwich` reports where a measured value
+falls between the two formulas.
 """
 
 from __future__ import annotations
@@ -62,35 +61,12 @@ def sandwich(n: int, measured_t_star: int) -> SandwichReport:
     )
 
 
-def check_theorem_31(n: int, measured_t_star: int) -> bool:
-    """True iff the measured time respects the theorem's upper bound.
-
-    This is the falsifiable reproduction check: since the theorem
-    quantifies over all adversaries, *every* measured ``t*`` must satisfy
-    ``t* <= ⌈(1+√2)n − 1⌉``.
-    """
-    return sandwich(n, measured_t_star).upper_bound_respected
-
-
 def check_exact_value(n: int, exact_t_star: int) -> bool:
     """Check an *exact* game value (from the exhaustive solver) against both
     sides of Theorem 3.1.
 
-    Unlike :func:`check_theorem_31`, the lower bound must also hold here,
-    because the exact value is the max over all adversaries.
+    Unlike a measured adversary's value, an exact value must meet the lower
+    bound too, because it is the max over all adversaries.
     """
     report = sandwich(n, exact_t_star)
     return report.upper_bound_respected and report.meets_lower_bound
-
-
-def theorem_gap(n: int) -> int:
-    """Width of the open gap ``upper − lower`` the paper leaves (Section 5)."""
-    validate_node_count(n)
-    return upper_bound(n) - lower_bound(n)
-
-
-def normalized_gap_limit() -> float:
-    """The asymptotic gap in units of ``n``: ``(1+√2) − 3/2 ≈ 0.914``."""
-    import math
-
-    return (1 + math.sqrt(2.0)) - 1.5

@@ -10,7 +10,7 @@
 """
 
 from repro.engine.events import RoundRecord
-from repro.engine.trace import Trace, TraceRecorder, replay_trace
+from repro.engine.trace import Trace, TraceRecorder
 from repro.engine.batch import BatchRunner, run_sequences_batch, score_candidates
 from repro.engine.executor import (
     BatchExecutor,
@@ -27,7 +27,6 @@ __all__ = [
     "RoundRecord",
     "Trace",
     "TraceRecorder",
-    "replay_trace",
     "BatchRunner",
     "run_sequences_batch",
     "score_candidates",

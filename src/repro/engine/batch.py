@@ -208,7 +208,7 @@ def run_sequences_batch(
     """``t*`` of many explicit tree sequences, computed batched.
 
     Element-wise equivalent to
-    ``[broadcast_time_sequence(seq, n) for seq in sequences]`` but the
+    ``[run_sequence(seq, n=n).t_star for seq in sequences]`` but the
     per-round composition runs once over the whole stack.  Ragged
     sequences are padded with no-op rounds (which cannot change ``t*``).
     """

@@ -25,8 +25,8 @@ exactly one place (:func:`repro.core.bounds.resolve_round_cap`).
 
 Compiled-schedule fast path
 ---------------------------
-Oblivious adversaries (fixed sequences, static/rotating/alternating paths,
-round-robins) implement
+Oblivious adversaries (fixed sequences, static/rotating/alternating paths)
+implement
 :meth:`~repro.adversaries.base.Adversary.compile_schedule`: the whole run
 as one packed ``(rounds, n)`` parent array, memoized by canonical tree
 form in :mod:`repro.trees.compile`.  Executors then drive the backend
@@ -186,12 +186,6 @@ class RunReport:
     def completed(self) -> bool:
         """True iff broadcast finished within the allotted rounds."""
         return self.t_star is not None
-
-    def normalized_time(self) -> Optional[float]:
-        """``t*/n`` -- the constant the paper's bounds are about."""
-        if self.t_star is None:
-            return None
-        return self.t_star / self.n
 
     def to_broadcast_result(self) -> BroadcastResult:
         """Down-convert to the legacy :class:`BroadcastResult` shape."""

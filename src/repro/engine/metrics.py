@@ -30,7 +30,6 @@ class RunMetrics:
         Section 2 invariant says this is >= 1).
     max_reach_trajectory: per-round leader size (how fast a leader grew).
     shape_histogram: tree-family usage counts (path/star/broom/...).
-    normalized_time: ``t*/n`` when finished.
     """
 
     n: int
@@ -40,13 +39,6 @@ class RunMetrics:
     min_new_edges_per_round: Optional[int] = None
     max_reach_trajectory: List[int] = field(default_factory=list)
     shape_histogram: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def normalized_time(self) -> Optional[float]:
-        """``t*/n``, the constant Theorem 3.1 brackets in [1.5, 2.414]."""
-        if self.t_star is None:
-            return None
-        return self.t_star / self.n
 
 
 class MetricsCollector:

@@ -1,10 +1,8 @@
-"""Trace recording, JSON serialization, and replay validation.
+"""Trace recording and JSON serialization.
 
 A :class:`Trace` is the complete, replayable record of one run: ``n``, the
 adversary's name, every round's tree and statistics, and the final
-broadcast time.  :func:`replay_trace` re-executes the recorded trees
-through the matrix engine and verifies every recorded statistic --
-regression protection for both engines and the serialization itself.
+broadcast time.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union
 
-from repro.core.broadcast import run_sequence
 from repro.engine.events import RoundRecord
 from repro.errors import TraceError
 from repro.trees.rooted_tree import RootedTree
@@ -127,37 +124,3 @@ class TraceRecorder:
         """Seal the trace with the final broadcast time."""
         self._trace.t_star = t_star
         return self._trace
-
-
-def replay_trace(trace: Trace) -> bool:
-    """Re-execute a trace and verify every recorded statistic.
-
-    Returns True on success; raises :class:`TraceError` on the first
-    mismatch (with a message naming the round and the field).
-    """
-    trees = trace.trees()
-    result = run_sequence(
-        trees, n=trace.n, keep_history=True, stop_at_broadcast=False
-    )
-    if result.t_star != trace.t_star:
-        raise TraceError(
-            f"replay t*={result.t_star} does not match recorded {trace.t_star}"
-        )
-    if len(result.history) != len(trace.rounds):
-        raise TraceError(
-            f"replay produced {len(result.history)} rounds, "
-            f"trace has {len(trace.rounds)}"
-        )
-    for snap, rec in zip(result.history, trace.rounds):
-        for name, got, want in (
-            ("new_edges", snap.new_edges, rec.new_edges),
-            ("max_reach", snap.max_reach, rec.max_reach),
-            ("min_reach", snap.min_reach, rec.min_reach),
-            ("broadcaster_count", snap.broadcaster_count, rec.broadcaster_count),
-        ):
-            if got != want:
-                raise TraceError(
-                    f"round {rec.round_index}: {name} mismatch "
-                    f"(replay {got}, recorded {want})"
-                )
-    return True

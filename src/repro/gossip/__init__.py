@@ -10,19 +10,15 @@
 from repro.gossip.gossip import (
     GossipResult,
     gossip_time_adversary,
-    gossip_time_sequence,
 )
 from repro.gossip.consensus import (
     blocks_are_nonsplit,
-    nonsplit_block_count,
     simulate_nonsplit_rounds,
 )
 
 __all__ = [
     "GossipResult",
-    "gossip_time_sequence",
     "gossip_time_adversary",
     "blocks_are_nonsplit",
-    "nonsplit_block_count",
     "simulate_nonsplit_rounds",
 ]

@@ -43,20 +43,3 @@ def simulate_nonsplit_rounds(
 def blocks_are_nonsplit(trees: Sequence[RootedTree], n: int) -> bool:
     """True iff every complete ``n - 1``-round block composes nonsplit."""
     return all(is_nonsplit(b) for b in simulate_nonsplit_rounds(trees, n))
-
-
-def nonsplit_block_count(total_rounds: int, n: int) -> int:
-    """How many complete nonsplit rounds ``total_rounds`` tree rounds yield."""
-    if n < 2:
-        return 0
-    return total_rounds // (n - 1)
-
-
-def common_in_neighbor(a: np.ndarray, x: int, y: int) -> int:
-    """A witness common in-neighbor of ``x`` and ``y`` (or ``-1``).
-
-    Columns of the matrix are heard-of sets, so a common in-neighbor is a
-    row with ones in both columns.
-    """
-    both = np.nonzero(np.asarray(a, dtype=np.bool_)[:, x] & np.asarray(a, dtype=np.bool_)[:, y])[0]
-    return int(both[0]) if len(both) else -1

@@ -17,12 +17,10 @@ driver reports truncation as a legitimate outcome rather than an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.bounds import trivial_upper_bound
 from repro.core.state import BroadcastState
-from repro.errors import AdversaryError
-from repro.trees.rooted_tree import RootedTree
 from repro.types import AdversaryProtocol, validate_node_count
 
 
@@ -46,38 +44,9 @@ class GossipResult:
         """True iff gossip finished within the run."""
         return self.gossip_time is not None
 
-    @property
-    def gap(self) -> Optional[int]:
-        """``gossip_time - broadcast_time`` when both are known."""
-        if self.broadcast_time is None or self.gossip_time is None:
-            return None
-        return self.gossip_time - self.broadcast_time
-
 
 def _is_gossip_complete(state: BroadcastState) -> bool:
     return bool(state.reach_matrix_view().all())
-
-
-def gossip_time_sequence(
-    trees: Sequence[RootedTree], n: Optional[int] = None
-) -> GossipResult:
-    """Broadcast and gossip times of an explicit tree sequence."""
-    if n is None:
-        if not trees:
-            raise AdversaryError("cannot infer n from an empty sequence")
-        n = trees[0].n
-    validate_node_count(n)
-    state = BroadcastState.initial(n)
-    broadcast_t: Optional[int] = None
-    gossip_t: Optional[int] = None
-    for i, tree in enumerate(trees, start=1):
-        state.apply_tree_inplace(tree)
-        if broadcast_t is None and state.is_broadcast_complete():
-            broadcast_t = i
-        if _is_gossip_complete(state):
-            gossip_t = i
-            break
-    return GossipResult(n=n, broadcast_time=broadcast_t, gossip_time=gossip_t)
 
 
 def gossip_time_adversary(

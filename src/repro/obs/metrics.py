@@ -1,4 +1,4 @@
-"""Typed metrics: counters, gauges, histograms, Prometheus exposition.
+"""Typed metrics: counters, histograms, Prometheus exposition.
 
 :class:`Registry` replaces the service's hand-rolled counter dicts with
 typed, individually-locked instruments while keeping the ``/metrics``
@@ -6,7 +6,6 @@ JSON shape byte-compatible (the existing tests pin it):
 
 * :class:`Counter` -- monotonically increasing, optionally labelled
   (the scheduler labels submissions by tenant);
-* :class:`Gauge` -- a settable level (queue depth, cache bytes);
 * :class:`Histogram` -- fixed-bucket distribution with exact ``sum`` /
   ``count`` and interpolated percentiles (request latency p50/p95/p99).
 
@@ -156,44 +155,6 @@ class Counter(_Instrument):
         return lines
 
 
-class Gauge(_Instrument):
-    """A settable level; ``set`` replaces, ``inc``/``dec`` adjust."""
-
-    kind = "gauge"
-
-    def __init__(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> None:
-        super().__init__(name, help, labelnames)
-        self._values: Dict[LabelKey, float] = {}
-
-    def set(self, value: float, **labels: Any) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = float(value)
-
-    def inc(self, amount: float = 1, **labels: Any) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0) + amount
-
-    def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._values.get(self._key(labels), 0)
-
-    def snapshot(self) -> Dict[LabelKey, float]:
-        with self._lock:
-            return dict(self._values)
-
-    def expose(self) -> List[str]:
-        lines = self.header_lines()
-        for key in sorted(self.snapshot()):
-            lines.append(
-                f"{self.name}{_render_labels(key)} {_format_value(self.snapshot()[key])}"
-            )
-        return lines
-
-
 class Histogram(_Instrument):
     """Fixed-bucket histogram with exact sum/count, interpolated quantiles."""
 
@@ -308,11 +269,6 @@ class Registry:
         self, name: str, help: str = "", labelnames: Sequence[str] = ()
     ) -> Counter:
         return self._get_or_create(Counter, name, help=help, labelnames=labelnames)
-
-    def gauge(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> Gauge:
-        return self._get_or_create(Gauge, name, help=help, labelnames=labelnames)
 
     def histogram(
         self, name: str, help: str = "", buckets: Sequence[float] = DEFAULT_BUCKETS
@@ -446,7 +402,6 @@ def parse_prometheus(text: str) -> Dict[str, List[Tuple[Dict[str, str], float]]]
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "Registry",
     "CounterMap",

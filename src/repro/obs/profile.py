@@ -100,20 +100,6 @@ def record_phases(executor: str, decision_s: float, kernel_s: float) -> None:
         row["kernel_s"] += kernel_s
 
 
-def kernel_profile() -> Dict[str, Dict[str, float]]:
-    """Snapshot: ``{"namespace/kernel/bucket": {"calls", "seconds"}}``."""
-    with _lock:
-        return {
-            "/".join(key): dict(row) for key, row in sorted(_kernels.items())
-        }
-
-
-def phase_profile() -> Dict[str, Dict[str, float]]:
-    """Snapshot: ``{executor: {"runs", "decision_s", "kernel_s"}}``."""
-    with _lock:
-        return {name: dict(row) for name, row in sorted(_phases.items())}
-
-
 # ----------------------------------------------------------------------
 # The kernel-seam observer
 # ----------------------------------------------------------------------
@@ -166,7 +152,5 @@ __all__ = [
     "reset",
     "record_kernel",
     "record_phases",
-    "kernel_profile",
-    "phase_profile",
     "sync_observer",
 ]

@@ -433,17 +433,6 @@ class ResultCache:
     # Typed convenience wrappers
     # ------------------------------------------------------------------
 
-    def store_report(self, digest: str, report: "RunReport") -> None:
-        """Cache a run report under its spec digest."""
-        self.store(digest, "run", report_to_doc(report))
-
-    def lookup_report(self, digest: str, backend: Any = None) -> Optional["RunReport"]:
-        """The cached :class:`RunReport` for a digest, or ``None``."""
-        doc = self.lookup(digest, kind="run")
-        if doc is None:
-            return None
-        return report_from_doc(doc, backend=backend)
-
     def __repr__(self) -> str:
         where = "memory" if self._path is None else str(self._path)
         return f"ResultCache({where}, entries={len(self)})"

@@ -14,7 +14,7 @@ import json
 import random
 import socket
 import time
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import urlparse
 
 from repro.errors import (
@@ -29,10 +29,6 @@ from repro.errors import (
     SpecRejectedError,
     UnknownResourceError,
 )
-from repro.service.cache import report_from_doc
-
-if TYPE_CHECKING:  # runtime import stays lazy
-    from repro.engine.executor import RunReport
 
 
 class ServiceClient:
@@ -353,15 +349,6 @@ class ServiceClient:
                 raise ServiceError(
                     f"job {job_id} still {doc['status']!r} after {timeout}s of watching"
                 )
-
-    def run_report(self, job_doc: Dict[str, Any]) -> "RunReport":
-        """Deserialize a ``done`` run job's result into a :class:`RunReport`."""
-        if job_doc.get("status") != "done" or job_doc.get("result") is None:
-            raise ServiceError(
-                f"job {job_doc.get('job_id')!r} has no result "
-                f"(status={job_doc.get('status')!r}, error={job_doc.get('error')!r})"
-            )
-        return report_from_doc(job_doc["result"], backend=job_doc["spec"].get("backend"))
 
     # -- distributed fleet (see repro.service.fleet / .worker) ---------
 

@@ -26,8 +26,8 @@ classic lease-based pull queue used by production schedulers:
   with zero workers still completes every job at local speed.
 
 Byte-identity is preserved by construction: both the remote worker and
-the local fallback execute ``to_run_spec(payload)`` of the *same*
-canonical spec, so the encoded result document is identical no matter
+the local fallback execute the ``RunSpec`` of the *same* canonical
+payload, so the encoded result document is identical no matter
 who computed it, how often the lease expired, or how many workers
 raced.  Work items carry the submitting request's ``traceparent``
 header, so worker spans attach to the same trace as the request that
@@ -46,7 +46,7 @@ from repro.engine.executor import Executor, get_executor
 from repro.errors import CacheError, LeaseExpiredError, ServiceError
 from repro.obs import trace as _trace
 from repro.service.cache import ResultCache, report_from_doc, report_to_doc
-from repro.service.specs import _canonical_digest, to_run_spec
+from repro.service.specs import _canonical_digest, _to_run_spec
 
 __all__ = ["WorkQueue", "FleetExecutor", "DEFAULT_LEASE_TTL"]
 
@@ -540,7 +540,7 @@ class FleetExecutor(Executor):
     seconds is withdrawn and executed locally -- and when no worker has
     been seen within ``worker_window`` seconds the deadline collapses
     to zero, so a fleetless server never waits at all.  Both sides
-    execute ``to_run_spec`` of the same canonical payload, which is
+    execute the ``RunSpec`` of the same canonical payload, which is
     what makes fleet execution byte-identical to local execution.
     """
 
@@ -649,8 +649,9 @@ class FleetExecutor(Executor):
                 if not withdrawn:
                     continue
                 # Execute exactly what a worker would have: the RunSpec
-                # rebuilt from the canonical payload.
-                local_specs = [to_run_spec(payloads[d]) for d in withdrawn]
+                # rebuilt from the canonical payload (cell_spec already
+                # validated it, so it is not canonicalized again).
+                local_specs = [_to_run_spec(payloads[d]) for d in withdrawn]
                 settled = self.fallback.run_many_settled(local_specs)
                 for digest, result in zip(withdrawn, settled):
                     if isinstance(result, Exception):

@@ -154,11 +154,6 @@ def register_adversary(
     return entry
 
 
-def unregister_adversary(name: str) -> None:
-    """Remove a registered family (tests clean up injected entries)."""
-    _REGISTRY.pop(name, None)
-
-
 def get_entry(name: str) -> AdversaryEntry:
     """Look up a registered family; :class:`SpecError` on unknown names."""
     try:
@@ -668,5 +663,4 @@ __all__ = [
     "register_adversary",
     "spec_digest",
     "to_run_spec",
-    "unregister_adversary",
 ]

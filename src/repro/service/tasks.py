@@ -177,11 +177,6 @@ def register_task_kind(
     return entry
 
 
-def unregister_task_kind(name: str) -> None:
-    """Remove a registered kind (tests clean up injected entries)."""
-    _KINDS.pop(name, None)
-
-
 def get_task_kind(name: str) -> TaskKindEntry:
     """Look up a registered kind; :class:`TaskError` on unknown names."""
     try:
@@ -190,11 +185,6 @@ def get_task_kind(name: str) -> TaskKindEntry:
         raise TaskError(
             f"unknown task kind {name!r}; registered: {sorted(_KINDS)}"
         ) from None
-
-
-def task_kind_names() -> Tuple[str, ...]:
-    """All registered task kinds, sorted."""
-    return tuple(sorted(_KINDS))
 
 
 def describe_task_kinds() -> Dict[str, Dict[str, Any]]:
@@ -1270,6 +1260,4 @@ __all__ = [
     "run_graph",
     "sweep_graph",
     "task_digest",
-    "task_kind_names",
-    "unregister_task_kind",
 ]

@@ -380,11 +380,6 @@ class TenantRegistry:
     # Introspection
     # ------------------------------------------------------------------
 
-    def usage(self, tenant: str) -> Dict[str, Any]:
-        """One tenant's account document (creating the account if new)."""
-        with self._lock:
-            return self._account(tenant).to_doc()
-
     def metrics(self) -> Dict[str, Dict[str, Any]]:
         """Per-tenant accounting block for ``/metrics``."""
         with self._lock:

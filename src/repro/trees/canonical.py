@@ -1,52 +1,13 @@
-"""Canonical forms and isomorphism for rooted trees.
+"""Coarse shape families of rooted trees, for reporting.
 
 The exact game solver canonicalizes *states* (boolean matrices); trees are
-canonicalized here mainly for reporting -- e.g. "which tree *shapes* does an
-optimal adversary use?" -- via the classic AHU (Aho-Hopcroft-Ullman)
-signature, which is a complete invariant for rooted-tree isomorphism.
+only labelled here by family -- e.g. "which tree *shapes* does an adversary
+play?" (the run metrics' shape histogram).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from repro.trees.rooted_tree import RootedTree
-
-
-def ahu_signature(tree: RootedTree) -> str:
-    """The AHU canonical string of the rooted tree.
-
-    Two rooted trees are isomorphic (ignoring labels, respecting the root)
-    iff their signatures are equal.  A leaf is ``"()"``; an inner node wraps
-    the sorted signatures of its children.
-    """
-    sig: Dict[int, str] = {}
-    for v in reversed(tree.topological_order()):
-        kids = tree.children(v)
-        if not kids:
-            sig[v] = "()"
-        else:
-            sig[v] = "(" + "".join(sorted(sig[c] for c in kids)) + ")"
-    return sig[tree.root]
-
-
-def are_isomorphic(a: RootedTree, b: RootedTree) -> bool:
-    """Rooted-tree isomorphism test via AHU signatures."""
-    if a.n != b.n:
-        return False
-    return ahu_signature(a) == ahu_signature(b)
-
-
-def shape_profile(tree: RootedTree) -> Tuple[int, int, int, int]:
-    """A cheap (incomplete) shape fingerprint for bucketing trees.
-
-    Returns ``(height, leaf_count, max_degree, spine_length)`` where
-    *spine_length* is the number of nodes with exactly one child.  Useful
-    for summarizing which families a search-based adversary plays.
-    """
-    max_degree = max((tree.degree(v) for v in range(tree.n)), default=0)
-    spine = sum(1 for v in range(tree.n) if tree.degree(v) == 1)
-    return (tree.height, tree.leaf_count(), max_degree, spine)
 
 
 def classify_shape(tree: RootedTree) -> str:

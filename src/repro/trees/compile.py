@@ -14,8 +14,7 @@ Two memoization layers keep repeated compilation free:
   of a labeled rooted tree), so the same tree appearing in many schedules,
   adversaries, or freshly reconstructed ``RootedTree`` instances shares one
   array;
-* **per-schedule stacks** -- :func:`sequence_schedule` / :func:`cycle_schedule`
-  LRU-cache the stacked ``(rounds, n)`` arrays keyed by the tuple of
+* **per-schedule stacks** -- :func:`sequence_schedule` LRU-caches the stacked ``(rounds, n)`` arrays keyed by the tuple of
   canonical forms plus the horizon, so an executor growing its horizon (or
   many runs of the same adversary) recompiles nothing.
 
@@ -28,7 +27,7 @@ All returned arrays are read-only; copy before mutating.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,8 +42,6 @@ ROW_CACHE_SIZE = 4096
 
 _ROW_CACHE: "OrderedDict[Tuple[int, ...], np.ndarray]" = OrderedDict()
 _SCHEDULE_CACHE: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
-_HITS = 0
-_MISSES = 0
 
 
 def parent_row(tree: RootedTree) -> np.ndarray:
@@ -75,17 +72,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _cache_get(key: Tuple) -> Optional[np.ndarray]:
-    global _HITS
     cached = _SCHEDULE_CACHE.get(key)
     if cached is not None:
         _SCHEDULE_CACHE.move_to_end(key)
-        _HITS += 1
     return cached
 
 
 def _cache_put(key: Tuple, schedule: np.ndarray) -> np.ndarray:
-    global _MISSES
-    _MISSES += 1
     _SCHEDULE_CACHE[key] = schedule
     while len(_SCHEDULE_CACHE) > SCHEDULE_CACHE_SIZE:
         _SCHEDULE_CACHE.popitem(last=False)
@@ -97,11 +90,6 @@ def static_schedule(tree: RootedTree, rounds: int) -> np.ndarray:
     if rounds < 0:
         raise SimulationError(f"rounds must be >= 0, got {rounds}")
     return np.broadcast_to(parent_row(tree), (rounds, tree.n))
-
-
-def cycle_schedule(trees: Sequence[RootedTree], rounds: int) -> np.ndarray:
-    """``(rounds, n)`` schedule cycling through ``trees`` round-robin."""
-    return sequence_schedule(trees, rounds, after="repeat")
 
 
 def sequence_schedule(
@@ -163,33 +151,11 @@ def cached_schedule(key: Tuple, builder: Callable[[], np.ndarray]) -> np.ndarray
     return _cache_put(cache_key, _freeze(np.ascontiguousarray(builder())))
 
 
-def compile_cache_info() -> Dict[str, int]:
-    """Cache statistics (rows cached, schedules cached, hits, misses)."""
-    return {
-        "rows": len(_ROW_CACHE),
-        "schedules": len(_SCHEDULE_CACHE),
-        "hits": _HITS,
-        "misses": _MISSES,
-    }
-
-
-def clear_compile_cache() -> None:
-    """Drop both memoization layers (tests and memory-pressure hooks)."""
-    global _HITS, _MISSES
-    _ROW_CACHE.clear()
-    _SCHEDULE_CACHE.clear()
-    _HITS = 0
-    _MISSES = 0
-
-
 __all__ = [
     "ROW_CACHE_SIZE",
     "SCHEDULE_CACHE_SIZE",
     "cached_schedule",
     "parent_row",
     "static_schedule",
-    "cycle_schedule",
     "sequence_schedule",
-    "compile_cache_info",
-    "clear_compile_cache",
 ]

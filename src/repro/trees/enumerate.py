@@ -24,12 +24,9 @@ and faster than decoding all Prüfer/root pairs for the sizes we care about.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import Iterator, List, Optional
-
-import numpy as np
+from typing import Iterator, List
 
 from repro.errors import SearchBudgetExceeded
-from repro.trees.rooted_tree import RootedTree
 from repro.types import validate_node_count
 
 #: Enumerating beyond this size is (deliberately) refused: n^(n-1) explodes.
@@ -40,41 +37,6 @@ def count_rooted_trees(n: int) -> int:
     """Number of rooted labeled trees on ``n`` nodes: ``n^(n-1)``."""
     validate_node_count(n)
     return n ** (n - 1)
-
-
-def all_rooted_trees(n: int, limit: Optional[int] = None) -> Iterator[RootedTree]:
-    """Yield every rooted labeled tree on ``n`` nodes exactly once.
-
-    Parameters
-    ----------
-    n:
-        Node count; must be <= :data:`MAX_ENUMERABLE_N`.
-    limit:
-        Optional hard cap on the number of trees yielded; exceeding the cap
-        raises :class:`SearchBudgetExceeded`.  Useful for "first few" tests.
-
-    Yields
-    ------
-    RootedTree
-        Trees in lexicographic order of their parent arrays (with each
-        node's "self" parent encoding the root).
-    """
-    validate_node_count(n)
-    if n > MAX_ENUMERABLE_N:
-        raise SearchBudgetExceeded(
-            f"refusing to enumerate {n}^{n - 1} = {count_rooted_trees(n)} trees; "
-            f"max supported n is {MAX_ENUMERABLE_N}"
-        )
-    yielded = 0
-    for parents in iter_product(range(n), repeat=n):
-        if not _is_tree_parent_array(parents, n):
-            continue
-        if limit is not None and yielded >= limit:
-            raise SearchBudgetExceeded(
-                f"enumeration limit {limit} exceeded for n={n}", yielded
-            )
-        yielded += 1
-        yield RootedTree(parents)
 
 
 def _is_tree_parent_array(parents: tuple, n: int) -> bool:
@@ -112,9 +74,8 @@ def _is_tree_parent_array(parents: tuple, n: int) -> bool:
 def all_parent_arrays(n: int) -> Iterator[tuple]:
     """Yield the raw parent tuples of all rooted trees on ``n`` nodes.
 
-    Lighter-weight companion to :func:`all_rooted_trees` for hot loops that
-    do not need :class:`RootedTree` objects (e.g. the exact solver's
-    successor generation).
+    Raw tuples rather than :class:`RootedTree` objects, for hot loops such
+    as the exact solver's successor generation.
     """
     validate_node_count(n)
     if n > MAX_ENUMERABLE_N:
@@ -125,17 +86,3 @@ def all_parent_arrays(n: int) -> Iterator[tuple]:
     for parents in iter_product(range(n), repeat=n):
         if _is_tree_parent_array(parents, n):
             yield parents
-
-
-def random_tree_uniform(
-    n: int, rng: Optional[np.random.Generator] = None
-) -> RootedTree:
-    """Uniform sample from all ``n^(n-1)`` rooted labeled trees.
-
-    Rejection-free: uniform Prüfer sequence + independent uniform root.
-    Equivalent to :func:`repro.trees.generators.random_tree`; re-exported
-    here so enumeration and sampling live side by side.
-    """
-    from repro.trees.generators import random_tree
-
-    return random_tree(n, rng=rng)

@@ -44,12 +44,6 @@ def path(n: int) -> RootedTree:
     return path_from_order(list(range(n)))
 
 
-def reversed_path(n: int) -> RootedTree:
-    """The path ``n-1 -> n-2 -> ... -> 0`` (root ``n-1``)."""
-    validate_node_count(n)
-    return path_from_order(list(range(n - 1, -1, -1)))
-
-
 def star(n: int, center: int = 0) -> RootedTree:
     """A star: every node other than ``center`` is a child of ``center``.
 
@@ -141,94 +135,6 @@ def binary_tree(n: int) -> RootedTree:
     return RootedTree(parents)
 
 
-def k_leaf_tree(n: int, k: int, root: int = 0) -> RootedTree:
-    """A tree with exactly ``k`` leaves: a spider with ``k`` legs.
-
-    The restricted-adversary setting of [14] (Figure 1's "k leaves" row)
-    allows only trees with ``k`` leaves in every round; spiders with ``k``
-    legs are the canonical members of that family.
-
-    For ``n = 1`` the single node is a leaf, so only ``k = 1`` is valid.
-    """
-    validate_node_count(n)
-    if n == 1:
-        if k != 1:
-            raise InvalidTreeError("a single-node tree has exactly one leaf")
-        return RootedTree([0])
-    if not 1 <= k <= n - 1:
-        raise InvalidTreeError(f"k leaves requires 1 <= k <= n-1; got k={k}, n={n}")
-    tree = spider(n, k, center=root)
-    if tree.leaf_count() != k:
-        raise InvalidTreeError(
-            f"internal error: spider produced {tree.leaf_count()} leaves, wanted {k}"
-        )
-    return tree
-
-
-def k_inner_tree(n: int, k: int, root: int = 0) -> RootedTree:
-    """A tree with exactly ``k`` inner (non-leaf) nodes: a short-handled broom.
-
-    The restricted-adversary setting of [14] (Figure 1's "k inner nodes"
-    row) allows only trees whose inner-node count is ``k``.  A broom whose
-    handle has ``k`` nodes has exactly ``k`` inner nodes (each handle node
-    has a child).
-    """
-    validate_node_count(n)
-    if n == 1:
-        if k != 0:
-            raise InvalidTreeError("a single-node tree has zero inner nodes")
-        return RootedTree([0])
-    if not 1 <= k <= n - 1:
-        raise InvalidTreeError(f"k inner nodes requires 1 <= k <= n-1; got k={k}, n={n}")
-    tree = broom(n, k, root=root)
-    if tree.inner_count() != k:
-        raise InvalidTreeError(
-            f"internal error: broom produced {tree.inner_count()} inner nodes, wanted {k}"
-        )
-    return tree
-
-
-def chain_fan(
-    n: int,
-    start: int,
-    chain_length: int,
-    backward: bool = True,
-    fan_at_tail: bool = False,
-) -> RootedTree:
-    """A cyclic chain with the remaining nodes fanned off it.
-
-    The chain runs ``start, start±1, ..., start±chain_length (mod n)``
-    (minus for ``backward=True``), directed away from ``start``; every node
-    not on the chain hangs directly under ``start`` (or under the chain's
-    last node when ``fan_at_tail``).
-
-    This family is the workhorse of the lower-bound adversary: when reach
-    sets are cyclic intervals, a backward chain freezes the intervals whose
-    left endpoint sits just past the chain while extending the others by
-    exactly one, and the fan placement picks which intervals pay for the
-    round.  See ``repro.adversaries.zeiner.CyclicFamilyAdversary``.
-    """
-    validate_node_count(n)
-    if not 0 <= chain_length <= n - 1:
-        raise InvalidTreeError(
-            f"chain_length must be in [0, n-1]; got {chain_length} for n={n}"
-        )
-    step = -1 if backward else 1
-    chain = [(start + step * i) % n for i in range(chain_length + 1)]
-    on_chain = [False] * n
-    for v in chain:
-        on_chain[v] = True
-    parents = [0] * n
-    parents[start] = start
-    for a, b in zip(chain, chain[1:]):
-        parents[b] = a
-    anchor = chain[-1] if fan_at_tail else start
-    for v in range(n):
-        if not on_chain[v]:
-            parents[v] = anchor
-    return RootedTree(parents)
-
-
 def rotated_path(n: int, start: int, backward: bool = False) -> RootedTree:
     """The cyclic path ``start, start±1, ..., (mod n)`` as a rooted tree."""
     validate_node_count(n)
@@ -260,11 +166,3 @@ def random_tree(
 
     seq = [int(x) for x in rng.integers(0, n, size=n - 2)]
     return from_prufer(seq, n=n, root=root)
-
-
-def random_path(n: int, rng: Optional[np.random.Generator] = None) -> RootedTree:
-    """A directed path through a uniformly random permutation of the nodes."""
-    validate_node_count(n)
-    rng = rng if rng is not None else np.random.default_rng()
-    order = [int(v) for v in rng.permutation(n)]
-    return path_from_order(order)

@@ -1,11 +1,11 @@
-"""Prüfer-sequence encoding of labeled trees.
+"""Prüfer-sequence decoding of labeled trees.
 
 A Prüfer sequence of length ``n - 2`` over alphabet ``[n]`` is in bijection
 with the ``n^(n-2)`` *unrooted* labeled trees on ``n`` nodes (Cayley's
 formula).  Pairing a sequence with a root choice gives all ``n^(n-1)``
 rooted labeled trees, which is exactly the adversary's per-round choice set
-``T_n`` -- this codec is what both the exhaustive enumerator and the uniform
-sampler are built on.
+``T_n`` -- the uniform sampler (:func:`repro.trees.generators.random_tree`)
+is built on this decoder.
 """
 
 from __future__ import annotations
@@ -80,36 +80,3 @@ def from_prufer(sequence: Sequence[int], n: int, root: int = 0) -> RootedTree:
                 parents[b] = a
                 stack.append(b)
     return RootedTree(parents)
-
-
-def to_prufer(tree: RootedTree) -> List[int]:
-    """Encode the underlying *undirected* tree as a Prüfer sequence.
-
-    The root is deliberately ignored: two rooted trees over the same
-    undirected tree encode identically.  Round-trip with
-    :func:`from_prufer` therefore reproduces the tree up to re-rooting
-    (exactly, when decoded with the original root).
-    """
-    n = tree.n
-    if n <= 2:
-        return []
-    undirected: List[set] = [set() for _ in range(n)]
-    for p, c in tree.edges():
-        undirected[p].add(c)
-        undirected[c].add(p)
-
-    degree = [len(adj) for adj in undirected]
-    leaf_heap = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaf_heap)
-    sequence: List[int] = []
-    removed = [False] * n
-    for _ in range(n - 2):
-        leaf = heapq.heappop(leaf_heap)
-        removed[leaf] = True
-        neighbor = next(u for u in undirected[leaf] if not removed[u])
-        sequence.append(neighbor)
-        undirected[neighbor].discard(leaf)
-        degree[neighbor] -= 1
-        if degree[neighbor] == 1:
-            heapq.heappush(leaf_heap, neighbor)
-    return sequence

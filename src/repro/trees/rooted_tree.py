@@ -15,7 +15,7 @@ forgotten).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -140,12 +140,6 @@ class RootedTree:
         return tuple(v for v in range(self._n) if not kids[v])
 
     @cached_property
-    def inner_nodes(self) -> Tuple[int, ...]:
-        """Nodes with at least one child (complement of :attr:`leaves`)."""
-        kids = self.children_lists
-        return tuple(v for v in range(self._n) if kids[v])
-
-    @cached_property
     def depths(self) -> Tuple[int, ...]:
         """``depths[v]`` = distance from the root to ``v``."""
         depth = [-1] * self._n
@@ -191,31 +185,6 @@ class RootedTree:
             stack.extend(kids[u])
         return frozenset(seen)
 
-    def subtree_sizes(self) -> Tuple[int, ...]:
-        """``sizes[v]`` = number of nodes in the subtree rooted at ``v``."""
-        sizes = [1] * self._n
-        for v in reversed(self.topological_order()):
-            if v != self._root:
-                sizes[self._parents[v]] += sizes[v]
-        return tuple(sizes)
-
-    def path_to_root(self, v: int) -> Tuple[int, ...]:
-        """Nodes on the path ``v -> ... -> root`` inclusive."""
-        path = [v]
-        while path[-1] != self._root:
-            path.append(self._parents[path[-1]])
-        return tuple(path)
-
-    def is_ancestor(self, a: int, d: int) -> bool:
-        """True if ``a`` is an ancestor of ``d`` (every node is its own)."""
-        v = d
-        while True:
-            if v == a:
-                return True
-            if v == self._root:
-                return False
-            v = self._parents[v]
-
     def is_path(self) -> bool:
         """True if the tree is a directed path (every node <= 1 child)."""
         return all(len(c) <= 1 for c in self.children_lists)
@@ -233,37 +202,6 @@ class RootedTree:
     def inner_count(self) -> int:
         """Number of inner (non-leaf) nodes."""
         return self._n - self.leaf_count()
-
-    # ------------------------------------------------------------------
-    # Transformations
-    # ------------------------------------------------------------------
-
-    def relabel(self, mapping: Sequence[int]) -> "RootedTree":
-        """Return the tree with node ``v`` renamed to ``mapping[v]``.
-
-        ``mapping`` must be a permutation of ``range(n)``.
-        """
-        if sorted(mapping) != list(range(self._n)):
-            raise InvalidTreeError("relabel mapping must be a permutation of range(n)")
-        new_parents = [0] * self._n
-        for v, p in enumerate(self._parents):
-            new_parents[mapping[v]] = mapping[p]
-        return RootedTree(new_parents)
-
-    def rerooted_at(self, new_root: int) -> "RootedTree":
-        """Return the same undirected tree re-rooted at ``new_root``.
-
-        Edges on the old ``new_root -> root`` path are reversed; all other
-        parent pointers are preserved.
-        """
-        if new_root == self._root:
-            return self
-        chain = self.path_to_root(new_root)
-        new_parents = list(self._parents)
-        for child, parent in zip(chain, chain[1:]):
-            new_parents[parent] = child
-        new_parents[new_root] = new_root
-        return RootedTree(new_parents)
 
     # ------------------------------------------------------------------
     # Conversions
@@ -296,56 +234,6 @@ class RootedTree:
         """
         return self._parent_np
 
-    def to_networkx(self):
-        """Convert to a ``networkx.DiGraph`` with parent->child edges."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self._n))
-        g.add_edges_from(self.edges())
-        return g
-
-    @classmethod
-    def from_networkx(cls, graph) -> "RootedTree":
-        """Build a tree from a ``networkx.DiGraph`` of parent->child edges.
-
-        Nodes must be exactly ``0 .. n-1``; each node must have in-degree 1
-        except a single root with in-degree 0.
-        """
-        n = graph.number_of_nodes()
-        if sorted(graph.nodes) != list(range(n)):
-            raise InvalidTreeError("graph nodes must be exactly range(n)")
-        parents = [-1] * n
-        for p, c in graph.edges:
-            if parents[c] != -1:
-                raise InvalidTreeError(f"node {c} has more than one parent")
-            parents[c] = p
-        roots = [v for v in range(n) if parents[v] == -1]
-        if len(roots) != 1:
-            raise InvalidTreeError(
-                f"expected exactly one root (in-degree 0), found {len(roots)}"
-            )
-        parents[roots[0]] = roots[0]
-        return cls(parents)
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Edge]) -> "RootedTree":
-        """Build a tree from ``(parent, child)`` pairs over ``n`` nodes."""
-        parents = [-1] * n
-        for p, c in edges:
-            if not (0 <= p < n and 0 <= c < n):
-                raise InvalidTreeError(f"edge ({p}, {c}) out of range for n={n}")
-            if parents[c] != -1:
-                raise InvalidTreeError(f"node {c} has more than one parent")
-            parents[c] = p
-        roots = [v for v in range(n) if parents[v] == -1]
-        if len(roots) != 1:
-            raise InvalidTreeError(
-                f"expected exactly one root (no incoming edge), found {len(roots)}"
-            )
-        parents[roots[0]] = roots[0]
-        return cls(parents)
-
     # ------------------------------------------------------------------
     # Dunder methods
     # ------------------------------------------------------------------
@@ -373,30 +261,3 @@ class RootedTree:
             f"RootedTree(n={self._n}, root={self._root}, "
             f"height={self.height}, leaves={self.leaf_count()})"
         )
-
-    def ascii_art(self) -> str:
-        """Render the tree as indented ASCII, one node per line."""
-        lines: List[str] = []
-        kids = self.children_lists
-
-        def walk(v: int, prefix: str, is_last: bool) -> None:
-            connector = "" if v == self._root else ("`-- " if is_last else "|-- ")
-            lines.append(prefix + connector + str(v))
-            child_prefix = prefix if v == self._root else (
-                prefix + ("    " if is_last else "|   ")
-            )
-            cs = kids[v]
-            for i, c in enumerate(cs):
-                walk(c, child_prefix, i == len(cs) - 1)
-
-        walk(self._root, "", True)
-        return "\n".join(lines)
-
-
-def degree_histogram(tree: RootedTree) -> Dict[int, int]:
-    """Histogram mapping out-degree -> number of nodes with that degree."""
-    hist: Dict[int, int] = {}
-    for v in range(tree.n):
-        d = tree.degree(v)
-        hist[d] = hist.get(d, 0) + 1
-    return hist

@@ -8,7 +8,7 @@ avoid growing.  With round graph = rooted tree + self-loops and reach set
 
 So ``x`` *stalls* (gains nothing) iff ``R_x`` is closed under T's
 parent->child edges, i.e. iff ``R_x`` is a **union of complete subtrees** of
-``T`` (Lemma S).  Two corollaries this module also exposes:
+``T`` (Lemma S).  Two corollaries follow (the property tests check both):
 
 * the chosen **root always gains** while unfinished (Lemma R): a
   child-closed set containing the root is all of ``[n]``;
@@ -22,27 +22,11 @@ property tests.
 
 from __future__ import annotations
 
-from typing import AbstractSet, FrozenSet, Iterable, List, Set
+from typing import AbstractSet, FrozenSet, Set
 
 import numpy as np
 
 from repro.trees.rooted_tree import RootedTree
-
-
-def closure_under_children(tree: RootedTree, nodes: Iterable[int]) -> FrozenSet[int]:
-    """Smallest superset of ``nodes`` closed under T's parent->child edges.
-
-    Equivalently: the union of the complete subtrees rooted at ``nodes``.
-    """
-    stack: List[int] = list(nodes)
-    seen: Set[int] = set(stack)
-    while stack:
-        v = stack.pop()
-        for c in tree.children(v):
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return frozenset(seen)
 
 
 def is_union_of_subtrees(tree: RootedTree, nodes: AbstractSet[int]) -> bool:
@@ -108,34 +92,3 @@ def stalled_nodes(tree: RootedTree, reach: np.ndarray) -> FrozenSet[int]:
     # in-edge of the root is its self-loop).
     stalled_mask = ~gains.any(axis=1)
     return frozenset(int(v) for v in np.nonzero(stalled_mask)[0])
-
-
-def growing_nodes(tree: RootedTree, reach: np.ndarray) -> FrozenSet[int]:
-    """Complement of :func:`stalled_nodes` over ``range(n)``."""
-    st = stalled_nodes(tree, reach)
-    return frozenset(range(tree.n)) - st
-
-
-def root_always_gains(tree: RootedTree, reach: np.ndarray) -> bool:
-    """Check Lemma R on one configuration.
-
-    Returns True iff the tree's root either already has a full reach row or
-    strictly gains when composing with ``tree``.  This must hold for every
-    reflexive reach matrix; property tests assert it.
-    """
-    r = tree.root
-    row = reach[r]
-    if row.all():
-        return True
-    return r not in stalled_nodes(tree, reach)
-
-
-def maximal_stallable_family(tree: RootedTree) -> List[FrozenSet[int]]:
-    """All complete subtrees of ``tree``, as the building blocks of
-    stallable sets.
-
-    A set is stallable under ``tree`` iff it is a union of members of this
-    family; returned in root-first order.
-    """
-    return [tree.subtree_nodes(v) for v in tree.topological_order()]
-

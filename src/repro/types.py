@@ -11,7 +11,7 @@ The aliases intentionally stay close to the paper's notation (Section 2):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, Sequence, Tuple, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -78,17 +78,3 @@ def validate_node(v: int, n: int) -> int:
     if not 0 <= v < n:
         raise ValueError(f"node {v} out of range for n={n}")
     return int(v)
-
-
-def validate_round_index(t: int) -> int:
-    """Validate a 1-based round index as used throughout the paper."""
-    if not isinstance(t, (int, np.integer)):
-        raise ValueError(f"round index must be an integer, got {type(t).__name__}")
-    if t < 1:
-        raise ValueError(f"round index must be >= 1 (the paper's t = 1, 2, ...), got {t}")
-    return int(t)
-
-
-def as_edge_list(edges: Sequence[Edge]) -> Tuple[Edge, ...]:
-    """Normalize an iterable of ``(parent, child)`` pairs to a tuple."""
-    return tuple((int(p), int(c)) for p, c in edges)

@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversaries.base import Adversary, FunctionAdversary, SequenceAdversary
-from repro.adversaries.oblivious import (
-    RandomTreeAdversary,
-    RoundRobinAdversary,
-    StaticTreeAdversary,
-)
+from repro.adversaries.base import Adversary, SequenceAdversary
+from repro.adversaries.oblivious import RandomTreeAdversary, StaticTreeAdversary
 from repro.core.broadcast import run_adversary
 from repro.core.state import BroadcastState
 from repro.errors import AdversaryError
-from repro.trees.generators import path, reversed_path, star
+from repro.trees.generators import path, path_from_order, star
 
 
 class TestBase:
@@ -32,11 +28,11 @@ class TestBase:
 
 class TestSequenceAdversary:
     def test_plays_in_order(self):
-        seq = SequenceAdversary([path(3), reversed_path(3)], after="hold")
+        seq = SequenceAdversary([path(3), path_from_order([2, 1, 0])], after="hold")
         s = BroadcastState.initial(3)
         assert seq.next_tree(s, 1) == path(3)
-        assert seq.next_tree(s, 2) == reversed_path(3)
-        assert seq.next_tree(s, 3) == reversed_path(3)  # hold
+        assert seq.next_tree(s, 2) == path_from_order([2, 1, 0])
+        assert seq.next_tree(s, 3) == path_from_order([2, 1, 0])  # hold
 
     def test_repeat_mode(self):
         seq = SequenceAdversary([path(3), star(3)], after="repeat")
@@ -61,20 +57,6 @@ class TestSequenceAdversary:
         assert len(SequenceAdversary([path(3)] * 4)) == 4
 
 
-class TestFunctionAdversary:
-    def test_wraps_function(self):
-        adv = FunctionAdversary(lambda state, t: star(state.n))
-        assert run_adversary(adv, 5).t_star == 1
-
-    def test_reset_hook(self):
-        resets = []
-        adv = FunctionAdversary(
-            lambda s, t: star(s.n), reset_fn=lambda: resets.append(1)
-        )
-        adv.reset()
-        assert resets == [1]
-
-
 class TestStaticTree:
     def test_path_n_minus_1(self):
         for n in (3, 6, 9):
@@ -86,19 +68,6 @@ class TestStaticTree:
     def test_tree_property(self):
         adv = StaticTreeAdversary(path(4))
         assert adv.tree == path(4)
-
-
-class TestRoundRobin:
-    def test_cycles(self):
-        adv = RoundRobinAdversary([path(4), reversed_path(4)])
-        s = BroadcastState.initial(4)
-        assert adv.next_tree(s, 1) == path(4)
-        assert adv.next_tree(s, 2) == reversed_path(4)
-        assert adv.next_tree(s, 3) == path(4)
-
-    def test_rejects_empty(self):
-        with pytest.raises(AdversaryError):
-            RoundRobinAdversary([])
 
 
 class TestRandomTree:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.adversaries import exact
-from repro.adversaries.exact import ExactGameSolver, exact_broadcast_time
+from repro.adversaries.exact import ExactGameSolver
 from repro.core.bounds import lower_bound, upper_bound
 from repro.core.broadcast import run_sequence
 from repro.errors import SearchBudgetExceeded
@@ -23,15 +23,12 @@ class TestExactValues:
     def test_exact_game_values(self, n, expected):
         # t*(T_n) equals the lower-bound formula for n = 2..5 -- the
         # formula is tight at these sizes.
-        assert exact_broadcast_time(n) == expected
+        assert ExactGameSolver(n).solve().t_star == expected
         assert expected == lower_bound(n)
-
-    def test_single_process_trivial(self):
-        assert exact_broadcast_time(1) == 0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_exact_value_within_theorem(self, n):
-        v = exact_broadcast_time(n)
+        v = ExactGameSolver(n).solve().t_star
         assert lower_bound(n) <= v <= upper_bound(n)
 
 

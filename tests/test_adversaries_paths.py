@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.adversaries.paths import (
@@ -11,11 +10,10 @@ from repro.adversaries.paths import (
     SortedPathAdversary,
     StaticPathAdversary,
     TwoPhaseFlipAdversary,
-    path_sorted_by,
 )
 from repro.core.broadcast import run_adversary
 from repro.core.state import BroadcastState
-from repro.core.theorem import check_theorem_31
+from repro.core.bounds import upper_bound
 from repro.errors import AdversaryError
 
 
@@ -42,7 +40,7 @@ class TestAlternating:
     def test_completes_within_upper_bound(self):
         for n in (4, 8, 12):
             t = run_adversary(AlternatingPathAdversary(n), n).t_star
-            assert check_theorem_31(n, t)
+            assert t <= upper_bound(n)
 
 
 class TestRotating:
@@ -105,12 +103,5 @@ class TestTwoPhase:
     def test_respects_upper_bound(self, alpha):
         n = 10
         t = run_adversary(TwoPhaseFlipAdversary(n, alpha=alpha), n).t_star
-        assert check_theorem_31(n, t)
+        assert t <= upper_bound(n)
 
-
-def test_path_sorted_by_orders_correctly():
-    values = np.array([5, 1, 3])
-    asc = path_sorted_by(values, ascending=True)
-    assert asc.root == 1
-    desc = path_sorted_by(values, ascending=False)
-    assert desc.root == 0

@@ -8,8 +8,6 @@ from repro.adversaries.restricted import (
     KInnerAdversary,
     KLeafAdversary,
     broom_from_order,
-    check_k_inner,
-    check_k_leaves,
     spider_from_order,
 )
 from repro.core.bounds import k_inner_upper_bound, k_leaves_upper_bound
@@ -40,7 +38,7 @@ class TestKLeafAdversary:
         result = run_adversary(adv, n, keep_trees=True)
         assert result.t_star is not None
         for tree in result.trees:
-            assert check_k_leaves(tree, k)
+            assert tree.leaf_count() == k
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_time_within_kn_bound(self, k):
@@ -71,7 +69,7 @@ class TestKInnerAdversary:
         result = run_adversary(adv, n, keep_trees=True)
         assert result.t_star is not None
         for tree in result.trees:
-            assert check_k_inner(tree, k)
+            assert tree.inner_count() == k
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_time_within_kn_bound(self, k):

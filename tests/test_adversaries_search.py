@@ -1,4 +1,4 @@
-"""Tests for pool, greedy, beam, and exhaustive-greedy adversaries."""
+"""Tests for pool, greedy and beam adversaries."""
 
 from __future__ import annotations
 
@@ -6,19 +6,14 @@ import numpy as np
 import pytest
 
 from repro.adversaries.beam import BeamSearchAdversary
-from repro.adversaries.greedy import (
-    ExhaustiveGreedyAdversary,
-    GreedyDelayAdversary,
-    rank_candidates,
-    score_tree,
-)
+from repro.adversaries.greedy import GreedyDelayAdversary, score_tree
 from repro.adversaries.pool import (
     CandidatePool,
     PoolConfig,
     heaviest,
     stall_tree,
 )
-from repro.core.bounds import lower_bound, upper_bound
+from repro.core.bounds import upper_bound
 from repro.core.broadcast import run_adversary
 from repro.core.state import BroadcastState
 from repro.errors import AdversaryError
@@ -101,13 +96,6 @@ class TestGreedy:
         state = BroadcastState.initial(5)
         assert score_tree(state, path(5)) < score_tree(state, star(5))
 
-    def test_rank_candidates_sorted(self):
-        from repro.trees.generators import path, star
-
-        state = BroadcastState.initial(5)
-        ranked = rank_candidates(state, [star(5), path(5)])
-        assert ranked[0][1] == path(5)
-
     def test_pool_and_config_conflict(self):
         with pytest.raises(AdversaryError):
             GreedyDelayAdversary(5, pool=CandidatePool(5), config=PoolConfig())
@@ -142,23 +130,3 @@ class TestBeam:
         tree = adv.next_tree(BroadcastState.initial(2), 1)
         assert tree.n == 2
 
-
-class TestExhaustiveGreedy:
-    @pytest.mark.parametrize("n,expected", [(4, 4), (5, 5), (6, 7)])
-    def test_matches_lower_bound_small_n(self, n, expected):
-        # Greedy over ALL trees with the quadratic potential reproduces
-        # the exact game values (= LB formula) for n <= 6.
-        assert expected == lower_bound(n)
-        result = run_adversary(ExhaustiveGreedyAdversary(n), n)
-        assert result.t_star == expected
-
-    def test_rejects_out_of_range_n(self):
-        with pytest.raises(AdversaryError):
-            ExhaustiveGreedyAdversary(1)
-        with pytest.raises(AdversaryError):
-            ExhaustiveGreedyAdversary(8)
-
-    def test_wrong_n_at_play_time(self):
-        adv = ExhaustiveGreedyAdversary(4)
-        with pytest.raises(AdversaryError):
-            adv.next_tree(BroadcastState.initial(5), 1)

@@ -5,16 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.adversaries.zeiner import CyclicFamilyAdversary
-from repro.analysis.intervals import (
-    CyclicInterval,
-    as_cyclic_interval,
-    first_structure_break,
-    interval_preservation_trace,
-    state_intervals,
-    state_is_interval_structured,
-)
+from repro.analysis.intervals import CyclicInterval, as_cyclic_interval
+from repro.core.broadcast import run_adversary
 from repro.core.state import BroadcastState
 from repro.trees.generators import path
+
+
+def _arcs(state):
+    """Every reach set of ``state`` as an arc (None where it is not one)."""
+    return [as_cyclic_interval(state.reach_set(x), state.n) for x in range(state.n)]
+
+
+def _structured(state) -> bool:
+    return all(arc is not None for arc in _arcs(state))
 
 
 class TestCyclicInterval:
@@ -22,11 +25,6 @@ class TestCyclicInterval:
         arc = CyclicInterval(6, 4, 3)  # {4, 5, 0}
         assert arc.members() == {4, 5, 0}
         assert arc.end == 0
-
-    def test_contains(self):
-        arc = CyclicInterval(6, 4, 3)
-        assert arc.contains(5) and arc.contains(0)
-        assert not arc.contains(1) and not arc.contains(3)
 
     def test_extend_right_wraps(self):
         arc = CyclicInterval(5, 3, 2)  # {3, 4}
@@ -86,22 +84,23 @@ class TestRecognition:
 class TestStateStructure:
     def test_initial_state_is_structured(self):
         state = BroadcastState.initial(6)
-        assert state_is_interval_structured(state)
-        arcs = state_intervals(state)
-        assert all(a.length == 1 for a in arcs)
+        assert _structured(state)
+        assert all(a.length == 1 for a in _arcs(state))
 
     def test_path_runs_stay_structured(self):
         state = BroadcastState.initial(6)
         for _ in range(4):
             state.apply_tree_inplace(path(6))
-            assert state_is_interval_structured(state)
+            assert _structured(state)
 
     @pytest.mark.parametrize("n", [5, 6, 8, 10])
     def test_cyclic_family_preserves_intervals(self, n):
         """The design claim behind the lower-bound witness."""
-        trace = interval_preservation_trace(CyclicFamilyAdversary(n), n)
-        assert first_structure_break(trace) is None
-        assert all(entry.structured for entry in trace)
+        played = run_adversary(CyclicFamilyAdversary(n), n, keep_trees=True).trees
+        state = BroadcastState.initial(n)
+        for t, tree in enumerate(played, start=1):
+            state.apply_tree_inplace(tree)
+            assert _structured(state), f"round {t} leaves the interval structure"
 
     def test_structure_break_detected(self):
         # A broom from identity creates a non-interval reach set
@@ -111,4 +110,4 @@ class TestStateStructure:
         state = BroadcastState.initial(5)
         scattered = RootedTree([0, 0, 1, 0, 3])  # 0 -> {1, 3}: {0,1,3} not an arc
         state.apply_tree_inplace(scattered)
-        assert not state_is_interval_structured(state)
+        assert not _structured(state)

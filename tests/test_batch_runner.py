@@ -14,7 +14,7 @@ from repro.adversaries.beam import BeamSearchAdversary
 from repro.adversaries.greedy import GreedyDelayAdversary
 from repro.adversaries.oblivious import RandomTreeAdversary
 from repro.adversaries.paths import StaticPathAdversary
-from repro.core.broadcast import broadcast_time_sequence, run_adversary
+from repro.core.broadcast import run_adversary, run_sequence
 from repro.engine.batch import BatchRunner, run_sequences_batch
 from repro.engine.executor import BatchExecutor, RunSpec
 from repro.errors import AdversaryError, DimensionMismatchError, SimulationError
@@ -39,7 +39,7 @@ def test_sequences_batch_matches_sequential(backend, n):
         for _ in range(9)
     ]
     got = run_sequences_batch(seqs, n=n, backend=backend)
-    want = [broadcast_time_sequence(s, n=n) for s in seqs]
+    want = [run_sequence(s, n=n).t_star for s in seqs]
     assert got == want
 
 
@@ -61,10 +61,10 @@ def test_single_node_universe(backend):
     """n=1: the identity already broadcasts; semantics match run_sequence."""
     tree = RootedTree([0])
     assert run_sequences_batch([[tree]], n=1, backend=backend) == [
-        broadcast_time_sequence([tree], n=1)
+        run_sequence([tree], n=1).t_star
     ]
     assert run_sequences_batch([[]], n=1, backend=backend) == [
-        broadcast_time_sequence([], n=1)
+        run_sequence([], n=1).t_star
     ]
     runner = BatchRunner(1, 3, backend=backend)
     assert runner.all_complete

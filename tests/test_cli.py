@@ -83,7 +83,9 @@ class TestSimulate:
         )
         assert code == 0
         assert trace_file.exists()
-        from repro.engine.trace import Trace, replay_trace
+        from repro.engine.trace import Trace
+
+        from helpers import replay_trace
 
         assert replay_trace(Trace.load(trace_file))
 

@@ -8,8 +8,6 @@ from repro.adversaries.base import Adversary
 from repro.adversaries.oblivious import StaticTreeAdversary
 from repro.core.broadcast import (
     broadcast_time_adversary,
-    broadcast_time_sequence,
-    first_broadcaster,
     run_adversary,
     run_sequence,
     verify_certificate,
@@ -22,13 +20,13 @@ class TestRunSequence:
     def test_static_path_takes_n_minus_1(self):
         # The paper's Section 2 example.
         for n in (2, 4, 7, 11):
-            assert broadcast_time_sequence([path(n)] * (n * n), n) == n - 1
+            assert run_sequence([path(n)] * (n * n), n).t_star == n - 1
 
     def test_star_takes_one_round(self):
-        assert broadcast_time_sequence([star(6)], 6) == 1
+        assert run_sequence([star(6)], 6).t_star == 1
 
     def test_unfinished_returns_none(self):
-        assert broadcast_time_sequence([path(5)] * 2, 5) is None
+        assert run_sequence([path(5)] * 2, 5).t_star is None
 
     def test_stop_at_broadcast_controls_rounds(self):
         trees = [star(4)] + [path(4)] * 3
@@ -49,12 +47,8 @@ class TestRunSequence:
             run_sequence([])
 
     def test_first_broadcaster_is_path_root(self):
-        assert first_broadcaster([path(5)] * 10, 5) == 0
-        assert first_broadcaster([path(5)], 5) is None
-
-    def test_normalized_time(self):
-        result = run_sequence([path(4)] * 10)
-        assert result.normalized_time() == pytest.approx(3 / 4)
+        assert run_sequence([path(5)] * 10, 5).broadcasters[0] == 0
+        assert run_sequence([path(5)], 5).broadcasters == ()
 
 
 class TestRunAdversary:

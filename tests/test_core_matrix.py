@@ -13,7 +13,7 @@ from repro.trees.generators import path, random_tree, star
 class TestValidation:
     def test_identity_is_reflexive(self):
         a = M.identity_matrix(4)
-        assert M.is_reflexive(a)
+        assert a.diagonal().all()
         assert a.sum() == 4
 
     def test_validate_rejects_non_square(self):
@@ -137,15 +137,16 @@ class TestQueries:
     def test_monotone_step(self):
         before = M.identity_matrix(4)
         after = M.compose_with_tree(before, path(4))
-        assert M.is_monotone_step(before, after)
-        assert not M.is_monotone_step(after, before)
+        assert (~before | after).all()  # no edge lost
+        assert not (~after | before).all()
 
 
 class TestKeysAndPermutations:
     def test_key_roundtrip(self, rng):
         a = rng.random((6, 6)) < 0.5
         key = M.matrix_key(a)
-        assert (M.key_to_matrix(key, 6) == a).all()
+        bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=36)
+        assert (bits.astype(bool).reshape(6, 6) == a).all()
 
     def test_distinct_matrices_distinct_keys(self):
         a = M.identity_matrix(4)
@@ -160,18 +161,3 @@ class TestKeysAndPermutations:
         for x in range(n):
             for y in range(n):
                 assert b[perm[x], perm[y]] == a[x, y]
-
-    def test_canonical_key_invariant_under_relabeling(self, rng):
-        n = 4
-        a = rng.random((n, n)) < 0.5
-        perms = M.all_permutations(n)
-        base = M.canonical_key(a)
-        for perm in perms[:8]:
-            assert M.canonical_key(M.permute_matrix(a, perm)) == base
-
-    def test_all_permutations_count(self):
-        assert len(M.all_permutations(4)) == 24
-
-    def test_all_permutations_refuses_large_n(self):
-        with pytest.raises(InvalidGraphError):
-            M.all_permutations(9)

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.core import matrix as M
-from repro.core.product import (
-    is_nonsplit,
-    product_graph,
-    product_of_trees,
-    split_pairs,
-)
+from repro.core.product import is_nonsplit, product_of_trees, split_pairs
 from repro.errors import DimensionMismatchError
 from repro.trees.generators import path, random_tree, star
 
@@ -22,19 +19,7 @@ class TestProductGraph:
         graphs = [rng.random((n, n)) < 0.4 for _ in range(3)]
         left = M.bool_product(M.bool_product(graphs[0], graphs[1]), graphs[2])
         right = M.bool_product(graphs[0], M.bool_product(graphs[1], graphs[2]))
-        chained = product_graph(graphs)
         assert (left == right).all()
-        assert (chained == left).all()
-
-    def test_empty_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            product_graph([])
-
-    def test_single_graph_copies(self, rng):
-        g = rng.random((4, 4)) < 0.5
-        out = product_graph([g])
-        out[0, 0] = not out[0, 0]
-        assert (product_graph([g]) == g).all()  # original untouched
 
 
 class TestProductOfTrees:
@@ -42,8 +27,8 @@ class TestProductOfTrees:
         n = 6
         trees = [random_tree(n, rng) for _ in range(5)]
         fast = product_of_trees(trees)
-        generic = product_graph(
-            [M.identity_matrix(n)] + [t.to_adjacency() for t in trees]
+        generic = functools.reduce(
+            M.bool_product, [M.identity_matrix(n)] + [t.to_adjacency() for t in trees]
         )
         assert (fast == generic).all()
 

@@ -37,16 +37,6 @@ class TestConstruction:
         with pytest.raises(SimulationError):
             BroadcastState(3, round_index=-1)
 
-    def test_from_rows(self):
-        s = BroadcastState.from_rows(
-            [frozenset({0, 1}), frozenset({1}), frozenset({2, 0})]
-        )
-        assert s.reach_set(0) == {0, 1}
-        assert s.reach_set(2) == {0, 2}
-        # self always included even if omitted
-        s2 = BroadcastState.from_rows([frozenset(), frozenset({0})], 1)
-        assert 0 in s2.reach_set(0)
-
 
 class TestQueries:
     def test_reach_and_heard_duality(self):
@@ -107,22 +97,6 @@ class TestEvolution:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             BroadcastState.initial(4).apply_tree(path(5))
-
-    def test_gains_under_matches_apply(self):
-        s = make_random_state(6, rounds=2, seed=9)
-        t = path(6)
-        gains = s.gains_under(t)
-        after = s.apply_tree(t)
-        expected = after.reach_sizes() - s.reach_sizes()
-        assert (gains == expected).all()
-
-    def test_would_stall_zero_gain_nodes(self):
-        s = make_random_state(6, rounds=2, seed=11)
-        t = path(6)
-        stalled = s.would_stall(t)
-        gains = s.gains_under(t)
-        for x in range(6):
-            assert (gains[x] == 0) == (x in stalled)
 
 
 class TestBookkeeping:

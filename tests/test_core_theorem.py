@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.bounds import lower_bound, upper_bound
-from repro.core.theorem import (
-    check_exact_value,
-    check_theorem_31,
-    normalized_gap_limit,
-    sandwich,
-    theorem_gap,
-)
+from repro.core.theorem import check_exact_value, sandwich
 
 
 class TestSandwich:
@@ -42,10 +38,6 @@ class TestSandwich:
 
 
 class TestChecks:
-    def test_check_theorem_31(self):
-        assert check_theorem_31(10, 24)
-        assert not check_theorem_31(10, 25)
-
     def test_check_exact_value_requires_both_sides(self):
         # Exact small-n values (certified by the solver): 1, 2, 4, 5.
         assert check_exact_value(2, 1)
@@ -56,11 +48,8 @@ class TestChecks:
         assert not check_exact_value(4, 10)  # above the UB formula
 
     def test_gap_positive_and_linear(self):
-        assert theorem_gap(100) > 0
-        # Gap grows roughly like 0.914 n.
-        assert theorem_gap(1000) == pytest.approx(
-            normalized_gap_limit() * 1000, rel=0.02
+        assert upper_bound(100) - lower_bound(100) > 0
+        # The open gap grows like ((1 + √2) − 3/2) n ≈ 0.914 n.
+        assert upper_bound(1000) - lower_bound(1000) == pytest.approx(
+            ((1 + math.sqrt(2)) - 1.5) * 1000, rel=0.02
         )
-
-    def test_normalized_gap_limit_value(self):
-        assert normalized_gap_limit() == pytest.approx(0.9142, abs=1e-3)

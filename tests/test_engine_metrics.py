@@ -2,16 +2,13 @@
 
 :class:`MetricsCollector` folds :class:`RoundRecord` streams into
 :class:`RunMetrics`; these tests pin the aggregation rules (edge totals,
-min-per-round, reach trajectory, shape histogram) and the
-``normalized_time`` property Theorem 3.1 brackets.
+min-per-round, reach trajectory, shape histogram).
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.engine.events import RoundRecord
-from repro.engine.metrics import MetricsCollector, RunMetrics
+from repro.engine.metrics import MetricsCollector
 from repro.trees.canonical import classify_shape
 from repro.trees.rooted_tree import RootedTree
 
@@ -37,15 +34,6 @@ def _star(n: int) -> RootedTree:
     return RootedTree([0] * n)
 
 
-def test_normalized_time_is_t_star_over_n():
-    assert RunMetrics(n=16, t_star=24).normalized_time == pytest.approx(1.5)
-    assert RunMetrics(n=10, t_star=15).normalized_time == pytest.approx(1.5)
-
-
-def test_normalized_time_none_when_truncated():
-    assert RunMetrics(n=16, t_star=None).normalized_time is None
-
-
 def test_collector_accumulates_rounds():
     n = 5
     collector = MetricsCollector(n)
@@ -61,7 +49,6 @@ def test_collector_accumulates_rounds():
     assert metrics.total_new_edges == 7
     assert metrics.min_new_edges_per_round == 1
     assert metrics.max_reach_trajectory == [2, 3, 5]
-    assert metrics.normalized_time == pytest.approx(3 / 5)
 
 
 def test_collector_shape_histogram_uses_canonical_families():
@@ -87,7 +74,6 @@ def test_collector_finish_without_rounds():
     assert metrics.min_new_edges_per_round is None
     assert metrics.max_reach_trajectory == []
     assert metrics.shape_histogram == {}
-    assert metrics.normalized_time is None
 
 
 def test_collector_min_new_edges_tracks_minimum_not_last():
@@ -110,4 +96,3 @@ def test_collector_matches_instrumented_run():
     assert metrics.rounds == len(run.trace.rounds)
     # Section 2 invariant: every round adds at least one product edge.
     assert metrics.min_new_edges_per_round >= 1
-    assert metrics.normalized_time == pytest.approx(run.t_star / n)

@@ -20,11 +20,7 @@ import numpy as np
 import pytest
 
 from repro.adversaries.base import Adversary, SequenceAdversary
-from repro.adversaries.oblivious import (
-    RandomTreeAdversary,
-    RoundRobinAdversary,
-    StaticTreeAdversary,
-)
+from repro.adversaries.oblivious import RandomTreeAdversary, StaticTreeAdversary
 from repro.adversaries.paths import (
     AlternatingPathAdversary,
     RotatingPathAdversary,
@@ -195,7 +191,7 @@ class TestCompiledSchedules:
         lambda n: RotatingPathAdversary(n, shift=1),
         lambda n: RotatingPathAdversary(n, shift=2),
         lambda n: RotatingPathAdversary(n, shift=0),
-        lambda n: RoundRobinAdversary([path(n), star(n)]),
+        lambda n: SequenceAdversary([path(n), star(n)], after="repeat"),
         lambda n: SequenceAdversary([star(n), path(n)], after="repeat"),
         lambda n: SequenceAdversary([path(n)] * 3, after="hold"),
     ]
@@ -373,7 +369,6 @@ class TestRunReport:
         )
         assert report.completed
         assert report.t_star == 5
-        assert report.normalized_time() == 5 / 6
         assert report.rounds == 5
         assert report.seed == 11
         assert report.executor == "sequential"
@@ -395,7 +390,7 @@ class TestRunReport:
         ]
 
     def test_trace_level_produces_replayable_trace(self):
-        from repro.engine.trace import replay_trace
+        from helpers import replay_trace
 
         report = SequentialExecutor().run(
             RunSpec(adversary=CyclicFamilyAdversary(7), n=7, instrumentation="trace")

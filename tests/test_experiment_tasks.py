@@ -19,7 +19,6 @@ The acceptance criteria pinned here:
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 from typing import List, Sequence
 
@@ -44,6 +43,8 @@ from repro.experiments import (
     table_to_doc,
 )
 from repro.service.cache import ResultCache
+
+from helpers import count_calls
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "golden_experiments.json"
 
@@ -107,21 +108,6 @@ class TestWarmCache:
         # E8's static-path@n=8 run cell was already computed by E4.
         assert e8.stats["runs_computed"] == EXPECTED_RUN_UNITS["E8"] - 1
         assert e8.stats["cached"] == 1
-
-
-def count_calls(monkeypatch, module, name: str) -> List[int]:
-    """Count calls to ``module.name`` wherever a module binds it by name."""
-    original = getattr(module, name)
-    calls: List[int] = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for mod in list(sys.modules.values()):
-        if getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counting)
-    return calls
 
 
 class TestEncodeOnce:
@@ -231,7 +217,9 @@ class TestHttpExperiment:
 
     def test_failed_output_fails_job_with_statuses(self):
         from repro.service.scheduler import JobScheduler
-        from repro.service.specs import register_adversary, unregister_adversary
+        from repro.service.specs import register_adversary
+
+        from helpers import unregister_adversary
 
         class Exploding:
             name = "Exploding"

@@ -37,7 +37,7 @@ from repro.adversaries.zeiner import (
     ZeinerStyleAdversary,
     quadratic_potential_score,
 )
-from repro.analysis.intervals import state_is_interval_structured
+from repro.analysis.intervals import as_cyclic_interval
 from repro.core.backend import get_backend, use_backend
 from repro.core.broadcast import run_adversary
 from repro.core.state import BroadcastState
@@ -192,7 +192,9 @@ class TestBatchedCyclicScorerDecisions:
                 adv = CyclicFamilyAdversary(n, m_stride=stride)
                 for trial in range(trials):
                     state = _random_prefix_state(n, rng)
-                    non_interval += not state_is_interval_structured(state)
+                    non_interval += any(
+                        as_cyclic_interval(state.reach_set(x), n) is None for x in range(n)
+                    )
                     case = (backend, n, stride, trial)
                     assert _pool_scores(adv, state) == _reference_scores(adv, state), case
                     chosen = adv.next_tree(state, 1)

@@ -5,15 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.adversaries.base import SequenceAdversary
 from repro.adversaries.oblivious import RandomTreeAdversary, StaticTreeAdversary
 from repro.adversaries.zeiner import CyclicFamilyAdversary
-from repro.gossip.consensus import (
-    blocks_are_nonsplit,
-    common_in_neighbor,
-    nonsplit_block_count,
-    simulate_nonsplit_rounds,
-)
-from repro.gossip.gossip import gossip_time_adversary, gossip_time_sequence
+from repro.gossip.consensus import blocks_are_nonsplit, simulate_nonsplit_rounds
+from repro.gossip.gossip import gossip_time_adversary
 from repro.core.product import is_nonsplit
 from repro.errors import DimensionMismatchError
 from repro.trees.generators import path, random_tree, star
@@ -22,7 +18,7 @@ from repro.trees.generators import path, random_tree, star
 class TestGossipSequence:
     def test_star_never_gossips(self):
         # The center reaches everyone, but leaves never reach each other.
-        res = gossip_time_sequence([star(4)] * 20, 4)
+        res = gossip_time_adversary(StaticTreeAdversary(star(4)), 4, max_rounds=20)
         assert res.broadcast_time == 1
         assert res.gossip_time is None
         assert not res.completed
@@ -30,14 +26,9 @@ class TestGossipSequence:
     def test_gossip_requires_all_rows(self):
         # Alternate stars at different centers: eventually all-to-all.
         trees = [star(3, center=c) for c in (0, 1, 2)] * 3
-        res = gossip_time_sequence(trees, 3)
+        res = gossip_time_adversary(SequenceAdversary(trees, after="error"), 3)
         assert res.completed
         assert res.gossip_time >= res.broadcast_time
-        assert res.gap >= 0
-
-    def test_single_node(self):
-        res = gossip_time_sequence([], 1)
-        assert res.broadcast_time is None  # zero rounds were run
 
 
 class TestGossipAdversary:
@@ -95,26 +86,6 @@ class TestNonsplitReduction:
         assert is_nonsplit(blocks[0])
         assert not is_nonsplit(path(n).to_adjacency())
 
-    def test_block_count(self):
-        assert nonsplit_block_count(10, 6) == 2
-        assert nonsplit_block_count(4, 6) == 0
-        assert nonsplit_block_count(10, 1) == 0
-
     def test_requires_n_ge_2(self):
         with pytest.raises(DimensionMismatchError):
             simulate_nonsplit_rounds([], 1)
-
-    def test_common_in_neighbor_witness(self):
-        n = 5
-        from repro.core.product import product_of_trees
-
-        block = product_of_trees([path(n)] * (n - 1))
-        for x in range(n):
-            for y in range(n):
-                w = common_in_neighbor(block, x, y)
-                assert w >= 0
-                assert block[w, x] and block[w, y]
-
-    def test_common_in_neighbor_absent(self):
-        a = np.eye(3, dtype=bool)
-        assert common_in_neighbor(a, 0, 1) == -1

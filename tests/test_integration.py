@@ -20,12 +20,11 @@ from repro.analysis.stats import linear_fit
 from repro.core.bounds import lower_bound, upper_bound
 from repro.core.broadcast import run_adversary, run_sequence
 from repro.engine.executor import BatchExecutor, RunSpec
-from repro.engine.trace import replay_trace
 from repro.service.specs import portfolio_handles
 from repro.trees.generators import path
 
 from heard_of import compare_engines
-from helpers import run_traced
+from helpers import replay_trace, run_traced
 
 
 class TestExactValuesE3:

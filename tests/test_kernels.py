@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.adversaries.base import SequenceAdversary
-from repro.adversaries.oblivious import RoundRobinAdversary, StaticTreeAdversary
+from repro.adversaries.oblivious import StaticTreeAdversary
 from repro.adversaries.paths import RotatingPathAdversary, StaticPathAdversary
 from repro.core import kernels as K
 from repro.core import matrix as M
@@ -171,52 +171,45 @@ class TestDispatch:
         bad = tmp_path / "table.json"
         bad.write_text("{not json")
         monkeypatch.setenv(K.ENV_TABLE, str(bad))
-        K.reload_kernel_table()
-        try:
-            assert K.current_rules()["bitset"] == K.DEFAULT_RULES["bitset"]
-            assert K.kernel_table()["table_error"] is not None
-        finally:
-            K.reload_kernel_table()
+        monkeypatch.setattr(K, "_rules_cache", None)  # re-read the table
+        assert K.current_rules()["bitset"] == K.DEFAULT_RULES["bitset"]
+        assert K.kernel_table()["table_error"] is not None
 
     def test_table_file_overrides_rules(self, tmp_path, monkeypatch):
         table = tmp_path / "table.json"
         table.write_text(json.dumps({"rules": {"bitset": {"blas_min_n": 7777}}}))
         monkeypatch.setenv(K.ENV_TABLE, str(table))
-        K.reload_kernel_table()
-        try:
-            assert K.current_rules()["bitset"]["blas_min_n"] == 7777
-            # gather threshold untouched by a partial override
-            assert (
-                K.current_rules()["bitset"]["gather_max_degree"]
-                == K.DEFAULT_RULES["bitset"]["gather_max_degree"]
-            )
-        finally:
-            K.reload_kernel_table()
+        monkeypatch.setattr(K, "_rules_cache", None)  # re-read the table
+        assert K.current_rules()["bitset"]["blas_min_n"] == 7777
+        # gather threshold untouched by a partial override
+        assert (
+            K.current_rules()["bitset"]["gather_max_degree"]
+            == K.DEFAULT_RULES["bitset"]["gather_max_degree"]
+        )
 
 
 class TestAutotune:
+    @pytest.fixture(autouse=True)
+    def _restore_rules(self, monkeypatch):
+        # autotune activates its rules in-process; put the old ones back.
+        monkeypatch.setattr(K, "_rules_cache", None)
+
     def test_autotune_persists_and_activates(self, tmp_path):
         target = tmp_path / "kernel_table.json"
-        try:
-            doc = K.autotune(ns=(16, 32), degrees=(4,), repeats=1, path=str(target))
-            assert target.exists()
-            on_disk = json.loads(target.read_text())
-            assert on_disk["rules"] == doc["rules"]
-            assert on_disk["version"] == 1
-            assert set(on_disk["machine"]) >= {"platform", "numpy", "cpus"}
-            assert on_disk["measured"]  # per-n timings recorded
-            # the fresh rules are active in-process
-            assert K.current_rules()["bitset"] == doc["rules"]["bitset"]
-        finally:
-            K.reload_kernel_table()
+        doc = K.autotune(ns=(16, 32), degrees=(4,), repeats=1, path=str(target))
+        assert target.exists()
+        on_disk = json.loads(target.read_text())
+        assert on_disk["rules"] == doc["rules"]
+        assert on_disk["version"] == 1
+        assert set(on_disk["machine"]) >= {"platform", "numpy", "cpus"}
+        assert on_disk["measured"]  # per-n timings recorded
+        # the fresh rules are active in-process
+        assert K.current_rules()["bitset"] == doc["rules"]["bitset"]
 
     def test_autotune_without_persist_leaves_no_file(self, tmp_path):
         target = tmp_path / "never.json"
-        try:
-            K.autotune(ns=(16,), degrees=(4,), repeats=1, path=str(target), persist=False)
-            assert not target.exists()
-        finally:
-            K.reload_kernel_table()
+        K.autotune(ns=(16,), degrees=(4,), repeats=1, path=str(target), persist=False)
+        assert not target.exists()
 
 
 class TestChunkBudget:
@@ -276,7 +269,6 @@ class TestSquaringSearch:
             lambda n: StaticTreeAdversary(star(n)),
             lambda n: RotatingPathAdversary(n, shift=0),
             lambda n: RotatingPathAdversary(n, shift=n),  # shift % n == 0
-            lambda n: RoundRobinAdversary([path(n)]),
             lambda n: SequenceAdversary([path(n)] * 3, after="hold"),
             lambda n: SequenceAdversary([path(n)], after="repeat"),
         ],
@@ -285,7 +277,6 @@ class TestSquaringSearch:
             "static-star",
             "rotating-shift0",
             "rotating-shift-n",
-            "round-robin-1",
             "sequence-hold",
             "sequence-repeat",
         ],
@@ -306,7 +297,7 @@ class TestSquaringSearch:
         ).compile_static_row(n) is None
         assert SequenceAdversary([path(n)], after="error").compile_static_row(n) is None
         two = [path(n), star(n)]
-        assert RoundRobinAdversary(two).compile_static_row(n) is None
+        assert SequenceAdversary(two, after="repeat").compile_static_row(n) is None
 
     @pytest.mark.parametrize("backend", ["dense", "bitset"])
     @pytest.mark.parametrize("cap", [0, 1, 2, 7, 21, 22, 23])
@@ -385,7 +376,7 @@ class TestServiceInvariance:
 
     def test_cached_static_run_matches_loop_result(self, tmp_path):
         """A squared run round-trips the result cache byte-identically."""
-        from repro.service.cache import ResultCache
+        from repro.service.cache import ResultCache, report_from_doc, report_to_doc
         from repro.service.specs import spec_digest, to_run_spec
 
         raw = {"adversary": "static-path", "n": 24}
@@ -393,9 +384,8 @@ class TestServiceInvariance:
         loop = SequentialExecutor(use_squaring=False).run(to_run_spec(raw))
         cache = ResultCache(path=str(tmp_path / "c.jsonl"))
         digest = spec_digest(raw)
-        cache.store_report(digest, report)
-        cached = cache.lookup_report(digest)
-        assert cached is not None
+        cache.store(digest, "run", report_to_doc(report))
+        cached = report_from_doc(cache.lookup(digest, kind="run"))
         assert cached.t_star == loop.t_star == 23
         assert cached.final_state.key() == loop.final_state.key()
 

@@ -9,7 +9,6 @@ properties over random trees, sequences, and states:
 * Section 2's >= 1 new edge per round, hence t* <= n²;
 * Lemma N: any n-1 composed tree rounds are nonsplit;
 * Theorem 3.1's upper bound on every generated run;
-* Prüfer and relabeling round-trips;
 * engine equivalence (matrix vs process-level simulator).
 """
 
@@ -24,7 +23,6 @@ from repro.core.bounds import trivial_upper_bound, upper_bound
 from repro.core.broadcast import run_sequence
 from repro.core.product import is_nonsplit, product_of_trees
 from repro.core.state import BroadcastState
-from repro.trees.prufer import from_prufer, to_prufer
 from repro.trees.rooted_tree import RootedTree
 from repro.trees.subtree import is_union_of_subtrees, stalled_nodes
 
@@ -77,8 +75,8 @@ def test_product_monotone_and_reflexive(seq):
     state = M.identity_matrix(n)
     for t in trees:
         nxt = M.compose_with_tree(state, t)
-        assert M.is_monotone_step(state, nxt)
-        assert M.is_reflexive(nxt)
+        assert (~state | nxt).all()  # monotone: no edge is ever lost
+        assert nxt.diagonal().all()  # reflexive
         state = nxt
 
 
@@ -199,26 +197,6 @@ def test_theorem_31_upper_bound_on_any_run(seq):
 # ----------------------------------------------------------------------
 
 
-@given(rooted_trees(min_n=2, max_n=12))
-@settings(max_examples=80, deadline=None)
-def test_prufer_roundtrip(tree):
-    seq = to_prufer(tree)
-    assert from_prufer(seq, tree.n, root=tree.root) == tree
-
-
-@given(rooted_trees(min_n=2, max_n=8), st.permutations(list(range(8))))
-@settings(max_examples=60, deadline=None)
-def test_relabel_preserves_structure(tree, perm):
-    mapping = list(perm)[: tree.n]
-    if sorted(mapping) != list(range(tree.n)):
-        return
-    relabeled = tree.relabel(mapping)
-    assert relabeled.n == tree.n
-    assert relabeled.root == mapping[tree.root]
-    assert relabeled.height == tree.height
-    assert relabeled.leaf_count() == tree.leaf_count()
-
-
 @given(tree_sequences(max_n=6, max_len=8))
 @settings(max_examples=40, deadline=None)
 def test_engines_equivalent(seq):
@@ -235,4 +213,5 @@ def test_broadcast_state_key_reversible(seq):
     for t in trees:
         state.apply_tree_inplace(t)
     key = state.key()
-    assert (M.key_to_matrix(key, n) == state.reach_matrix_view()).all()
+    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n * n)
+    assert (bits.astype(bool).reshape(n, n) == state.reach_matrix_view()).all()

@@ -43,14 +43,6 @@ def test_extensions_grow_by_one(arc):
     assert arc.members() <= left.members()
 
 
-@given(arcs())
-@settings(max_examples=60, deadline=None)
-def test_contains_matches_members(arc):
-    members = arc.members()
-    for v in range(arc.n):
-        assert arc.contains(v) == (v in members)
-
-
 @st.composite
 def move_sequences(draw, min_n: int = 2, max_n: int = 7, max_len: int = 10):
     n = draw(st.integers(min_n, max_n))

@@ -1,15 +1,28 @@
-"""Regrowth guard: every ``repro`` module is reachable from an entry point.
+"""Regrowth guard: every ``repro`` module and definition has a caller.
 
-The library keeps only code that a pinned entry point loads: the CLI, the
-E1..E8 registry, the service modules and whatever ``perfbench/`` imports.
-This test rebuilds the import graph from the source with ``ast`` (no
-module is executed) and fails with the list of unreached modules.
+The library keeps only code that an entry point or a consumer reaches.
+The entry points are the CLI and the E1..E8 registry; the consumers are
+``perfbench/``, ``benchmarks/``, ``examples/`` and the inline
+``python -c`` scripts of the CI workflow.  ``tests/`` is not a consumer:
+code that only tests call is dead.  Everything is read with ``ast``; no
+module is executed.
 
-``from pkg import name`` is resolved through ``pkg/__init__.py`` to the
-module that defines ``name``, so a module whose only importer is its own
-package ``__init__`` (a re-export nobody uses) counts as unreached.  A
-package's other re-exports are not followed unless the package object
-itself is imported.
+Two gates share one allow-list, :data:`ALLOWED_UNREACHED`:
+
+* **Modules.**  The import graph is rebuilt from the entry points and the
+  consumers.  ``from pkg import name`` is resolved through
+  ``pkg/__init__.py`` to the module that defines ``name``, so a module
+  whose only importer is its own package ``__init__`` (a re-export nobody
+  uses) counts as unreached.  A package's other re-exports are not
+  followed unless the package object itself is imported.
+* **Definitions.**  Every top-level function and class under ``src/repro``
+  and every method of those classes is a unit.  A unit is reached when
+  its name is used -- as a loaded name, an attribute, an import or a
+  string constant (registries, ``getattr``) -- by module-level code, by a
+  reached unit (a fixed point: a helper whose only caller is dead is
+  dead), or by a consumer.  ``__all__`` entries and package ``__init__``
+  re-exports are not uses.  A method also needs its class reached.
+  Dunder methods and the HTTP hooks in :data:`HOOKS` always count.
 
 The same file pins ruff's F822 gate (undefined names in ``__all__``) and
 its F401 gate (unused imports outside package ``__init__`` files), since
@@ -21,8 +34,9 @@ from __future__ import annotations
 import ast
 import importlib
 import re
+import textwrap
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import pytest
 
@@ -31,13 +45,55 @@ import repro
 SRC = Path(repro.__file__).resolve().parent
 ROOT = SRC.parent.parent
 PERFBENCH = ROOT / "perfbench"
+#: Trees outside the library whose code counts as a use.
+CONSUMERS = ("perfbench", "benchmarks", "examples")
+#: The workflow whose inline ``python -c`` scripts count as consumers.
+CI_WORKFLOW = Path(".github") / "workflows" / "ci.yml"
 #: The trees the lint job checks (``ruff check src tests benchmarks examples``).
 LINTED = [ROOT / name for name in ("src", "tests", "benchmarks", "examples")]
 
-# Unreached on purpose.  ROADMAP open item 4 gives the certificate
-# checkers a pinned caller (E3 replays its optimal sequence through
-# ``certify_sequence``); until that lands the module stays.
-ALLOWED_UNREACHED = {"repro.analysis.certificates"}
+#: Methods the standard library calls by name (``http.server`` handlers).
+HOOKS = frozenset({"do_GET", "do_POST", "log_message"})
+
+#: Unreached on purpose: module or definition -> why it stays.  An entry
+#: covers everything defined under it, and the code it calls counts as
+#: reached.  Drop an entry once it gains a caller (the test says so).
+ALLOWED_UNREACHED = {
+    "repro.adversaries.greedy.score_tree": (
+        "single-candidate reference that tests pin the batched "
+        "engine.batch.score_candidates against"
+    ),
+    "repro.adversaries.zeiner.quadratic_potential_score": (
+        "score formula that test_golden_tstar pins the prefix-sum cyclic scorer against"
+    ),
+    "repro.adversaries.zeiner.CyclicFamilyAdversary._candidate_parent_matrix": (
+        "candidate pool that test_golden_tstar scores with the reference formula"
+    ),
+    "repro.core.state.BroadcastState.heard_of_set": (
+        "matrix side of the tests/heard_of.py message-passing oracle"
+    ),
+    "repro.analysis.certificates.certify_adversary_run": (
+        "ROADMAP item 4 (certify the exact values) gives the certificate checkers a caller"
+    ),
+    "repro.analysis.certificates.certify_lower_bound_witness": (
+        "ROADMAP item 4 (certify the exact values) gives the certificate checkers a caller"
+    ),
+    "repro.core.theorem.check_exact_value": (
+        "ROADMAP item 4 decides it together with the certificate checkers"
+    ),
+    "repro.core.broadcast.verify_certificate": (
+        "ROADMAP item 4 decides it together with the certificate checkers"
+    ),
+    "repro.analysis.intervals.as_cyclic_interval": (
+        "ROADMAP item 10 runs it on every reach set along the schedule"
+    ),
+    "repro.experiments.registry.run_all": (
+        "ROADMAP item 3 adds a test that run_all() passes every check"
+    ),
+    "repro.core.kernels.autotune": (
+        "ROADMAP item 9.6 re-measures the kernel dispatch thresholds with it"
+    ),
+}
 
 
 def _module_files() -> Dict[str, Path]:
@@ -53,6 +109,32 @@ def _module_files() -> Dict[str, Path]:
 
 MODULES = _module_files()
 PACKAGES = {name for name, path in MODULES.items() if path.name == "__init__.py"}
+
+
+def ci_scripts(root: Path = ROOT) -> List[str]:
+    """The CI workflow's inline ``python -c "..."`` scripts, dedented."""
+    workflow = root / CI_WORKFLOW
+    if not workflow.exists():
+        return []
+    text = workflow.read_text(encoding="utf-8")
+    return [
+        textwrap.dedent(m.group(1))
+        for m in re.finditer(r'python3? -c "(.*?)"', text, re.DOTALL)
+    ]
+
+
+def consumer_sources(root: Path = ROOT) -> List[str]:
+    """Source text of every consumer: the consumer trees' files, then the
+    CI workflow's inline scripts."""
+    files = [
+        path.read_text(encoding="utf-8")
+        for name in CONSUMERS
+        for path in sorted((root / name).rglob("*.py"))
+    ]
+    return files + ci_scripts(root)
+
+
+CONSUMER_SOURCES = consumer_sources()
 
 
 def _absolute(module: Optional[str], level: int, current: str) -> str:
@@ -138,25 +220,27 @@ class _Scan:
 
 
 def _entry_points() -> List[str]:
-    entries = ["repro.cli", "repro.experiments.registry"]
-    entries += sorted(m for m in MODULES if m.startswith("repro.service."))
-    return entries
+    return ["repro.cli", "repro.experiments.registry"]
 
 
 def reachable_modules() -> Set[str]:
     scan = _Scan()
     for entry in _entry_points():
         scan.reach(entry)
-    for script in sorted(PERFBENCH.glob("*.py")):
-        for module, name in _imports(ast.parse(script.read_text(encoding="utf-8")), ""):
+    for source in CONSUMER_SOURCES:
+        for module, name in _imports(ast.parse(source), ""):
             scan.follow(module, name)
     return scan.run()
 
 
 def test_perfbench_imports_are_scanned():
+    """Consumer imports are roots: perfbench/ is read, and a module only an
+    example imports counts as reached."""
     assert PERFBENCH.is_dir(), PERFBENCH
-    reached = reachable_modules()
-    assert "repro.core.kernels" in reached  # imported only by perfbench/run.py
+    sources = set(CONSUMER_SOURCES)
+    assert all(p.read_text(encoding="utf-8") in sources for p in PERFBENCH.glob("*.py"))
+    # imported only by examples/lower_bound_demo.py
+    assert "repro.analysis.certificates" in reachable_modules()
 
 
 def test_every_module_is_reachable_from_an_entry_point():
@@ -167,15 +251,10 @@ def test_every_module_is_reachable_from_an_entry_point():
         if name not in PACKAGES and name not in reached and name not in ALLOWED_UNREACHED
     )
     assert not unreached, (
-        "modules no entry point (CLI, experiment registry, service, "
-        "perfbench) imports -- delete them or give them a caller: "
-        + ", ".join(unreached)
+        "modules no entry point (CLI, experiment registry) or consumer "
+        "(perfbench, benchmarks, examples, CI scripts) imports -- delete "
+        "them or give them a caller: " + ", ".join(unreached)
     )
-
-
-def test_allowed_exceptions_are_still_unreached():
-    # Once an allowed module gains a caller, drop it from the list.
-    assert not ALLOWED_UNREACHED & reachable_modules()
 
 
 def test_reexport_only_module_counts_as_unreached():
@@ -193,6 +272,238 @@ def test_dunder_all_entries_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names undefined {missing}"
+
+
+# ----------------------------------------------------------------------
+# Definitions
+# ----------------------------------------------------------------------
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+class Unit(NamedTuple):
+    """One function, class or method; ``code`` is what runs when it is used."""
+
+    name: str
+    parent: Optional[str]  # the class qualname, for a method
+    code: List[ast.AST]
+    where: str
+
+
+def _uses(nodes: Iterable[ast.AST]) -> Set[str]:
+    """Names, attributes, imported names and string constants in ``nodes``."""
+    used: Set[str] = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                used.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                used.add(sub.attr)
+            elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name.split(".")[-1] for alias in sub.names)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used.add(sub.value)
+    return used
+
+
+def _is_dunder_all(stmt: ast.stmt) -> bool:
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def library_units(library: Dict[str, str]) -> Tuple[Dict[str, Unit], List[ast.AST]]:
+    """``(units by qualname, module-level code)`` of ``module -> source``.
+
+    Module-level code leaves out ``__all__`` and, in a package
+    ``__init__``, the ``from`` imports (re-exports).
+    """
+    units: Dict[str, Unit] = {}
+    module_code: List[ast.AST] = []
+    for module, source in library.items():
+        is_package = module.endswith("__init__")
+        module = module[: -len(".__init__")] if is_package else module
+        for stmt in ast.parse(source).body:
+            qual = f"{module}.{getattr(stmt, 'name', '')}"
+            where = f"{module}:{stmt.lineno}"
+            if isinstance(stmt, _DEFS):
+                units[qual] = Unit(stmt.name, None, [stmt], where)
+            elif isinstance(stmt, ast.ClassDef):
+                own: List[ast.AST] = [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+                for item in stmt.body:
+                    if isinstance(item, _DEFS):
+                        units[f"{qual}.{item.name}"] = Unit(
+                            item.name, qual, [item], f"{module}:{item.lineno}"
+                        )
+                    else:
+                        own.append(item)
+                units[qual] = Unit(stmt.name, None, own, where)
+            elif _is_dunder_all(stmt) or (is_package and isinstance(stmt, ast.ImportFrom)):
+                continue
+            else:
+                module_code.append(stmt)
+    return units, module_code
+
+
+def _covered(qual: str, allowed: Iterable[str]) -> bool:
+    """True when ``qual`` or a dotted prefix of it is in ``allowed``."""
+    return any(qual == entry or qual.startswith(entry + ".") for entry in allowed)
+
+
+def reached_units(
+    units: Dict[str, Unit],
+    module_code: List[ast.AST],
+    consumers: Iterable[str],
+    allowed: Iterable[str] = (),
+) -> Set[str]:
+    """Qualnames of the reached units; units ``allowed`` covers are roots."""
+    allowed = list(allowed)
+    used = _uses(module_code)
+    for source in consumers:
+        used |= _uses([ast.parse(source)])
+    reached: Set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for qual, unit in units.items():
+            if qual in reached:
+                continue
+            if not _covered(qual, allowed):
+                if unit.parent is not None and unit.parent not in reached:
+                    continue
+                hook = unit.parent is not None and (
+                    unit.name in HOOKS or (unit.name.startswith("__") and unit.name.endswith("__"))
+                )
+                if not (hook or unit.name in used):
+                    continue
+            reached.add(qual)
+            used |= _uses(unit.code)
+            grew = True
+    return reached
+
+
+def unreached_definitions(
+    library: Dict[str, str], consumers: Iterable[str], allowed: Iterable[str] = ()
+) -> List[str]:
+    """``qualname (module:line)`` of every unreached unit whose class, if
+    any, is reached (a dead class's methods are not listed again)."""
+    units, module_code = library_units(library)
+    reached = reached_units(units, module_code, consumers, allowed)
+    return sorted(
+        f"{qual} ({unit.where})"
+        for qual, unit in units.items()
+        if qual not in reached and (unit.parent is None or unit.parent in reached)
+    )
+
+
+def library_sources(src: Path = SRC) -> Dict[str, str]:
+    """``module -> source`` under ``src``; package inits keep ``.__init__``."""
+    return {
+        ".".join(path.relative_to(src.parent).with_suffix("").parts): path.read_text(
+            encoding="utf-8"
+        )
+        for path in sorted(src.rglob("*.py"))
+    }
+
+
+def test_every_definition_is_reached():
+    unreached = unreached_definitions(library_sources(), CONSUMER_SOURCES, ALLOWED_UNREACHED)
+    assert not unreached, (
+        "definitions only tests call -- delete them (with their tests) or "
+        "give them a caller:\n" + "\n".join(unreached)
+    )
+
+
+def test_allowed_exceptions_are_still_unreached():
+    # Once an allowed module or definition gains a caller, drop it from the list.
+    units, module_code = library_units(library_sources())
+    reached = reached_units(units, module_code, CONSUMER_SOURCES)
+    modules = reachable_modules()
+    for entry in ALLOWED_UNREACHED:
+        if entry in MODULES:
+            assert entry not in modules, f"{entry} is reached; drop it from ALLOWED_UNREACHED"
+        else:
+            assert entry in units, f"{entry} names no definition; drop it from ALLOWED_UNREACHED"
+            assert entry not in reached, f"{entry} is reached; drop it from ALLOWED_UNREACHED"
+
+
+def test_ci_inline_scripts_are_scanned():
+    units, _ = library_units(library_sources())
+    reached = reached_units(units, [], ci_scripts())
+    assert "repro.obs.metrics.parse_prometheus" in reached  # obs-smoke's parser check
+
+
+_SYNTHETIC = {
+    "src/repro/__init__.py": """
+from repro.lib import only_in_all
+__all__ = ["only_in_all"]
+""",
+    "src/repro/lib.py": '''
+def used_by_tests():
+    pass
+
+def used_by_example():
+    return helper_of_example()
+
+def helper_of_example():
+    pass
+
+def only_in_all():
+    pass
+
+def dead_caller():
+    return only_via_dead_caller()
+
+def only_via_dead_caller():
+    pass
+
+class Handlers:
+    def __init__(self):
+        self.table = HANDLERS
+
+    def by_string(self):
+        pass
+
+    def unnamed(self):
+        pass
+
+class Unused:
+    def __init__(self):
+        only_from_dead_class()
+
+def only_from_dead_class():
+    pass
+
+HANDLERS = {"go": "by_string"}
+DEFAULT = Handlers()
+''',
+    "tests/test_lib.py": """
+from repro.lib import used_by_tests
+used_by_tests()
+""",
+    "examples/demo.py": """
+from repro.lib import used_by_example
+used_by_example()
+""",
+}
+
+
+def test_definition_scan_on_synthetic_sources(tmp_path):
+    for rel, source in _SYNTHETIC.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source, encoding="utf-8")
+    found = unreached_definitions(
+        library_sources(tmp_path / "src" / "repro"), consumer_sources(tmp_path)
+    )
+    assert [entry.split(" ")[0] for entry in found] == [
+        "repro.lib.Handlers.unnamed",  # methods are units too
+        "repro.lib.Unused",  # its __init__ counts only once the class is reached
+        "repro.lib.dead_caller",  # a caller nothing calls
+        "repro.lib.only_from_dead_class",
+        "repro.lib.only_in_all",  # __all__ and re-exports are not uses
+        "repro.lib.only_via_dead_caller",  # reached only through a dead caller
+        "repro.lib.used_by_tests",  # tests/ is not a consumer
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -61,9 +61,8 @@ class TestReportRoundTrip:
             }
             digest = spec_digest(raw)
             fresh = executor.run(to_run_spec(raw))
-            cache.store_report(digest, fresh)
-            hit = cache.lookup_report(digest, backend=backend)
-            assert hit is not None
+            cache.store(digest, "run", report_to_doc(fresh))
+            hit = report_from_doc(cache.lookup(digest, kind="run"), backend=backend)
             # byte-identical: the canonical serializations match exactly
             assert json.dumps(report_to_doc(hit), sort_keys=True) == json.dumps(
                 report_to_doc(fresh), sort_keys=True
@@ -304,7 +303,8 @@ def _small_cache_file(tmp_path, compacted: bool):
     cache.store('q"uote\\', "task", {"task_kind": "bounds", "doc": {"z": [1, 2.5, None]}})
     cache.store("b", "sweep", {"points": [], "label": "caf\u00e9 \u2028"})
     cache.store("a", "cell", {"t_star": None})  # overwrite: a dead line
-    cache.store_report("r", SequentialExecutor().run(to_run_spec({"adversary": "cyclic", "n": 6})))
+    report = SequentialExecutor().run(to_run_spec({"adversary": "cyclic", "n": 6}))
+    cache.store("r", "run", report_to_doc(report))
     if compacted:
         cache.compact()
     sizes = {d: cache.entry_nbytes(d) for d in ("a", 'q"uote\\', "b", "r")}

@@ -37,10 +37,13 @@ from repro.service.client import ServiceClient
 from repro.service.fleet import FleetExecutor, WorkQueue
 from repro.service.journal import JobJournal
 from repro.service.server import ServiceServer
+from repro.service import specs as service_specs
 from repro.service.specs import SpecHandle, spec_digest, to_run_spec
-from repro.service.tasks import TaskGraph, run_graph
+from repro.service.tasks import TaskGraph, run_graph, sweep_graph
 from repro.service.tenancy import TenantRegistry
 from repro.service.worker import FleetWorker
+
+from helpers import count_calls
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -236,6 +239,17 @@ class TestFleetExecutorIdentity:
         counters = queue.metrics()["counters"]
         assert counters["offered"] == 3 and counters["local_fallbacks"] == 3
         assert queue.metrics()["items"] == 0  # everything forgotten
+
+    def test_local_fallback_validates_each_payload_once(self, monkeypatch):
+        """``cell_spec`` canonicalizes each run once; the fallback reuses
+        that payload instead of validating it a second time."""
+        graph, output = sweep_graph({"adversaries": ["static-path", "static-star"], "ns": [4, 6]})
+        calls = count_calls(monkeypatch, service_specs, "canonical_run_spec")
+        fleet = FleetExecutor(WorkQueue(ResultCache()), fallback="batch")
+        run = run_graph(graph, outputs=[output], executor=fleet)
+        assert run.ok
+        assert len(run.result(output)["points"]) == 4
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("backend", ["dense", "bitset"])
     def test_in_process_worker_byte_identical(self, backend):

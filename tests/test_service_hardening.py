@@ -185,7 +185,7 @@ def test_quota_exhaustion_isolates_tenants():
 
         doc = alice.wait(alice.submit_run(_run_spec(8))["job_id"], timeout=30)
         assert doc["status"] == "done"
-        assert tenancy.usage("alice")["bytes_used"] >= 1  # result charged
+        assert tenancy.metrics()["alice"]["bytes_used"] >= 1  # result charged
 
         # Over budget now: rejected as a quota (not retried -- waiting
         # does not replenish a quota, so this raises immediately even

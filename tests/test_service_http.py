@@ -21,6 +21,7 @@ from repro.errors import (
     SpecRejectedError,
     UnknownResourceError,
 )
+from repro.service.cache import report_from_doc
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceServer
 from repro.service.specs import spec_digest, to_run_spec
@@ -46,7 +47,7 @@ def test_service_smoke(service):
     run_doc = client.wait(run_doc["job_id"], timeout=30)
     assert run_doc["status"] == "done"
     assert run_doc["result"]["t_star"] == 15
-    report = client.run_report(run_doc)
+    report = report_from_doc(run_doc["result"])
     assert report.t_star == 15 and report.n == 16
 
     sweep_doc = client.submit_sweep(

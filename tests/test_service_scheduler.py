@@ -20,9 +20,10 @@ from repro.service.specs import (
     ParamSpec,
     register_adversary,
     spec_digest,
-    unregister_adversary,
 )
 from repro.trees.generators import path
+
+from helpers import unregister_adversary
 
 
 class FailingAdversary(Adversary):

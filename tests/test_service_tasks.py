@@ -40,9 +40,9 @@ from repro.service.tasks import (
     run_graph,
     sweep_graph,
     task_digest,
-    task_kind_names,
-    unregister_task_kind,
 )
+
+from helpers import unregister_adversary, unregister_task_kind
 
 
 class TestCanonicalization:
@@ -127,7 +127,7 @@ class TestCanonicalization:
             canonical_task({"kind": "experiment", "payload": {"experiment": "E99"}})
 
     def test_registries_describe_builtins(self):
-        names = task_kind_names()
+        names = describe_task_kinds()
         for kind in ("run", "sweep-agg", "experiment", "bounds", "exact-solve"):
             assert kind in names
         doc = describe_task_kinds()
@@ -390,7 +390,7 @@ class TestFailureIsolation:
             run.result(downstream)
 
     def test_failing_run_task_fails_alone(self):
-        from repro.service.specs import register_adversary, unregister_adversary
+        from repro.service.specs import register_adversary
 
         register_adversary("test-failing", FailingAdversary)
         try:
@@ -405,7 +405,7 @@ class TestFailureIsolation:
             unregister_adversary("test-failing")
 
     def test_run_many_settled_isolates_failures(self):
-        from repro.service.specs import register_adversary, unregister_adversary
+        from repro.service.specs import register_adversary
 
         register_adversary("test-failing", FailingAdversary)
         try:
@@ -507,7 +507,7 @@ class TestCacheInterop:
         assert run.statuses[out]["status"] == "done"  # sanity: legal run
 
     def test_adversary_cap_error_message_preserved(self):
-        from repro.service.specs import register_adversary, unregister_adversary
+        from repro.service.specs import register_adversary
 
         class StallingAdversary:
             name = "Staller"

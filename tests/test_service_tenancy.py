@@ -178,7 +178,7 @@ def test_registry_unlimited_by_default():
     for _ in range(100):
         registry.admit(DEFAULT_TENANT)
         registry.check_quota(DEFAULT_TENANT)
-    assert registry.usage(DEFAULT_TENANT)["rate_limited"] == 0
+    assert registry.metrics()[DEFAULT_TENANT]["rate_limited"] == 0
 
 
 def test_registry_rate_limits_per_tenant():
@@ -195,8 +195,8 @@ def test_registry_rate_limits_per_tenant():
     registry.admit("bob")
     clock.advance(1.0)
     registry.admit("alice")
-    assert registry.usage("alice")["rate_limited"] == 1
-    assert registry.usage("bob")["rate_limited"] == 0
+    assert registry.metrics()["alice"]["rate_limited"] == 1
+    assert registry.metrics()["bob"]["rate_limited"] == 0
 
 
 def test_registry_per_tenant_overrides():
@@ -218,7 +218,7 @@ def test_registry_byte_quota_charges_each_digest_once():
     registry.on_cached("alice", "d1", 60)
     registry.on_cached("alice", "d1", 60)  # same digest: no double charge
     registry.check_quota("alice")
-    assert registry.usage("alice")["bytes_used"] == 60
+    assert registry.metrics()["alice"]["bytes_used"] == 60
     registry.on_cached("alice", "d2", 60)
     with pytest.raises(QuotaExceededError):
         registry.check_quota("alice")
@@ -226,8 +226,8 @@ def test_registry_byte_quota_charges_each_digest_once():
     # use of it) but has his own budget.
     registry.on_cached("bob", "d1", 60)
     registry.check_quota("bob")
-    assert registry.usage("bob")["bytes_used"] == 60
-    assert registry.usage("alice")["quota_rejections"] == 1
+    assert registry.metrics()["bob"]["bytes_used"] == 60
+    assert registry.metrics()["alice"]["quota_rejections"] == 1
 
 
 def test_registry_job_quota_tracks_active_jobs():
@@ -238,7 +238,7 @@ def test_registry_job_quota_tracks_active_jobs():
         registry.check_quota("alice")
     registry.on_finish("alice", "d1", 10, failed=False)
     registry.check_quota("alice")  # a slot freed up
-    usage = registry.usage("alice")
+    usage = registry.metrics()["alice"]
     assert usage["active_jobs"] == 1
     assert usage["bytes_used"] == 10
 
@@ -248,7 +248,7 @@ def test_registry_failed_jobs_are_not_charged():
     registry.on_submit("alice")
     registry.on_finish("alice", "d1", 1_000_000, failed=True)
     registry.check_quota("alice")
-    assert registry.usage("alice")["bytes_used"] == 0
+    assert registry.metrics()["alice"]["bytes_used"] == 0
 
 
 def test_registry_metrics_lists_every_tenant():

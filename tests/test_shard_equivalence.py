@@ -20,7 +20,7 @@ import pytest
 
 from repro.adversaries.oblivious import RandomTreeAdversary
 from repro.adversaries.paths import StaticPathAdversary
-from repro.analysis.sweep import sweep_adversaries, sweep_n
+from repro.analysis.sweep import sweep_adversaries
 from repro.core.backend import use_backend
 from repro.engine.executor import BatchExecutor, RunSpec, ShardedExecutor
 from repro.engine.shard import split_shards
@@ -116,7 +116,7 @@ class TestSweepEquivalence:
         assert sweep_adversaries(FACTORIES, [4, 6], workers=2) == seq
 
     def test_sweep_n_sharded(self):
-        got = sweep_n(StaticPathAdversary, [2, 4, 6], name="sp", workers=2)
+        got = sweep_adversaries({"sp": StaticPathAdversary}, [2, 4, 6], workers=2)
         assert [(p.adversary, p.n, p.t_star) for p in got.points] == [
             ("sp", 2, 1),
             ("sp", 4, 3),

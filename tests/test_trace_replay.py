@@ -18,9 +18,9 @@ from repro.adversaries.zeiner import CyclicFamilyAdversary
 from repro.core.backend import use_backend
 from repro.core.broadcast import run_adversary
 from repro.engine.executor import BatchExecutor, RunSpec, SequentialExecutor
-from repro.engine.trace import Trace, replay_trace
+from repro.engine.trace import Trace
 
-from helpers import run_traced
+from helpers import replay_trace, run_traced
 
 BACKENDS = ["dense", "bitset"]
 

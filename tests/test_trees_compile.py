@@ -6,23 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.trees.compile import (
-    clear_compile_cache,
-    compile_cache_info,
-    cycle_schedule,
-    parent_row,
-    sequence_schedule,
-    static_schedule,
-)
+from repro.trees.compile import parent_row, sequence_schedule, static_schedule
 from repro.trees.generators import path, star
 from repro.trees.rooted_tree import RootedTree
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_compile_cache()
-    yield
-    clear_compile_cache()
 
 
 class TestParentRow:
@@ -73,7 +59,6 @@ class TestSequenceSchedule:
         schedule = sequence_schedule(trees, 6, after="repeat")
         for t in range(6):
             assert (schedule[t] == parent_row(trees[t % 2])).all()
-        assert (cycle_schedule(trees, 6) == schedule).all()
 
     def test_error_mode_refuses_past_the_end(self):
         trees = [path(4), star(4)]
@@ -91,12 +76,8 @@ class TestSequenceSchedule:
     def test_memoization_hits(self):
         trees = [path(5), star(5)]
         first = sequence_schedule(trees, 8, after="repeat")
-        before = compile_cache_info()
         second = sequence_schedule(trees, 8, after="repeat")
-        after = compile_cache_info()
         assert second is first
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
 
     def test_distinct_horizons_are_distinct_entries(self):
         trees = [path(5), star(5)]
@@ -135,25 +116,7 @@ class TestCachedSchedule:
 
         for adv in (RotatingPathAdversary(8, shift=3), AlternatingPathAdversary(8, period=2)):
             first = adv.compile_schedule(8, 12)
-            before = compile_cache_info()["misses"]
             second = type(adv)(8, 3) if isinstance(adv, RotatingPathAdversary) else (
                 AlternatingPathAdversary(8, period=2)
             )
             assert second.compile_schedule(8, 12) is first
-            assert compile_cache_info()["misses"] == before
-
-
-class TestCacheManagement:
-    def test_info_counts(self):
-        clear_compile_cache()
-        parent_row(path(3))
-        sequence_schedule([path(3), star(3)], 4)
-        info = compile_cache_info()
-        assert info["rows"] >= 1
-        assert info["schedules"] == 1
-
-    def test_clear_resets_everything(self):
-        sequence_schedule([path(3), star(3)], 4)
-        clear_compile_cache()
-        info = compile_cache_info()
-        assert info == {"rows": 0, "schedules": 0, "hits": 0, "misses": 0}

@@ -5,36 +5,27 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SearchBudgetExceeded
-from repro.trees.enumerate import (
-    MAX_ENUMERABLE_N,
-    all_parent_arrays,
-    all_rooted_trees,
-    count_rooted_trees,
-    random_tree_uniform,
-)
+from repro.trees.enumerate import MAX_ENUMERABLE_N, all_parent_arrays, count_rooted_trees
+from repro.trees.rooted_tree import RootedTree
 
 
 class TestCounts:
     @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (3, 9), (4, 64), (5, 625)])
     def test_cayley_counts(self, n, expected):
         assert count_rooted_trees(n) == expected
-        assert sum(1 for _ in all_rooted_trees(n)) == expected
-
-    def test_parent_arrays_match_trees(self):
-        arrays = set(all_parent_arrays(4))
-        trees = {t.parents for t in all_rooted_trees(4)}
-        assert arrays == trees
+        assert sum(1 for _ in all_parent_arrays(n)) == expected
 
 
 class TestUniqueness:
     def test_no_duplicates_n4(self):
         seen = set()
-        for t in all_rooted_trees(4):
-            assert t.parents not in seen
-            seen.add(t.parents)
+        for parents in all_parent_arrays(4):
+            assert parents not in seen
+            seen.add(parents)
 
     def test_all_yielded_are_valid_trees(self):
-        for t in all_rooted_trees(4):
+        for parents in all_parent_arrays(4):
+            t = RootedTree(parents)
             assert t.n == 4
             # exactly one root
             assert sum(1 for v in range(4) if t.parent(v) == v) == 1
@@ -43,16 +34,4 @@ class TestUniqueness:
 class TestBudgets:
     def test_refuses_large_n(self):
         with pytest.raises(SearchBudgetExceeded):
-            list(all_rooted_trees(MAX_ENUMERABLE_N + 1))
-
-    def test_limit_enforced(self):
-        gen = all_rooted_trees(4, limit=10)
-        with pytest.raises(SearchBudgetExceeded) as exc_info:
-            list(gen)
-        assert exc_info.value.states_explored == 10
-
-
-def test_random_tree_uniform_is_valid(rng):
-    for n in (2, 5, 9):
-        t = random_tree_uniform(n, rng)
-        assert t.n == n
+            list(all_parent_arrays(MAX_ENUMERABLE_N + 1))

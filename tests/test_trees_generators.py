@@ -10,14 +10,9 @@ from repro.trees.generators import (
     binary_tree,
     broom,
     caterpillar,
-    chain_fan,
-    k_inner_tree,
-    k_leaf_tree,
     path,
     path_from_order,
-    random_path,
     random_tree,
-    reversed_path,
     rotated_path,
     spider,
     star,
@@ -29,12 +24,6 @@ class TestPaths:
         t = path(4)
         assert t.root == 0
         assert t.edges() == ((0, 1), (1, 2), (2, 3))
-        assert t.is_path()
-
-    def test_reversed_path(self):
-        t = reversed_path(4)
-        assert t.root == 3
-        assert (3, 2) in t.edges()
         assert t.is_path()
 
     def test_path_from_order(self):
@@ -115,59 +104,6 @@ class TestBinary:
         assert t.height == 2
 
 
-class TestRestrictedFamilies:
-    @pytest.mark.parametrize("n,k", [(5, 1), (5, 2), (5, 4), (8, 3)])
-    def test_k_leaf_tree_has_k_leaves(self, n, k):
-        assert k_leaf_tree(n, k).leaf_count() == k
-
-    @pytest.mark.parametrize("n,k", [(5, 1), (5, 2), (5, 4), (8, 3)])
-    def test_k_inner_tree_has_k_inner(self, n, k):
-        assert k_inner_tree(n, k).inner_count() == k
-
-    def test_k_leaf_bounds(self):
-        with pytest.raises(InvalidTreeError):
-            k_leaf_tree(5, 0)
-        with pytest.raises(InvalidTreeError):
-            k_leaf_tree(5, 5)
-
-    def test_single_node_families(self):
-        assert k_leaf_tree(1, 1).n == 1
-        assert k_inner_tree(1, 0).n == 1
-        with pytest.raises(InvalidTreeError):
-            k_leaf_tree(1, 2)
-
-
-class TestChainFan:
-    def test_backward_chain_fan_at_root(self):
-        t = chain_fan(6, start=2, chain_length=2, backward=True)
-        # chain 2 -> 1 -> 0; rest (3, 4, 5) fanned at 2
-        assert t.root == 2
-        assert (2, 1) in t.edges() and (1, 0) in t.edges()
-        for v in (3, 4, 5):
-            assert t.parent(v) == 2
-
-    def test_forward_chain_fan_at_tail(self):
-        t = chain_fan(6, start=1, chain_length=3, backward=False, fan_at_tail=True)
-        # chain 1 -> 2 -> 3 -> 4; rest (0, 5) under 4
-        assert t.root == 1
-        assert t.parent(0) == 4 and t.parent(5) == 4
-
-    def test_chain_wraps_modulo(self):
-        t = chain_fan(5, start=1, chain_length=3, backward=True)
-        # chain 1 -> 0 -> 4 -> 3
-        assert (0, 4) in t.edges()
-
-    def test_full_chain_is_rotated_path(self):
-        assert chain_fan(5, 2, 4, backward=False) == rotated_path(5, 2)
-
-    def test_zero_chain_is_star(self):
-        assert chain_fan(5, 3, 0).is_star()
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(InvalidTreeError):
-            chain_fan(5, 0, 5)
-
-
 class TestRandom:
     def test_random_tree_deterministic_with_seed(self):
         a = random_tree(10, np.random.default_rng(7))
@@ -189,7 +125,3 @@ class TestRandom:
         gen = np.random.default_rng(0)
         seen = {random_tree(5, gen).parents for _ in range(200)}
         assert len(seen) > 50
-
-    def test_random_path_is_path(self, rng):
-        t = random_path(6, rng)
-        assert t.is_path()

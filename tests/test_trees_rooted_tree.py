@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidTreeError
-from repro.trees.rooted_tree import RootedTree, degree_histogram
+from repro.trees.rooted_tree import RootedTree
 
 
 class TestConstruction:
@@ -56,7 +56,6 @@ class TestAccessors:
 
     def test_leaves_and_inner(self, caterpillar6):
         assert caterpillar6.leaves == (3, 4, 5)
-        assert caterpillar6.inner_nodes == (0, 1, 2)
         assert caterpillar6.leaf_count() + caterpillar6.inner_count() == 6
 
     def test_depths_and_height(self, caterpillar6):
@@ -89,23 +88,6 @@ class TestTraversals:
         assert caterpillar6.subtree_nodes(0) == set(range(6))
         assert caterpillar6.subtree_nodes(5) == {5}
 
-    def test_subtree_sizes(self, caterpillar6):
-        sizes = caterpillar6.subtree_sizes()
-        assert sizes[0] == 6
-        assert sizes[1] == 3
-        assert sizes[2] == 2
-        assert sizes[3] == 1
-
-    def test_path_to_root(self, caterpillar6):
-        assert caterpillar6.path_to_root(4) == (4, 1, 0)
-        assert caterpillar6.path_to_root(0) == (0,)
-
-    def test_is_ancestor(self, caterpillar6):
-        assert caterpillar6.is_ancestor(0, 5)
-        assert caterpillar6.is_ancestor(1, 4)
-        assert not caterpillar6.is_ancestor(2, 4)
-        assert caterpillar6.is_ancestor(3, 3)
-
     def test_is_path_and_star(self, path5, star5, caterpillar6):
         assert path5.is_path()
         assert not path5.is_star() or path5.n <= 2
@@ -113,30 +95,6 @@ class TestTraversals:
         assert not star5.is_path()
         assert not caterpillar6.is_path()
         assert not caterpillar6.is_star()
-
-
-class TestTransformations:
-    def test_relabel_roundtrip(self, caterpillar6):
-        perm = [3, 5, 0, 1, 2, 4]
-        relabeled = caterpillar6.relabel(perm)
-        inverse = [0] * 6
-        for i, p in enumerate(perm):
-            inverse[p] = i
-        assert relabeled.relabel(inverse) == caterpillar6
-
-    def test_relabel_rejects_non_permutation(self, caterpillar6):
-        with pytest.raises(InvalidTreeError):
-            caterpillar6.relabel([0, 0, 1, 2, 3, 4])
-
-    def test_reroot_preserves_undirected_edges(self, caterpillar6):
-        rerooted = caterpillar6.rerooted_at(4)
-        assert rerooted.root == 4
-        before = {frozenset(e) for e in caterpillar6.edges()}
-        after = {frozenset(e) for e in rerooted.edges()}
-        assert before == after
-
-    def test_reroot_at_root_is_identity(self, caterpillar6):
-        assert caterpillar6.rerooted_at(caterpillar6.root) is caterpillar6
 
 
 class TestConversions:
@@ -150,25 +108,6 @@ class TestConversions:
         a = path5.to_adjacency(include_self_loops=False)
         assert not a.diagonal().any()
         assert a.sum() == 4
-
-    def test_networkx_roundtrip(self, caterpillar6):
-        g = caterpillar6.to_networkx()
-        assert g.number_of_edges() == 5
-        back = RootedTree.from_networkx(g)
-        assert back == caterpillar6
-
-    def test_from_edges(self):
-        t = RootedTree.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-        assert t.root == 0
-        assert t.children(1) == (2, 3)
-
-    def test_from_edges_rejects_double_parent(self):
-        with pytest.raises(InvalidTreeError, match="more than one parent"):
-            RootedTree.from_edges(3, [(0, 2), (1, 2)])
-
-    def test_from_edges_rejects_two_components(self):
-        with pytest.raises(InvalidTreeError):
-            RootedTree.from_edges(4, [(0, 1)])
 
 
 class TestDunder:
@@ -185,14 +124,3 @@ class TestDunder:
     def test_repr_and_describe(self, caterpillar6):
         assert "RootedTree" in repr(caterpillar6)
         assert "height=2" in caterpillar6.describe()
-
-    def test_ascii_art_mentions_all_nodes(self, caterpillar6):
-        art = caterpillar6.ascii_art()
-        for v in range(6):
-            assert str(v) in art
-
-
-def test_degree_histogram(caterpillar6):
-    hist = degree_histogram(caterpillar6)
-    assert hist == {2: 2, 1: 1, 0: 3}
-    assert sum(hist.values()) == 6

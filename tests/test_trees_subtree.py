@@ -8,30 +8,17 @@ import pytest
 from repro.core.state import BroadcastState
 from repro.trees.generators import path, star
 from repro.trees.subtree import (
-    closure_under_children,
-    growing_nodes,
     is_union_of_subtrees,
     is_union_of_subtrees_by_decomposition,
-    maximal_stallable_family,
-    root_always_gains,
     stalled_nodes,
 )
 
 from helpers import make_random_state
 
 
-class TestClosure:
-    def test_closure_of_root_is_everything(self, caterpillar6):
-        assert closure_under_children(caterpillar6, [0]) == set(range(6))
-
-    def test_closure_of_leaf_is_itself(self, caterpillar6):
-        assert closure_under_children(caterpillar6, [5]) == {5}
-
-    def test_closure_of_inner_node(self, caterpillar6):
-        assert closure_under_children(caterpillar6, [1]) == {1, 3, 4}
-
-    def test_closure_union(self, caterpillar6):
-        assert closure_under_children(caterpillar6, [1, 5]) == {1, 3, 4, 5}
+def root_always_gains(tree, reach) -> bool:
+    """Lemma R on one configuration: the root is finished or gains."""
+    return bool(reach[tree.root].all()) or tree.root not in stalled_nodes(tree, reach)
 
 
 class TestUnionOfSubtrees:
@@ -87,14 +74,6 @@ class TestStalledNodes:
             expected = is_union_of_subtrees(t, state.reach_set(x))
             assert (x in st) == expected
 
-    def test_growing_complements_stalled(self):
-        state = make_random_state(5, rounds=2, seed=1)
-        t = star(5, center=2)
-        st = stalled_nodes(t, state.reach_matrix_view())
-        gr = growing_nodes(t, state.reach_matrix_view())
-        assert st | gr == set(range(5))
-        assert not (st & gr)
-
     def test_shape_mismatch_rejected(self):
         t = path(4)
         with pytest.raises(ValueError, match="shape"):
@@ -115,10 +94,3 @@ class TestLemmaR:
         state = BroadcastState.initial(3)
         state.apply_tree_inplace(star(3))  # node 0 finishes
         assert root_always_gains(star(3), state.reach_matrix_view())
-
-
-def test_maximal_stallable_family_is_all_subtrees(caterpillar6):
-    family = maximal_stallable_family(caterpillar6)
-    assert set(range(6)) in [set(s) for s in family]
-    assert {5} in [set(s) for s in family]
-    assert len(family) == 6

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro import errors
-from repro.types import (
-    as_edge_list,
-    validate_node,
-    validate_node_count,
-    validate_round_index,
-)
+from repro.types import validate_node, validate_node_count
 
 
 class TestValidators:
@@ -37,16 +32,6 @@ class TestValidators:
             validate_node(-1, 4)
         with pytest.raises(ValueError):
             validate_node(1.5, 4)
-
-    def test_round_index_is_one_based(self):
-        assert validate_round_index(1) == 1
-        with pytest.raises(ValueError, match="t = 1, 2"):
-            validate_round_index(0)
-
-    def test_as_edge_list_normalizes(self):
-        edges = as_edge_list([(np.int64(0), np.int64(1)), (1, 2)])
-        assert edges == ((0, 1), (1, 2))
-        assert all(isinstance(v, int) for e in edges for v in e)
 
 
 class TestExceptionHierarchy:
