@@ -19,12 +19,11 @@ import numpy as np
 import pytest
 
 from repro.adversaries.greedy import GreedyDelayAdversary
-from repro.analysis.sweep import sweep_adversaries
 from repro.analysis.tables import format_table
 from repro.core.backend import get_backend
 from repro.core.broadcast import run_sequence
 from repro.engine.batch import BatchRunner, run_sequences_batch
-from repro.engine.executor import ShardedExecutor
+from repro.engine.executor import SequentialExecutor, ShardedExecutor
 from repro.engine.shard import usable_cpus
 from repro.trees.generators import path, random_tree
 
@@ -135,7 +134,7 @@ def test_sharded_sweep_speedup(n, report_sink):
     factories, ns = _sweep_grid(n)
     # Best-of-2 on both sides: a one-shot wall-clock sample on a shared
     # CI runner is too noisy to gate on (pool startup included each time).
-    t_seq, seq = _time(lambda: sweep_adversaries(factories, ns), repeats=2)
+    t_seq, seq = _time(lambda: SequentialExecutor().sweep(factories, ns), repeats=2)
     executor = ShardedExecutor(workers=workers)
     t_shard, sharded = _time(lambda: executor.sweep(factories, ns), repeats=2)
     assert sharded == seq, "sharded sweep must be bit-identical to sequential"

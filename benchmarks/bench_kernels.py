@@ -1,8 +1,9 @@
 """Kernel-tier benchmarks: graph-compose kernels and the t* squaring search.
 
-Two measurement families, both persisted into ``benchmarks/BENCH_kernels.json``
-(same merge-by-key convention as ``BENCH_load.json``, plus a ``machine``
-block from :func:`repro.core.kernels.machine_info`):
+Two measurement families, both written into ``benchmarks/BENCH_kernels.json``
+by the script entry point (same merge-by-key convention as
+``BENCH_load.json``, plus a ``machine`` block from
+:func:`repro.core.kernels.machine_info`):
 
 * ``compose_*`` -- one bitset graph-composition step per registered
   kernel (``word-or`` / ``blas`` / ``gather``) on a dense (density 0.3)
@@ -15,13 +16,16 @@ block from :func:`repro.core.kernels.machine_info`):
   (``use_squaring=False``).  The acceptance number: >= 10x at n >= 1024
   (t* = 1023 >= 512), with identical t*.
 
-The n = 4096 cells are additionally gated behind ``REPRO_BENCH_FULL=1``
-so the default tier-1 run stays fast; CI's bench-smoke deselects every
-big-n id via ``-k`` and only exercises the n = 64 smoke cells.
+Under pytest the cells are measured and asserted but never written, so
+a test run leaves the committed file alone.  The n = 4096 cells are
+additionally gated behind ``REPRO_BENCH_FULL=1`` so the default run stays
+fast; CI's bench-smoke deselects every big-n id via ``-k`` and only
+exercises the n = 64 smoke cells.
 
 Usage::
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py -q                   # small cells
+    PYTHONPATH=src python benchmarks/bench_kernels.py                       # full grid, rewrites the JSON
+    PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py -q            # small cells
     REPRO_BENCH_FULL=1 PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py -q  # full grid
 """
 
@@ -93,11 +97,8 @@ def _graphs(n: int) -> Dict[str, np.ndarray]:
     return {"dense": dense_g, "sparse": sparse_g}
 
 
-@pytest.mark.table
-@pytest.mark.parametrize("n", COMPOSE_NS)
-def test_compose_kernels(n, report_sink):
-    """Time every bitset kernel on one composition step; persist + assert."""
-    _require(n)
+def measure_compose(n: int) -> dict:
+    """Time every bitset kernel on one composition step at ``n``."""
     rng = np.random.default_rng(n + 1)
     a = rng.random((n, n)) < 0.4
     np.fill_diagonal(a, True)
@@ -107,7 +108,6 @@ def test_compose_kernels(n, report_sink):
     doc: dict = {"n": n, "cells": {}}
     for flavor, g in _graphs(n).items():
         seconds: Dict[str, float] = {}
-        baseline = None
         for kernel in K.available_kernels("bitset"):
             with K.use_kernel(kernel):
                 seconds[kernel] = _best_of(
@@ -115,12 +115,11 @@ def test_compose_kernels(n, report_sink):
                 )
         if n <= DENSE_REFERENCE_MAX_N:
             seconds["dense-reference"] = _best_of(lambda: M.bool_product(a, g), 1)
-        dispatched = K.choose_kernel("bitset", n, g)
         baseline = seconds["word-or"]
         cell = {
             "graph": flavor,
             "degree": round(float(np.count_nonzero(g)) / n, 1),
-            "dispatched": dispatched,
+            "dispatched": K.choose_kernel("bitset", n, g),
             "seconds": {k: round(v, 6) for k, v in seconds.items()},
             "speedup_vs_word_or": {
                 k: round(baseline / v, 2) for k, v in seconds.items() if v > 0
@@ -133,40 +132,22 @@ def test_compose_kernels(n, report_sink):
                 if v > 0
             }
         doc["cells"][flavor] = cell
-        report_sink.append(
-            f"[kernels] compose n={n} {flavor}: dispatched={dispatched} "
-            + " ".join(f"{k}={v:.4f}s" for k, v in seconds.items())
-        )
-        # Correctness is pinned by tests/; here just sanity-check dispatch:
-        # the chosen kernel must never lose to word-or by more than noise.
-        if n >= 256:
-            assert seconds[dispatched] <= baseline * 1.25, (n, flavor, seconds)
-
     if n >= 4096:
         # Acceptance: the dispatched kernel beats the word-OR baseline by
         # >= 5x at n = 4096 on at least one graph regime (the sparse cell
         # carries this by a wide margin via gather; the dense cell's BLAS
         # win is bounded by the ~1.5-2s sgemm floor on this 1-CPU host,
         # so it gets a softer regression canary instead of the 5x bar).
-        best = max(
+        doc["acceptance_min_speedup"] = 5.0
+        doc["acceptance_speedup"] = max(
             cell["speedup_vs_word_or"][cell["dispatched"]]
             for cell in doc["cells"].values()
         )
-        doc["acceptance_min_speedup"] = 5.0
-        doc["acceptance_speedup"] = best
-        assert best >= 5.0, doc["cells"]
-        dense_cell = doc["cells"]["dense"]
-        assert dense_cell["speedup_vs_word_or"][dense_cell["dispatched"]] >= 2.0, (
-            dense_cell
-        )
-    _persist(f"compose_n{n}", doc)
+    return doc
 
 
-@pytest.mark.table
-@pytest.mark.parametrize("n", TSTAR_NS)
-def test_tstar_squaring_search(n, report_sink):
-    """Squaring vs the compiled loop on the static path; persist + assert."""
-    _require(n)
+def measure_tstar(n: int) -> dict:
+    """Squaring vs the compiled loop on the static path at ``n``."""
     repeats = 2 if n >= 4096 else 3
 
     def run(use_squaring: bool):
@@ -180,21 +161,65 @@ def test_tstar_squaring_search(n, report_sink):
 
     t_fast = _best_of(lambda: run(True), repeats)
     t_slow = _best_of(lambda: run(False), repeats)
-    speedup = t_slow / t_fast if t_fast > 0 else float("inf")
     doc = {
         "n": n,
         "t_star": fast.t_star,
         "seconds": {"squaring": round(t_fast, 6), "loop": round(t_slow, 6)},
-        "speedup": round(speedup, 2),
+        "speedup": round(t_slow / t_fast if t_fast > 0 else float("inf"), 2),
     }
-    report_sink.append(
-        f"[kernels] tstar n={n}: squaring={t_fast:.4f}s loop={t_slow:.4f}s "
-        f"speedup={speedup:.1f}x"
-    )
     if n >= 1024:  # t* = n - 1 >= 512: the acceptance regime
         doc["acceptance_min_speedup"] = 10.0
-        assert speedup >= 10.0, doc
-    _persist(f"tstar_n{n}", doc)
+    return doc
+
+
+@pytest.mark.table
+@pytest.mark.parametrize("n", COMPOSE_NS)
+def test_compose_kernels(n, report_sink):
+    """Time every bitset kernel on one composition step; assert dispatch."""
+    _require(n)
+    doc = measure_compose(n)
+    for flavor, cell in doc["cells"].items():
+        seconds = cell["seconds"]
+        report_sink.append(
+            f"[kernels] compose n={n} {flavor}: dispatched={cell['dispatched']} "
+            + " ".join(f"{k}={v:.4f}s" for k, v in seconds.items())
+        )
+        # Correctness is pinned by tests/; here just sanity-check dispatch:
+        # the chosen kernel must never lose to word-or by more than noise.
+        if n >= 256:
+            assert seconds[cell["dispatched"]] <= seconds["word-or"] * 1.25, (n, flavor, seconds)
+    if n >= 4096:
+        assert doc["acceptance_speedup"] >= 5.0, doc["cells"]
+        dense_cell = doc["cells"]["dense"]
+        assert dense_cell["speedup_vs_word_or"][dense_cell["dispatched"]] >= 2.0, (
+            dense_cell
+        )
+
+
+@pytest.mark.table
+@pytest.mark.parametrize("n", TSTAR_NS)
+def test_tstar_squaring_search(n, report_sink):
+    """Squaring vs the compiled loop on the static path; assert the bar."""
+    _require(n)
+    doc = measure_tstar(n)
+    report_sink.append(
+        f"[kernels] tstar n={n}: squaring={doc['seconds']['squaring']:.4f}s "
+        f"loop={doc['seconds']['loop']:.4f}s speedup={doc['speedup']:.1f}x"
+    )
+    if "acceptance_min_speedup" in doc:
+        assert doc["speedup"] >= doc["acceptance_min_speedup"], doc
+
+
+def main() -> int:
+    """Measure the full grid and merge it into ``BENCH_kernels.json``."""
+    for n in COMPOSE_NS:
+        _persist(f"compose_n{n}", measure_compose(n))
+        print(f"compose n={n} done")
+    for n in TSTAR_NS:
+        _persist(f"tstar_n{n}", measure_tstar(n))
+        print(f"tstar n={n} done")
+    print(f"wrote {RESULTS_PATH}")
+    return 0
 
 
 def test_results_file_is_well_formed():
@@ -210,3 +235,7 @@ def test_results_file_is_well_formed():
             assert cell["cells"]["dense"]["seconds"], key
         if key.startswith("tstar_"):
             assert cell["seconds"]["squaring"] > 0, key
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -204,14 +204,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     server = None
     if args.url is None:
         from repro.service.server import ServiceServer
-        from repro.service.tenancy import TenantLimits
+        from repro.service.tenancy import TenantLimits, TenantRegistry
 
         # Auth and rate limiting are *on* (the hardened code path is what
         # gets measured); the limit itself is far above the ceiling so
         # the bucket never rejects a well-behaved load run.
         server = ServiceServer(
             auth={"bench-token": "bench"},
-            tenant_limits=TenantLimits(rate=1_000_000.0, burst=1_000_000),
+            tenancy=TenantRegistry(
+                default_limits=TenantLimits(rate=1_000_000.0, burst=1_000_000)
+            ),
         ).start()
         url, token = server.url, "bench-token"
     else:

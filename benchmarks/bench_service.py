@@ -11,11 +11,18 @@ lookup must be >= 10x faster than recomputation.  The workload is the
 adaptive sorted-path family (no compiled-schedule shortcut: each round
 re-sorts by reach sizes and builds a fresh path), so "recompute" means
 real per-round work while "warm" is one digest lookup per request.
+
+Under pytest the bars are measured and asserted but nothing is written,
+so a test run leaves the committed ``BENCH_service.json`` alone; the
+script entry point measures every cell and rewrites it::
+
+    PYTHONPATH=src python benchmarks/bench_service.py
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -25,13 +32,12 @@ from repro.analysis.tables import format_table
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceServer
 
-#: Measurements are persisted here (merged key-by-key) so CI can archive
-#: service throughput next to the printed tables.
+#: Measurements are written here (merged key-by-key) by :func:`main`.
 RESULTS_PATH = Path(__file__).with_name("BENCH_service.json")
 
 
 def _persist(key: str, payload: dict) -> None:
-    """Merge one measurement into ``BENCH_service.json`` (best effort)."""
+    """Merge one measurement into ``BENCH_service.json``."""
     try:
         existing = json.loads(RESULTS_PATH.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
@@ -69,10 +75,8 @@ def _submit_all(client: ServiceClient, specs) -> float:
     return time.perf_counter() - t0
 
 
-@pytest.mark.table
-@pytest.mark.parametrize("n", [64, 256])
-def test_http_requests_per_second_cold_vs_warm(n, capsys):
-    """Cold vs warm requests/sec through the API; >= 10x bar at n = 256."""
+def measure_http_cold_vs_warm(n: int) -> dict:
+    """Cold vs warm requests/sec through the API at ``n``."""
     with ServiceServer() as server:
         client = ServiceClient.from_url(server.url)
         specs = _specs(n)
@@ -80,23 +84,58 @@ def test_http_requests_per_second_cold_vs_warm(n, capsys):
         t_warm = min(_submit_all(client, specs) for _ in range(3))
         metrics = client.metrics()
     assert metrics["computations"] == len(specs)  # warm passes computed nothing
-    speedup = t_cold / max(t_warm, 1e-9)
-    _persist(
-        f"http_cold_vs_warm_n{n}",
-        {
-            "n": n,
-            "requests": len(specs),
-            "cold_req_per_s": len(specs) / t_cold,
-            "warm_req_per_s": len(specs) / t_warm,
-            "warm_speedup": speedup,
-        },
-    )
+    return {
+        "n": n,
+        "requests": len(specs),
+        "cold_req_per_s": len(specs) / t_cold,
+        "warm_req_per_s": len(specs) / t_warm,
+        "warm_speedup": t_cold / max(t_warm, 1e-9),
+    }
+
+
+def measure_experiments_cold_vs_warm() -> dict:
+    """E1-E8 as task graphs, cold then warm: ``{eid: cell}``.
+
+    Every warm rerun must compute zero tasks (zero simulation runs in
+    particular) while rendering a byte-identical table.
+    """
+    from repro.experiments import run_experiment
+    from repro.service.cache import ResultCache
+
+    cache = ResultCache()
+    cells = {}
+    for eid in [f"E{i}" for i in range(1, 9)]:
+        t0 = time.perf_counter()
+        cold_table, cold = run_experiment(eid, cache=cache)
+        t_cold = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        warm_table, warm = run_experiment(eid, cache=cache)
+        t_warm = time.perf_counter() - t0
+        assert warm.stats["computed"] == 0, f"{eid} warm rerun computed tasks"
+        assert warm.stats["runs_computed"] == 0
+        assert warm_table.render() == cold_table.render()
+        cells[eid] = {
+            "tasks": cold.stats["tasks"],
+            "runs_computed": cold.stats["runs_computed"],
+            "cold_s": t_cold,
+            "warm_s": t_warm,
+            "warm_speedup": t_cold / max(t_warm, 1e-9),
+        }
+    return cells
+
+
+@pytest.mark.table
+@pytest.mark.parametrize("n", [64, 256])
+def test_http_requests_per_second_cold_vs_warm(n, capsys):
+    """Cold vs warm requests/sec through the API; >= 10x bar at n = 256."""
+    doc = measure_http_cold_vs_warm(n)
+    speedup = doc["warm_speedup"]
     rows = [
         (
             n,
-            len(specs),
-            f"{len(specs) / t_cold:.1f}",
-            f"{len(specs) / t_warm:.1f}",
+            doc["requests"],
+            f"{doc['cold_req_per_s']:.1f}",
+            f"{doc['warm_req_per_s']:.1f}",
             f"{speedup:.1f}x",
         )
     ]
@@ -123,48 +162,23 @@ def test_http_requests_per_second_cold_vs_warm(n, capsys):
 def test_experiment_task_graph_cold_vs_warm(capsys):
     """E1-E8 as task graphs: cold compute vs warm content-addressed rerun.
 
-    The asserted bars: every warm rerun computes zero tasks (zero
-    simulation runs in particular) while rendering a byte-identical
-    table, and the warm pass is >= 5x faster than the cold pass for the
-    run-heavy experiments (E2's cyclic grid dominates its cold time).
+    The asserted bars: every warm rerun computes nothing and renders a
+    byte-identical table, and the warm pass is >= 5x faster than the
+    cold pass for the run-heavy experiments (E2's cyclic grid dominates
+    its cold time).
     """
-    from repro.experiments import run_experiment
-    from repro.service.cache import ResultCache
-
-    cache = ResultCache()
-    rows = []
-    speedups = {}
-    for eid in [f"E{i}" for i in range(1, 9)]:
-        t0 = time.perf_counter()
-        cold_table, cold = run_experiment(eid, cache=cache)
-        t_cold = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warm_table, warm = run_experiment(eid, cache=cache)
-        t_warm = time.perf_counter() - t0
-        assert warm.stats["computed"] == 0, f"{eid} warm rerun computed tasks"
-        assert warm.stats["runs_computed"] == 0
-        assert warm_table.render() == cold_table.render()
-        speedups[eid] = t_cold / max(t_warm, 1e-9)
-        _persist(
-            f"experiment_{eid}_cold_vs_warm",
-            {
-                "tasks": cold.stats["tasks"],
-                "runs_computed": cold.stats["runs_computed"],
-                "cold_s": t_cold,
-                "warm_s": t_warm,
-                "warm_speedup": speedups[eid],
-            },
+    cells = measure_experiments_cold_vs_warm()
+    rows = [
+        (
+            eid,
+            cell["tasks"],
+            cell["runs_computed"],
+            f"{cell['cold_s'] * 1e3:.1f}ms",
+            f"{cell['warm_s'] * 1e3:.1f}ms",
+            f"{cell['warm_speedup']:.1f}x",
         )
-        rows.append(
-            (
-                eid,
-                cold.stats["tasks"],
-                cold.stats["runs_computed"],
-                f"{t_cold * 1e3:.1f}ms",
-                f"{t_warm * 1e3:.1f}ms",
-                f"{speedups[eid]:.1f}x",
-            )
-        )
+        for eid, cell in cells.items()
+    ]
     with capsys.disabled():
         print()
         print(
@@ -174,9 +188,8 @@ def test_experiment_task_graph_cold_vs_warm(capsys):
                 title="E1-E8 through the task API: cold vs warm cache",
             )
         )
-    assert speedups["E2"] >= 5.0, (
-        f"warm E2 rerun only {speedups['E2']:.1f}x faster; expected >= 5x"
-    )
+    speedup = cells["E2"]["warm_speedup"]
+    assert speedup >= 5.0, f"warm E2 rerun only {speedup:.1f}x faster; expected >= 5x"
 
 
 @pytest.mark.parametrize("n", [64])
@@ -193,3 +206,20 @@ def test_warm_submit_latency(benchmark, n):
             return doc
 
         benchmark(warm_round_trip)
+
+
+def main() -> int:
+    """Measure every cell and merge it into ``BENCH_service.json``."""
+    from repro.core.kernels import machine_info
+
+    _persist("machine", machine_info())
+    for n in (64, 256):
+        _persist(f"http_cold_vs_warm_n{n}", measure_http_cold_vs_warm(n))
+    for eid, cell in measure_experiments_cold_vs_warm().items():
+        _persist(f"experiment_{eid}_cold_vs_warm", cell)
+    print(f"wrote {RESULTS_PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,15 +13,15 @@ Run: ``python examples/adversary_tournament.py``
 
 from __future__ import annotations
 
-from repro.analysis.sweep import sweep_adversaries
 from repro.analysis.tables import format_table
 from repro.core.bounds import lower_bound, upper_bound
+from repro.engine import SequentialExecutor
 from repro.service.specs import portfolio_handles
 
 
 def main() -> None:
     ns = [6, 8, 10, 12]
-    result = sweep_adversaries(portfolio_handles(include_search=True), ns)
+    result = SequentialExecutor().sweep(portfolio_handles(include_search=True), ns)
 
     headers = ["adversary", *[f"n={n}" for n in ns]]
     rows = []

@@ -24,7 +24,7 @@ from repro.analysis.certificates import (
     certify_lower_bound_witness,
     certify_sequence,
 )
-from repro.analysis.sweep import SweepResult, sweep_adversaries
+from repro.analysis.sweep import SweepResult
 from repro.analysis.tables import format_table
 from repro.analysis.stats import linear_fit, LinearFit
 from repro.analysis.intervals import (
@@ -40,7 +40,6 @@ __all__ = [
     "certify_adversary_run",
     "certify_lower_bound_witness",
     "SweepResult",
-    "sweep_adversaries",
     "format_table",
     "linear_fit",
     "LinearFit",

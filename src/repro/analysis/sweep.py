@@ -1,7 +1,8 @@
-"""Parameter sweeps: broadcast time across ``n`` and adversaries.
+"""Parameter sweep results: broadcast time across ``n`` and adversaries.
 
-The benchmark harnesses are thin wrappers over these functions, so the
-same sweeps are available programmatically (and in the CLI).
+A grid runs on an executor (:meth:`repro.engine.executor.Executor.sweep`)
+or, when a spec describes it, as a task graph
+(:func:`repro.service.tasks.sweep_graph`); both build their points here.
 """
 
 from __future__ import annotations
@@ -9,14 +10,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from repro.core.bounds import lower_bound, upper_bound
 from repro.errors import SweepFormatError
-from repro.types import AdversaryProtocol
-
-if TYPE_CHECKING:  # runtime import stays lazy (engine imports this module)
-    from repro.engine.executor import Executor
 
 #: Format version written into every serialized sweep result.
 SWEEP_FORMAT_VERSION = 1
@@ -177,38 +174,4 @@ def make_sweep_point(adversary: str, n: int, t_star: Optional[int]) -> Optional[
         t_star=t_star,
         lower=lower_bound(n),
         upper=upper_bound(n),
-    )
-
-
-def sweep_adversaries(
-    adversary_factories: Dict[str, Callable[[int], AdversaryProtocol]],
-    ns: Sequence[int],
-    max_rounds: Optional[int] = None,
-    workers: Optional[int] = None,
-    executor: Union[str, "Executor", None] = None,
-) -> SweepResult:
-    """Measure ``t*`` for every (factory, n) pair, ``n``-major.
-
-    ``adversary_factories`` maps a display name to ``n -> adversary``.
-    The grid runs on an executor from the unified execution layer
-    (:mod:`repro.engine.executor`); all executors are decision-equivalent,
-    so the result is identical whichever is chosen:
-
-    * ``executor`` -- a name (``"sequential"``/``"batch"``/``"sharded"``)
-      or an :class:`~repro.engine.executor.Executor` instance;
-    * ``workers`` (``> 1``, when ``executor`` is unset) -- backwards
-      compatible shorthand for the sharded executor; factories must then
-      be picklable;
-    * neither -- the sequential executor.
-
-    Nothing is cached: plain factories carry no spec to address a cell
-    by.  A cached sweep is a sweep spec run as a task graph
-    (:func:`repro.service.tasks.sweep_graph`, CLI ``sweep --cache``).
-    """
-    from repro.engine.executor import get_executor
-
-    if executor is None:
-        executor = "sharded" if workers is not None and workers != 1 else "sequential"
-    return get_executor(executor, workers=workers).sweep(
-        adversary_factories, ns, max_rounds=max_rounds
     )

@@ -382,13 +382,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     if args.trace:
         # Enable before the server exists so startup work (recovery,
-        # cache load) is traced too.  Profiling rides along: the span
-        # file then carries per-kernel rows for ``repro obs top``.
-        from repro.obs import profile as obs_profile
+        # cache load) is traced too.
         from repro.obs import trace as obs_trace
 
         obs_trace.enable(args.trace)
-        obs_profile.enable()
     try:
         auth, per_tenant = _build_auth(args)
         default_limits = TenantLimits(
@@ -704,11 +701,17 @@ def cmd_obs_export(args: argparse.Namespace) -> int:
     return 0
 
 
+def n_bucket(n: int) -> str:
+    """Power-of-two size bucket label for ``n`` (``n<=64``, ``n<=128``...)."""
+    if n <= 1:
+        return "n<=1"
+    return f"n<={1 << (int(n) - 1).bit_length()}"
+
+
 def cmd_obs_top(args: argparse.Namespace) -> int:
     """Summarize a span file: hottest kernels, per-executor phase split."""
     from repro.analysis.tables import format_table
     from repro.obs import trace as obs_trace
-    from repro.obs.profile import n_bucket
 
     spans = obs_trace.read_spans(args.path)
     if not spans:
@@ -1051,9 +1054,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "append spans (JSONL) to this file and enable kernel/phase "
-            "profiling; one HTTP request yields one span tree "
-            "(request -> job -> node -> executor -> kernel).  Inspect "
+            "append spans (JSONL) to this file; one HTTP request yields "
+            "one span tree (request -> job -> node -> executor -> kernel), "
+            "and run spans carry the decision/kernel phase split.  Inspect "
             "with 'obs export' / 'obs top'"
         ),
     )

@@ -204,7 +204,7 @@ _KERNELS: Dict[str, Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]]] =
 _forced: Optional[str] = None
 _rules_cache: Optional[Tuple[Dict[str, Dict[str, float]], Optional[str], Optional[str]]] = None
 
-#: Optional observability hook (installed by :mod:`repro.obs.profile`).
+#: Optional observability hook (installed while :mod:`repro.obs.trace` is on).
 #: When set, every compose that crosses the kernel seam routes through it
 #: as ``observer(backend_name, kernel_name, n, thunk) -> result``; when
 #: ``None`` (the default) call sites take the raw path -- one attribute
@@ -526,8 +526,8 @@ def static_completion_search(
 ) -> Tuple[Optional[int], np.ndarray, int]:
     """``(t_star, final_handle, rounds)`` for a static schedule under a cap.
 
-    Routes through the observability seam (one ``squaring`` kernel row /
-    span per search) when an observer is installed; see
+    Routes through the observability seam (one ``squaring`` kernel span
+    per search) when an observer is installed; see
     :func:`set_compose_observer`.
     """
     observer = _compose_observer

@@ -204,8 +204,8 @@ class BroadcastState:
 
         The observer defaults to ``None`` (one attribute load + branch --
         the entire disabled cost of instrumenting the engine's hottest
-        call); :mod:`repro.obs.profile` installs it while tracing or
-        profiling is on, recording a ``tree-compose`` kernel row/span.
+        call); :func:`repro.obs.trace.enable` installs it, so every
+        compose becomes a ``tree-compose`` kernel span while tracing.
         """
         observer = _kernels._compose_observer
         if observer is None:

@@ -183,8 +183,8 @@ class BatchRunner:
             raise DimensionMismatchError(
                 f"parent matrix must be {(self._batch, self._n)}, got {parents.shape}"
             )
-        # Observability seam: one "batch-compose" row/span covers the
-        # whole batch's round (observer is None unless tracing/profiling).
+        # Observability seam: one "batch-compose" span covers the whole
+        # batch's round (observer is None unless tracing).
         observer = _kernels._compose_observer
         if observer is None:
             self._backend.batch_compose_inplace(self._bmat, parents)

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from repro.engine.events import RoundRecord
 from repro.engine.metrics import MetricsCollector, RunMetrics
 from repro.engine.trace import Trace, TraceRecorder
 from repro.errors import AdversaryError, SimulationError
-from repro.obs import profile as _profile
 from repro.obs import trace as _obs_trace
 from repro.trees.rooted_tree import RootedTree
 from repro.types import AdversaryProtocol, validate_node_count
@@ -157,14 +156,6 @@ class RunReport:
     level and ``keep_trees`` flag; ``trace``/``metrics`` only at the
     ``"trace"`` level.  ``compiled`` is True when the compiled
     parent-schedule fast path drove the entire run.
-
-    ``timings`` is populated only while :mod:`repro.obs.profile` is
-    enabled: ``{"decision_s", "kernel_s"}`` -- adversary think time vs
-    backend compose time (batched executors attribute the group totals
-    to every report in the group).  It is deliberately *not* part of the
-    cached document (:func:`repro.service.cache.report_to_doc`): cache
-    hits must stay byte-identical to fresh recomputation, and wall-clock
-    is not content.
     """
 
     t_star: Optional[int]
@@ -180,7 +171,6 @@ class RunReport:
     metrics: Optional[RunMetrics] = None
     compiled: bool = False
     executor: str = "sequential"
-    timings: Optional[Dict[str, float]] = None
 
     @property
     def completed(self) -> bool:
@@ -410,12 +400,12 @@ class Executor:
     ) -> "SweepResult":
         """Measure ``t*`` for every (factory, n) grid point, ``n``-major.
 
-        Points truncated by an explicit ``max_rounds`` are dropped, same
-        as :func:`repro.analysis.sweep.sweep_adversaries`.
+        Points truncated by an explicit ``max_rounds`` are dropped
+        (:func:`repro.analysis.sweep.make_sweep_point`).
 
         This is the uncached grid over plain factories (benchmarks,
-        examples, :func:`~repro.analysis.sweep.sweep_adversaries`): a
-        factory carries no spec, so a cell has no digest to cache under.
+        examples): a factory carries no spec, so a cell has no digest to
+        cache under.
         A sweep described by a spec runs as a task graph instead
         (:func:`repro.service.tasks.sweep_graph`), where every cell is a
         cached ``run`` task.
@@ -467,21 +457,16 @@ class SequentialExecutor(Executor):
 
     def run(self, spec: RunSpec) -> RunReport:
         with _obs_trace.span("run", executor=self.name, n=spec.n) as sp:
-            report = self._run(spec)
+            report = self._run(spec, sp)
             sp.set_attrs(
                 adversary=report.adversary_name,
                 t_star=report.t_star,
                 rounds=report.rounds,
                 compiled=report.compiled,
             )
-            if report.timings is not None:
-                sp.set_attrs(
-                    decision_s=round(report.timings["decision_s"], 6),
-                    kernel_s=round(report.timings["kernel_s"], 6),
-                )
             return report
 
-    def _run(self, spec: RunSpec) -> RunReport:
+    def _run(self, spec: RunSpec, sp: Any) -> RunReport:
         adv = spec.make_adversary()
         n = spec.n
         cap, explicit = spec.round_cap()
@@ -506,10 +491,10 @@ class SequentialExecutor(Executor):
                 cursor = _ScheduleCursor.try_compile(adv, n, cap)
             parents_fn = _parents_hook(adv)
         compiled = cursor is not None
-        # Phase split (profiling only): decision = adversary / schedule
+        # Phase split (tracing only): decision = adversary / schedule
         # calls, kernel = backend composes.  The `if measure` guards keep
-        # the disabled loop clock-free.
-        measure = _profile.enabled()
+        # the untraced loop clock-free.
+        measure = _obs_trace.enabled()
         now = time.perf_counter
         dec_s = 0.0
         ker_s = 0.0
@@ -571,10 +556,8 @@ class SequentialExecutor(Executor):
                     recorder.record_round(record)
                     collector.observe_round(record, tree)
         t_star = t if state.is_broadcast_complete() else None
-        timings = None
         if measure:
-            timings = {"decision_s": dec_s, "kernel_s": ker_s}
-            _profile.record_phases(self.name, dec_s, ker_s)
+            sp.set_attrs(decision_s=round(dec_s, 6), kernel_s=round(ker_s, 6))
         return RunReport(
             t_star=t_star,
             n=n,
@@ -589,7 +572,6 @@ class SequentialExecutor(Executor):
             metrics=collector.finish(t_star) if collector is not None else None,
             compiled=compiled,
             executor=self.name,
-            timings=timings,
         )
 
 
@@ -612,14 +594,8 @@ class BatchExecutor(Executor):
 
     name = "batch"
 
-    def __init__(
-        self, use_compiled: bool = True, use_squaring: Optional[bool] = None
-    ) -> None:
-        self._use_compiled = use_compiled
-        self._use_squaring = use_compiled if use_squaring is None else use_squaring
-        self._sequential = SequentialExecutor(
-            use_compiled=use_compiled, use_squaring=use_squaring
-        )
+    def __init__(self) -> None:
+        self._sequential = SequentialExecutor()
 
     def run_many(self, specs: Sequence[RunSpec]) -> List[RunReport]:
         reports: List[Optional[RunReport]] = [None] * len(specs)
@@ -644,7 +620,7 @@ class BatchExecutor(Executor):
         results: List[Optional[RunReport]] = [None] * len(group)
         live: List[int] = []
         for idx, adv in enumerate(all_advs):
-            row = _static_parent_row(adv, n) if self._use_squaring else None
+            row = _static_parent_row(adv, n)
             if row is not None:
                 # Static schedules skip the lockstep loop entirely: the
                 # squaring search finishes in O(log t*) compositions.
@@ -659,19 +635,18 @@ class BatchExecutor(Executor):
         advs = [all_advs[i] for i in live]
         names = [all_names[i] for i in live]
         cursors: List[Optional[_ScheduleCursor]] = [
-            _ScheduleCursor.try_compile(adv, n, cap) if self._use_compiled else None
-            for adv in advs
+            _ScheduleCursor.try_compile(adv, n, cap) for adv in advs
         ]
         hooks = [_parents_hook(adv) for adv in advs]
         compiled = [cursor is not None for cursor in cursors]
         runner = BatchRunner(n, len(group), backend=backend)
         noop = np.arange(n, dtype=np.int64)
         parents = np.empty((len(group), n), dtype=np.int64)
-        # Phase split (profiling only): decision = the per-run adversary
+        # Phase split (tracing only): decision = the per-run adversary
         # loop, kernel = the batched lockstep compose.  The group totals
         # are attributed to every report in the group -- the batch shares
         # one kernel call per round, so a per-run split does not exist.
-        measure = _profile.enabled()
+        measure = _obs_trace.enabled()
         now = time.perf_counter
         dec_s = 0.0
         ker_s = 0.0
@@ -722,10 +697,6 @@ class BatchExecutor(Executor):
                 sp.set_attrs(
                     decision_s=round(dec_s, 6), kernel_s=round(ker_s, 6)
                 )
-        timings = None
-        if measure:
-            timings = {"decision_s": dec_s, "kernel_s": ker_s}
-            _profile.record_phases(self.name, dec_s, ker_s)
         for b, (idx, spec) in enumerate(zip(live, group)):
             t_star = runner.t_star(b)
             final = runner.state(b, round_index=t_star)
@@ -739,7 +710,6 @@ class BatchExecutor(Executor):
                 seed=spec.seed,
                 compiled=compiled[b],
                 executor=self.name,
-                timings=timings,
             )
         return results
 
@@ -749,8 +719,8 @@ def _spec_shard_worker(payload: Tuple) -> List[Tuple[int, RunReport]]:
 
     The payload is ``(indices, specs)`` or ``(indices, specs, obs_doc)``;
     the optional third element re-establishes observability in the spawn
-    worker (sink path, profiling flag, and the parent's trace context, so
-    the shard's spans join the caller's trace tree).
+    worker (sink path and the parent's trace context, so the shard's
+    spans join the caller's trace tree).
     """
     indices, specs = payload[0], payload[1]
     ctx = None
@@ -759,8 +729,6 @@ def _spec_shard_worker(payload: Tuple) -> List[Tuple[int, RunReport]]:
         sink = obs_doc.get("sink")
         if sink and not _obs_trace.enabled():
             _obs_trace.enable(sink)
-        if obs_doc.get("profile") and not _profile.enabled():
-            _profile.enable()
         ctx = _obs_trace.TraceContext.from_doc(obs_doc.get("ctx"))
     with _obs_trace.context(ctx):
         with _obs_trace.span("shard", specs=len(specs)):
@@ -787,16 +755,14 @@ class ShardedExecutor(Executor):
 
     name = "sharded"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        backend: BackendLike = None,
-        mp_context: str = "spawn",
-    ) -> None:
-        from repro.engine.shard import resolve_pool_config
+    def __init__(self, workers: Optional[int] = None) -> None:
+        from repro.engine.shard import usable_cpus
 
-        self._workers, self._mp_context = resolve_pool_config(workers, mp_context)
-        self._backend = backend
+        if workers is None:
+            workers = usable_cpus()
+        if workers < 1:
+            raise SimulationError(f"workers must be >= 1, got {workers}")
+        self._workers = int(workers)
 
     @property
     def workers(self) -> int:
@@ -805,8 +771,7 @@ class ShardedExecutor(Executor):
 
     def _prepare(self, spec: RunSpec) -> RunSpec:
         """Resolve the spec's backend to a spawn-safe *name*."""
-        backend = spec.backend if spec.backend is not None else self._backend
-        return replace(spec, backend=get_backend(backend).name)
+        return replace(spec, backend=get_backend(spec.backend).name)
 
     def run_many(self, specs: Sequence[RunSpec]) -> List[RunReport]:
         from repro.engine.shard import pool_map, split_shards
@@ -815,16 +780,15 @@ class ShardedExecutor(Executor):
             return []
         indexed = list(enumerate(self._prepare(spec) for spec in specs))
         # Observability crosses the spawn boundary explicitly: workers get
-        # the sink path + profiling flag + current trace context in the
-        # payload (env inheritance also works, but programmatic enable()
-        # -- e.g. `serve --trace` -- never touches the environment).
+        # the sink path + current trace context in the payload (env
+        # inheritance also works, but programmatic enable() -- e.g.
+        # `serve --trace` -- never touches the environment).
         ctx = _obs_trace.current_context()
         obs_doc = None
-        if ctx is not None or _obs_trace.enabled() or _profile.enabled():
+        if ctx is not None or _obs_trace.enabled():
             obs_doc = {
                 "ctx": ctx.to_doc() if ctx is not None else None,
                 "sink": _obs_trace.sink_path(),
-                "profile": _profile.enabled(),
             }
         payloads = []
         for shard in split_shards(indexed, self._workers):
@@ -833,24 +797,19 @@ class ShardedExecutor(Executor):
                 shard_payload = shard_payload + (obs_doc,)
             payloads.append(shard_payload)
         merged: List[Tuple[int, RunReport]] = []
-        for shard_out in pool_map(
-            _spec_shard_worker, payloads, self._workers, self._mp_context
-        ):
+        for shard_out in pool_map(_spec_shard_worker, payloads, self._workers):
             merged.extend(shard_out)
         merged.sort(key=lambda pair: pair[0])
         return [report for _, report in merged]
 
 
 def get_executor(
-    spec: Union[str, Executor, None] = None,
-    workers: Optional[int] = None,
-    backend: BackendLike = None,
-    mp_context: str = "spawn",
+    spec: Union[str, Executor, None] = None, workers: Optional[int] = None
 ) -> Executor:
     """Resolve an executor from a name (``--engine``) or pass one through.
 
-    ``workers``/``backend``/``mp_context`` only apply when constructing a
-    :class:`ShardedExecutor`; ``None`` defaults to ``"sequential"``.
+    ``workers`` only applies when constructing a :class:`ShardedExecutor`;
+    ``None`` defaults to ``"sequential"``.
     """
     if isinstance(spec, Executor):
         return spec
@@ -860,7 +819,7 @@ def get_executor(
     if name == "batch":
         return BatchExecutor()
     if name == "sharded":
-        return ShardedExecutor(workers=workers, backend=backend, mp_context=mp_context)
+        return ShardedExecutor(workers=workers)
     raise SimulationError(
         f"unknown executor {name!r}; available: {EXECUTOR_NAMES}"
     )

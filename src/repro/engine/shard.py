@@ -8,7 +8,7 @@ cell through ``run_many``.
 
 Spawn safety
 ------------
-The default ``mp_context`` is ``"spawn"`` -- the strictest start method
+The pool always uses the ``"spawn"`` start method -- the strictest one
 (and the only one on Windows/macOS): workers import everything fresh, so
 all shard payloads (factories included) must be picklable.  Plain
 functions, classes used as factories, :func:`functools.partial` over
@@ -22,12 +22,9 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.errors import SimulationError
-
-#: Start methods accepted by :class:`repro.engine.executor.ShardedExecutor`.
-MP_CONTEXTS = ("spawn", "fork", "forkserver")
 
 
 def usable_cpus() -> int:
@@ -62,27 +59,7 @@ def split_shards(items: Sequence, shards: int) -> List[List]:
     return out
 
 
-def resolve_pool_config(
-    workers: Optional[int], mp_context: str
-) -> Tuple[int, str]:
-    """Validate a worker-pool configuration.
-
-    ``None`` workers defaults to :func:`usable_cpus` (affinity-aware).
-    """
-    if workers is None:
-        workers = usable_cpus()
-    if workers < 1:
-        raise SimulationError(f"workers must be >= 1, got {workers}")
-    if mp_context not in MP_CONTEXTS:
-        raise SimulationError(
-            f"mp_context must be one of {MP_CONTEXTS}, got {mp_context!r}"
-        )
-    return int(workers), mp_context
-
-
-def pool_map(
-    worker: Callable, payloads: List[Tuple], workers: int, mp_context: str
-) -> List[List]:
+def pool_map(worker: Callable, payloads: List[Tuple], workers: int) -> List[List]:
     """Run ``worker`` over shard payloads, pooled when it pays off.
 
     Inline (no pool, no pickling requirement) when ``workers == 1`` or
@@ -104,15 +81,13 @@ def pool_map(
             ) from exc
     import multiprocessing as mp
 
-    ctx = mp.get_context(mp_context)
+    ctx = mp.get_context("spawn")
     with ctx.Pool(processes=min(workers, len(payloads))) as pool:
         return pool.map(worker, payloads)
 
 
 __all__ = [
-    "MP_CONTEXTS",
     "pool_map",
-    "resolve_pool_config",
     "split_shards",
     "usable_cpus",
 ]

@@ -5,9 +5,11 @@ is a named, timed unit of work with a 16-hex ``span_id`` and a
 ``parent_id`` pointing at the span that was active when it opened.  The
 service's request handler opens the root span, the scheduler's worker
 threads re-activate the request's context around job dispatch, the
-task-graph runner opens one span per node, the executors wrap dispatch,
-and the kernel observer (:mod:`repro.obs.profile`) wraps individual
-compose calls -- so one HTTP request yields one connected tree:
+task-graph runner opens one span per node, the executors wrap dispatch
+(and, while tracing, write each run's ``decision_s``/``kernel_s`` phase
+split on its ``run``/``run_group`` span), and the kernel observer
+(:func:`_observe_compose`) wraps individual compose calls -- so one HTTP
+request yields one connected tree:
 ``request -> job -> node -> executor -> kernel``.
 
 Design constraints, in priority order:
@@ -15,9 +17,9 @@ Design constraints, in priority order:
 * **Disabled means free.**  :func:`span` checks one module-level flag
   and returns a shared no-op when tracing is off; no allocation, no
   thread-local access, no clock read.  The kernel hot loops additionally
-  gate on the observer being ``None`` (see :mod:`repro.obs.profile`), so
-  a disabled tracer stays within the <2% overhead budget by never
-  touching the per-round path at all.
+  gate on the compose observer being ``None``: :func:`enable` installs
+  it and :func:`disable` removes it, so a disabled tracer stays within
+  the <2% overhead budget by never touching the per-round path at all.
 * **Context crosses threads and processes explicitly.**  The active span
   stack is thread-local.  Handoffs serialize a :class:`TraceContext`
   (``to_doc``/``from_doc``) into whatever payload crosses the boundary:
@@ -45,7 +47,7 @@ import secrets
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Callable, Dict, List, Optional, TextIO
 
 #: Environment variable: when set to a path, tracing is enabled at
 #: import and spans append there.  Inherited by ``spawn`` workers, which
@@ -144,9 +146,9 @@ def enable(path: str) -> None:
         _sink = open(path, "a", encoding="utf-8")
         _sink_path = path
         _enabled = True
-    from repro.obs import profile
+    from repro.core import kernels
 
-    profile.sync_observer()
+    kernels.set_compose_observer(_observe_compose)
 
 
 def disable() -> None:
@@ -158,9 +160,15 @@ def disable() -> None:
         if _sink is not None:
             _sink.close()
             _sink = None
-    from repro.obs import profile
+    from repro.core import kernels
 
-    profile.sync_observer()
+    kernels.set_compose_observer(None)
+
+
+def _observe_compose(namespace: str, kernel: str, n: int, fn: Callable[[], Any]) -> Any:
+    """The kernel-seam observer: run one compose call in a ``kernel`` span."""
+    with span("kernel", backend=namespace, kernel=kernel, n=n):
+        return fn()
 
 
 def _write(doc: Dict[str, Any]) -> None:

@@ -30,6 +30,10 @@ from repro.errors import (
     UnknownResourceError,
 )
 
+#: Cap (seconds) on each retry wait, whether a ``Retry-After`` hint or
+#: the connect-retry backoff.
+MAX_RETRY_WAIT = 5.0
+
 
 class ServiceClient:
     """JSON client for one service endpoint.
@@ -79,7 +83,6 @@ class ServiceClient:
         timeout: float = 30.0,
         token: Optional[str] = None,
         retry_rate_limited: int = 0,
-        max_retry_wait: float = 5.0,
         retry_connect: int = 0,
     ) -> None:
         if retry_rate_limited < 0:
@@ -93,7 +96,6 @@ class ServiceClient:
         self.timeout = timeout
         self.token = token
         self.retry_rate_limited = int(retry_rate_limited)
-        self.max_retry_wait = float(max_retry_wait)
         self.retry_connect = int(retry_connect)
 
     @classmethod
@@ -181,7 +183,7 @@ class ServiceClient:
 
         A 429 with ``reason != "quota"`` is retried up to
         ``retry_rate_limited`` times, sleeping the server's
-        ``retry_after`` (capped at ``max_retry_wait``) between attempts;
+        ``retry_after`` (capped at :data:`MAX_RETRY_WAIT`) between attempts;
         quota rejections and every other status raise immediately.
 
         A :class:`ServiceConnectionError` is retried (jittered
@@ -198,7 +200,7 @@ class ServiceClient:
                     raise
                 # Jittered exponential backoff: restarts take a beat, and
                 # simultaneous watchers should not stampede the new server.
-                wait = min(0.1 * (2 ** connect_attempts), self.max_retry_wait)
+                wait = min(0.1 * (2 ** connect_attempts), MAX_RETRY_WAIT)
                 time.sleep(wait * (0.5 + random.random()))
                 connect_attempts += 1
                 continue
@@ -224,7 +226,7 @@ class ServiceClient:
                 if attempts < self.retry_rate_limited:
                     attempts += 1
                     wait = 0.05 if retry_after is None else float(retry_after)
-                    time.sleep(max(0.0, min(wait, self.max_retry_wait)))
+                    time.sleep(max(0.0, min(wait, MAX_RETRY_WAIT)))
                     continue
                 raise RateLimitedError(
                     message, status=status, payload=doc, retry_after=retry_after

@@ -53,6 +53,20 @@ __all__ = ["WorkQueue", "FleetExecutor", "DEFAULT_LEASE_TTL"]
 #: Default seconds a lease stays valid between heartbeats.
 DEFAULT_LEASE_TTL = 15.0
 
+#: After this many expiry-driven requeues an item is marked *stranded*
+#: and withdrawn to local fallback at the next opportunity regardless of
+#: the claim deadline (a poison batch must not ping-pong between
+#: crashing workers forever).
+MAX_REQUEUES = 3
+
+#: Seconds :class:`FleetExecutor` waits for results between withdrawal
+#: checks.
+COLLECT_POLL = 0.05
+
+#: A worker seen within this many seconds counts as active; with none
+#: active, :class:`FleetExecutor` runs offered work locally at once.
+WORKER_WINDOW = 30.0
+
 #: A work item outcome: ``("ok", doc)`` or ``("error", message)``.
 Outcome = tuple
 
@@ -144,11 +158,6 @@ class WorkQueue:
         later submitter.
     lease_ttl:
         Seconds a lease survives without a heartbeat.
-    max_requeues:
-        After this many expiry-driven requeues an item is marked
-        *stranded* and withdrawn to local fallback at the next
-        opportunity regardless of the claim deadline (a poison batch
-        must not ping-pong between crashing workers forever).
     journal:
         Optional :class:`repro.service.journal.JobJournal`; lease
         grant / complete / expire transitions are recorded so restart
@@ -159,7 +168,6 @@ class WorkQueue:
         self,
         cache: ResultCache,
         lease_ttl: float = DEFAULT_LEASE_TTL,
-        max_requeues: int = 3,
         journal: Optional[Any] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -167,7 +175,6 @@ class WorkQueue:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl!r}")
         self.cache = cache
         self.lease_ttl = float(lease_ttl)
-        self.max_requeues = int(max_requeues)
         self._journal = journal
         self._clock = clock
         self._cv = threading.Condition()
@@ -325,12 +332,12 @@ class WorkQueue:
                     self._items.pop(digest, None)
                     self._ready.pop(digest, None)
 
-    def has_active_workers(self, window: float = 30.0) -> bool:
-        """True when any worker claimed/heartbeat within ``window`` seconds."""
+    def has_active_workers(self) -> bool:
+        """True when any worker claimed/heartbeat within :data:`WORKER_WINDOW` seconds."""
         with self._cv:
             now = self._clock()
             return any(
-                now - stats["last_seen"] <= window for stats in self._workers.values()
+                now - stats["last_seen"] <= WORKER_WINDOW for stats in self._workers.values()
             )
 
     # -- worker side (HTTP handlers) -----------------------------------
@@ -471,7 +478,7 @@ class WorkQueue:
         if item is None or item.state != "leased":
             return
         item.requeues += 1
-        if item.requeues > self.max_requeues and not item.stranded:
+        if item.requeues > MAX_REQUEUES and not item.stranded:
             item.stranded = True
             self.counters["stranded"] += 1
         item.state = "ready"
@@ -538,7 +545,7 @@ class FleetExecutor(Executor):
 
     Offered work that no worker claims within ``claim_deadline``
     seconds is withdrawn and executed locally -- and when no worker has
-    been seen within ``worker_window`` seconds the deadline collapses
+    been seen within :data:`WORKER_WINDOW` seconds the deadline collapses
     to zero, so a fleetless server never waits at all.  Both sides
     execute the ``RunSpec`` of the same canonical payload, which is
     what makes fleet execution byte-identical to local execution.
@@ -551,16 +558,12 @@ class FleetExecutor(Executor):
         queue: WorkQueue,
         fallback: Union[str, Any] = "batch",
         claim_deadline: float = 2.0,
-        poll: float = 0.05,
-        worker_window: float = 30.0,
     ) -> None:
         self.queue = queue
         self.fallback = (
             get_executor(fallback) if isinstance(fallback, str) else fallback
         )
         self.claim_deadline = float(claim_deadline)
-        self.poll = float(poll)
-        self.worker_window = float(worker_window)
         # Sharded fallback shards through BatchExecutor workers, so its
         # reports carry executor="batch"; the hint keeps remote docs
         # byte-identical to what the fallback would produce.
@@ -634,7 +637,7 @@ class FleetExecutor(Executor):
         try:
             while pending:
                 for digest, outcome in self.queue.collect(
-                    pending, timeout=self.poll
+                    pending, timeout=COLLECT_POLL
                 ).items():
                     self._land(digest, outcome, remote_idx, specs, results)
                     pending.discard(digest)
@@ -642,7 +645,7 @@ class FleetExecutor(Executor):
                     break
                 max_age = (
                     self.claim_deadline
-                    if self.queue.has_active_workers(self.worker_window)
+                    if self.queue.has_active_workers()
                     else 0.0
                 )
                 withdrawn = self.queue.withdraw_for_local(sorted(pending), max_age)

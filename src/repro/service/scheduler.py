@@ -87,6 +87,21 @@ from repro.service.tenancy import DEFAULT_TENANT, TenantRegistry
 #: process) or :meth:`JobScheduler.start` (same process).
 JOB_STATES = ("queued", "running", "interrupted", "done", "failed")
 
+#: Upper bound on jobs per dispatch group.
+MAX_BATCH = 64
+
+#: How many terminal (``done``/``failed``) job records stay pollable at
+#: ``GET /v1/runs/<id>``; the oldest are evicted past it, so a long-lived
+#: server's memory stays bounded (results live on in the cache).  An
+#: evicted id answers "unknown job" -- clients are expected to poll
+#: promptly.
+MAX_FINISHED_JOBS = 4096
+
+#: Seconds after its last long-poll during which a terminal job is exempt
+#: from retention eviction, so an active watcher's next ``?watch=`` poll
+#: still finds the finished job instead of a 404.
+WATCH_GRACE = 120.0
+
 
 @dataclass
 class Job:
@@ -163,14 +178,6 @@ class JobScheduler:
     workers:
         Worker *threads* draining the queue (default 1; batching, not
         thread count, is the throughput lever).
-    max_batch:
-        Upper bound on jobs per dispatch group.
-    max_finished_jobs:
-        How many terminal (``done``/``failed``) job records to retain for
-        ``GET /v1/runs/<id>`` polling; the oldest are evicted past it, so
-        a long-lived server's memory stays bounded (results themselves
-        live on in the LRU/persistent cache).  An evicted id answers
-        "unknown job" -- clients are expected to poll promptly.
     journal:
         Optional :class:`~repro.service.journal.JobJournal` (or a path to
         open one at).  When set, every submission and state transition is
@@ -185,10 +192,6 @@ class JobScheduler:
         and every job's cache bytes are charged to its tenant's account,
         reported under ``/metrics`` ``tenants``.  Shared digests stay
         deduplicated in the cache; accounting is per-tenant use.
-    watch_grace:
-        Seconds after its last long-poll during which a terminal job is
-        exempt from retention eviction, so an active watcher's next
-        ``?watch=`` poll still finds the finished job instead of a 404.
     registry:
         Optional :class:`~repro.obs.metrics.Registry` the scheduler's
         counters register into (the server passes its own so one
@@ -201,33 +204,22 @@ class JobScheduler:
         executor: Any = "batch",
         cache: Optional[ResultCache] = None,
         workers: int = 1,
-        max_batch: int = 64,
-        max_finished_jobs: int = 4096,
         journal: Optional[Union[JobJournal, str, Path]] = None,
         tenancy: Optional[TenantRegistry] = None,
-        watch_grace: float = 120.0,
         registry: Optional[Registry] = None,
         fleet: Optional[Any] = None,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
-        if max_batch < 1:
-            raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
-        if max_finished_jobs < 1:
-            raise ServiceError(
-                f"max_finished_jobs must be >= 1, got {max_finished_jobs}"
-            )
         self._executor: Executor = get_executor(executor)
         self.cache = cache if cache is not None else ResultCache()
         self._task_inflight = TaskInflight()
-        self._max_batch = max_batch
         self._workers = workers
         self._cv = threading.Condition()
         self._jobs: Dict[str, Job] = {}
         self._queue: List[str] = []  # job_ids, FIFO
         self._inflight: Dict[str, str] = {}  # digest -> job_id
         self._finished: "deque[str]" = deque()  # terminal job_ids, oldest first
-        self._max_finished = max_finished_jobs
         self._ids = itertools.count(1)
         # Counters live in the typed registry (shared with the HTTP layer
         # when the server passes its own) but keep the legacy dict keys on
@@ -266,7 +258,6 @@ class JobScheduler:
         # monotonic deadline until which a recently-watched job must
         # survive retention, and terminal jobs whose eviction was
         # deferred because a watcher was (recently) attached.
-        self._watch_grace = max(0.0, watch_grace)
         self._watching: Dict[str, int] = {}
         self._watched_until: Dict[str, float] = {}
         self._watch_deferred: Set[str] = set()
@@ -512,7 +503,7 @@ class JobScheduler:
         behind ``GET /v1/tasks/<id>?watch=<version>``.
 
         Watching also *pins* the job against retention eviction: while a
-        watcher is attached -- and for ``watch_grace`` seconds after the
+        watcher is attached -- and for :data:`WATCH_GRACE` seconds after the
         last one detaches -- a terminal job cannot be retired, so a
         long-poller's next request finds the final document instead of
         an "unknown job id" 404.
@@ -533,7 +524,7 @@ class JobScheduler:
                     self._watching[job_id] = remaining
                 else:
                     del self._watching[job_id]
-                self._watched_until[job_id] = time.monotonic() + self._watch_grace
+                self._watched_until[job_id] = time.monotonic() + WATCH_GRACE
         return job
 
     def metrics(self) -> Dict[str, Any]:
@@ -706,7 +697,7 @@ class JobScheduler:
 
         The head of the queue fixes the group shape: sweep and graph
         jobs run alone; a run job pulls every other queued run job that
-        shares its ``(n, backend, max_rounds)`` (up to ``max_batch``),
+        shares its ``(n, backend, max_rounds)`` (up to :data:`MAX_BATCH`),
         which is exactly the grouping
         :class:`~repro.engine.executor.BatchExecutor` vectorizes.
         """
@@ -722,7 +713,7 @@ class JobScheduler:
         for job_id in self._queue:
             job = self._jobs[job_id]
             if (
-                len(group) < self._max_batch
+                len(group) < MAX_BATCH
                 and job.kind == "run"
                 and (job.spec["n"], job.spec["backend"], job.spec["max_rounds"])
                 == signature
@@ -769,7 +760,7 @@ class JobScheduler:
         the retention bound (results stay reachable through the cache).
 
         Jobs with an attached long-poll watcher -- or watched within the
-        last ``watch_grace`` seconds -- are deferred instead of evicted,
+        last :data:`WATCH_GRACE` seconds -- are deferred instead of evicted,
         so an active watcher's next poll still finds the terminal
         document; deferred jobs are re-examined on later retirements and
         dropped once their grace expires.
@@ -784,7 +775,7 @@ class JobScheduler:
                 self._watched_until.pop(job_id, None)
                 self._jobs.pop(job_id, None)
         self._finished.append(job.job_id)
-        while len(self._finished) > self._max_finished:
+        while len(self._finished) > MAX_FINISHED_JOBS:
             victim = self._finished.popleft()
             if (
                 self._watching.get(victim, 0) > 0

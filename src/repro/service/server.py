@@ -95,14 +95,14 @@ from repro.service.specs import describe_registry
 from repro.service.tasks import describe_task_kinds
 from repro.service.tenancy import (
     DEFAULT_TENANT,
-    TenantLimits,
     TenantRegistry,
     TokenAuthenticator,
 )
 
-#: Default request-body cap: far above any legitimate spec or task
-#: graph, far below what would let one request exhaust server memory.
-DEFAULT_MAX_BODY_BYTES = 32 * 1024 * 1024
+#: Request-body cap: far above any legitimate spec or task graph, far
+#: below what would let one request exhaust server memory.  Larger bodies
+#: are rejected with ``413`` before allocation.
+MAX_BODY_BYTES = 32 * 1024 * 1024
 
 #: Default per-connection socket timeout (``serve --request-timeout``):
 #: long enough for the longest legitimate ``?watch=`` hold (60s) plus
@@ -199,14 +199,13 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
             raise SpecError("Content-Length header is not an integer") from None
-        cap = getattr(self.server, "max_body_bytes", DEFAULT_MAX_BODY_BYTES)
-        if length > cap:
+        if length > MAX_BODY_BYTES:
             # The body is validated *before* allocation: a hostile or
             # malformed Content-Length must not make the handler thread
             # buffer an unbounded request into memory.
             raise _PayloadTooLarge(
                 f"request body of {length} bytes exceeds the server cap "
-                f"of {cap} bytes"
+                f"of {MAX_BODY_BYTES} bytes"
             )
         raw = self.rfile.read(length) if length > 0 else b""
         if not raw:
@@ -578,16 +577,13 @@ class ServiceServer:
     executor:
         Executor name/instance the scheduler dispatches on (default
         ``"batch"``).
-    cache:
-        A shared :class:`ResultCache`; built from ``cache_path`` /
-        ``cache_capacity`` when omitted.
     cache_path:
-        JSONL persistence path for the built cache (ignored when a cache
-        instance is passed).
+        JSONL persistence path for the server's :class:`ResultCache`.
+    cache_capacity:
+        Entry capacity of the cache's memory tier.
     cache_max_bytes:
-        Optional byte budget for the built cache's memory tier (ignored
-        when a cache instance is passed); totals are visible in
-        ``/metrics`` under ``cache.bytes``.
+        Optional byte budget for the cache's memory tier; totals are
+        visible in ``/metrics`` under ``cache.bytes``.
     scheduler_workers:
         Worker threads draining the job queue.
     journal:
@@ -597,9 +593,6 @@ class ServiceServer:
         re-enqueues (``/metrics`` reports ``recovered_jobs`` and
         ``journal_bytes``).  Pair with ``cache_path`` so resumed task
         graphs recompute only never-finished nodes.
-    max_body_bytes:
-        Request-body cap (default 32 MiB); larger bodies are rejected
-        with ``413`` before allocation.
     auth:
         ``None`` (open, the default), a ``{token: tenant}`` dict, or a
         :class:`~repro.service.tenancy.TokenAuthenticator`.  When set,
@@ -607,12 +600,8 @@ class ServiceServer:
         ``Authorization: Bearer`` token (401 otherwise) and runs as the
         token's tenant.
     tenancy:
-        Optional pre-built :class:`~repro.service.tenancy.TenantRegistry`;
-        built from ``tenant_limits`` when omitted and any limit is set.
-    tenant_limits:
-        Default per-tenant :class:`~repro.service.tenancy.TenantLimits`
-        (rate/burst/max_bytes/max_jobs) applied to tenants without an
-        explicit override.
+        Optional :class:`~repro.service.tenancy.TenantRegistry` holding
+        the per-tenant limits (rate/burst/max_bytes/max_jobs).
     max_queue_depth:
         Global backpressure: submissions arriving while this many jobs
         are already queued answer ``429`` + ``Retry-After``.
@@ -648,16 +637,13 @@ class ServiceServer:
         host: str = "127.0.0.1",
         port: int = 0,
         executor: Any = "batch",
-        cache: Optional[ResultCache] = None,
         cache_path: Optional[str] = None,
         cache_capacity: int = 4096,
         cache_max_bytes: Optional[int] = None,
         scheduler_workers: int = 1,
         journal: Optional[Union[JobJournal, str, Path]] = None,
-        max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         auth: Optional[Union[TokenAuthenticator, Dict[str, str]]] = None,
         tenancy: Optional[TenantRegistry] = None,
-        tenant_limits: Optional[TenantLimits] = None,
         max_queue_depth: Optional[int] = None,
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
         access_log: bool = False,
@@ -666,8 +652,6 @@ class ServiceServer:
         lease_ttl: float = DEFAULT_LEASE_TTL,
         claim_deadline: float = 2.0,
     ) -> None:
-        if max_body_bytes < 1:
-            raise ServiceError(f"max_body_bytes must be >= 1, got {max_body_bytes}")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ServiceError(
                 f"max_queue_depth must be >= 1 or None, got {max_queue_depth}"
@@ -676,14 +660,11 @@ class ServiceServer:
             raise ServiceError(
                 f"request_timeout must be > 0 or None, got {request_timeout}"
             )
-        if cache is None:
-            cache = ResultCache(
-                path=cache_path, capacity=cache_capacity, max_bytes=cache_max_bytes
-            )
+        cache = ResultCache(
+            path=cache_path, capacity=cache_capacity, max_bytes=cache_max_bytes
+        )
         if isinstance(auth, dict):
             auth = TokenAuthenticator(auth)
-        if tenancy is None and tenant_limits is not None:
-            tenancy = TenantRegistry(default_limits=tenant_limits)
         self.auth = auth
         self.tenancy = tenancy
         #: The distributed work queue (``serve --fleet``), or ``None``.
@@ -722,7 +703,6 @@ class ServiceServer:
         self._httpd = _ThreadingServer((host, port), _Handler)
         self._httpd.scheduler = self.scheduler  # type: ignore[attr-defined]
         self._httpd.owner = self  # type: ignore[attr-defined]
-        self._httpd.max_body_bytes = max_body_bytes  # type: ignore[attr-defined]
         self._httpd.auth = auth  # type: ignore[attr-defined]
         self._httpd.tenancy = tenancy  # type: ignore[attr-defined]
         self._httpd.max_queue_depth = max_queue_depth  # type: ignore[attr-defined]
@@ -850,4 +830,4 @@ class ServiceServer:
         self.stop()
 
 
-__all__ = ["DEFAULT_MAX_BODY_BYTES", "DEFAULT_REQUEST_TIMEOUT", "ServiceServer"]
+__all__ = ["MAX_BODY_BYTES", "DEFAULT_REQUEST_TIMEOUT", "ServiceServer"]

@@ -427,6 +427,9 @@ class SpecHandle:
         self.params = _canonical_params(entry, params)
         self.seed = int(seed)
         self.label = label or entry.name
+        # The canonical document this handle was built from, if any
+        # (:func:`_to_run_spec`): its cell is not validated a second time.
+        self._cell: Optional[Dict[str, Any]] = None
 
     def __call__(self, n: int) -> AdversaryProtocol:
         return get_entry(self.adversary).build(n, self.params, self.seed)
@@ -435,6 +438,12 @@ class SpecHandle:
         self, n: int, max_rounds: Optional[int], backend: Any
     ) -> Dict[str, Any]:
         """The canonical run spec for one grid cell of this family."""
+        backend = backend if isinstance(backend, str) else get_backend(backend).name
+        cell = self._cell
+        if cell is not None and (n, max_rounds, backend) == (
+            cell["n"], cell["max_rounds"], cell["backend"]
+        ):
+            return cell
         return canonical_run_spec(
             {
                 "adversary": self.adversary,
@@ -442,7 +451,7 @@ class SpecHandle:
                 "n": n,
                 "seed": self.seed,
                 "max_rounds": max_rounds,
-                "backend": backend if isinstance(backend, str) else get_backend(backend).name,
+                "backend": backend,
             }
         )
 
@@ -473,6 +482,7 @@ def _to_run_spec(spec: Mapping[str, Any]) -> "RunSpec":
     from repro.engine.executor import RunSpec
 
     handle = SpecHandle(spec["adversary"], spec["params"], seed=spec["seed"])
+    handle._cell = dict(spec)
     return RunSpec(
         adversary=handle,
         n=spec["n"],
@@ -482,9 +492,11 @@ def _to_run_spec(spec: Mapping[str, Any]) -> "RunSpec":
     )
 
 
-def portfolio_handles(
-    include_search: bool = True, seed: int = 0
-) -> Dict[str, SpecHandle]:
+#: Seed of the portfolio's randomized rows (random tree, greedy, beam).
+PORTFOLIO_SEED = 0
+
+
+def portfolio_handles(include_search: bool = True) -> Dict[str, SpecHandle]:
     """The standard sweep portfolio as declarative, cacheable handles.
 
     The oblivious and constructive strategies (including the
@@ -510,12 +522,12 @@ def portfolio_handles(
         "ZeinerStyle": SpecHandle("zeiner-style", label="ZeinerStyle"),
         "Runner": SpecHandle("runner", label="Runner"),
         "CyclicFamily": SpecHandle("cyclic", label="CyclicFamily"),
-        "RandomTree": SpecHandle("random-tree", seed=seed, label="RandomTree"),
+        "RandomTree": SpecHandle("random-tree", seed=PORTFOLIO_SEED, label="RandomTree"),
     }
     if include_search:
-        handles["GreedyDelay"] = SpecHandle("greedy", seed=seed, label="GreedyDelay")
+        handles["GreedyDelay"] = SpecHandle("greedy", seed=PORTFOLIO_SEED, label="GreedyDelay")
         handles["BeamSearch"] = SpecHandle(
-            "beam", {"depth": 2, "width": 6}, seed=seed, label="BeamSearch"
+            "beam", {"depth": 2, "width": 6}, seed=PORTFOLIO_SEED, label="BeamSearch"
         )
     return handles
 

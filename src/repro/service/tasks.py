@@ -542,6 +542,15 @@ class GraphRun:
         )
 
 
+#: Upper bound (seconds) on each wait for a task another graph is
+#: computing.  An owner that vanished without releasing its claim (a
+#: worker torn down mid-stop, a crashed thread) must not hang the waiting
+#: graph forever: after the timeout the stale claim is broken and the
+#: task recomputed there (content-addressed, so a racing duplicate
+#: computation is byte-identical, never wrong).
+FOREIGN_WAIT_TIMEOUT = 10.0
+
+
 class TaskGraphRunner:
     """Execute task graphs over one executor and one result cache.
 
@@ -564,13 +573,6 @@ class TaskGraphRunner:
         Optional ``(digest, node_doc)`` callback fired on every node
         state change (the scheduler mirrors these into the job document
         served by ``GET /v1/tasks/<id>``).
-    foreign_wait_timeout:
-        Upper bound (seconds) on each wait for a task another graph is
-        computing.  An owner that vanished without releasing its claim
-        (a worker torn down mid-stop, a crashed thread) must not hang
-        this graph forever: after the timeout the stale claim is broken
-        and the task recomputed here (content-addressed, so a racing
-        duplicate computation is byte-identical, never wrong).
     """
 
     def __init__(
@@ -579,13 +581,11 @@ class TaskGraphRunner:
         cache: Optional[ResultCache] = None,
         inflight: Optional[TaskInflight] = None,
         on_update: Optional[Callable[[str, Dict[str, Any]], None]] = None,
-        foreign_wait_timeout: float = 10.0,
     ) -> None:
         self._executor: Executor = get_executor(executor)
         self._cache = cache
         self._inflight = inflight
         self._on_update = on_update
-        self._foreign_wait_timeout = foreign_wait_timeout
 
     # -- cache plumbing -------------------------------------------------
 
@@ -794,7 +794,7 @@ class TaskGraphRunner:
         # claim and compute ourselves next wave.
         for digest, event in foreign:
             mark(digest, status="running")
-            released = event.wait(timeout=self._foreign_wait_timeout)
+            released = event.wait(timeout=FOREIGN_WAIT_TIMEOUT)
             doc = self._cache_probe(graph[digest], digest)
             if doc is not None:
                 finish_ok(digest, doc, True)

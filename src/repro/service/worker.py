@@ -44,6 +44,11 @@ from repro.service.cache import report_to_doc
 from repro.service.client import ServiceClient
 from repro.service.specs import to_run_spec
 
+#: Seconds a worker first waits after a failed claim; each further
+#: failure doubles the wait, up to :data:`MAX_BACKOFF`.
+BACKOFF = 0.5
+MAX_BACKOFF = 10.0
+
 __all__ = ["FleetWorker"]
 
 
@@ -91,8 +96,6 @@ class FleetWorker:
         poll: float = 5.0,
         delay: float = 0.0,
         max_batches: Optional[int] = None,
-        backoff: float = 0.5,
-        max_backoff: float = 10.0,
     ) -> None:
         if name is None:
             import os
@@ -107,8 +110,6 @@ class FleetWorker:
         self.poll = float(poll)
         self.delay = float(delay)
         self.max_batches = max_batches
-        self.backoff = float(backoff)
-        self.max_backoff = float(max_backoff)
         self.stats: Dict[str, int] = {
             "claims": 0,
             "empty_claims": 0,
@@ -151,7 +152,7 @@ class FleetWorker:
 
     def run(self) -> Dict[str, int]:
         """Claim/execute/complete until stopped; returns final stats."""
-        wait = self.backoff
+        wait = BACKOFF
         batches = 0
         while not self._stop.is_set():
             if self.max_batches is not None and batches >= self.max_batches:
@@ -164,9 +165,9 @@ class FleetWorker:
                 self.stats["connect_errors"] += 1
                 if self._stop.wait(wait):
                     break
-                wait = min(wait * 2, self.max_backoff)
+                wait = min(wait * 2, MAX_BACKOFF)
                 continue
-            wait = self.backoff
+            wait = BACKOFF
             items = claim.get("items") or []
             if not items:
                 self.stats["empty_claims"] += 1
@@ -296,7 +297,7 @@ class FleetWorker:
                 return
             except ServiceConnectionError:
                 self.stats["connect_errors"] += 1
-                if attempt == 2 or self._stop.wait(self.backoff * (attempt + 1)):
+                if attempt == 2 or self._stop.wait(BACKOFF * (attempt + 1)):
                     # Give up: lease expiry will reclaim the batch; the
                     # recomputation is byte-identical, so nothing is lost
                     # but the cycles.

@@ -18,9 +18,9 @@ from repro.analysis.stalling import (
     verify_lemmas_on_round,
 )
 from repro.analysis.stats import linear_fit
-from repro.analysis.sweep import sweep_adversaries
 from repro.analysis.tables import format_table
 from repro.core.state import BroadcastState
+from repro.engine.executor import SequentialExecutor
 from repro.errors import AdversaryError
 from repro.trees.generators import path, random_tree, star
 
@@ -72,7 +72,7 @@ class TestCertificates:
 
 class TestSweep:
     def test_sweep_n_basic(self):
-        result = sweep_adversaries({"path": lambda n: StaticTreeAdversary(path(n))}, [4, 6, 8])
+        result = SequentialExecutor().sweep({"path": lambda n: StaticTreeAdversary(path(n))}, [4, 6, 8])
         assert result.ns() == [4, 6, 8]
         assert result.all_within_bounds()
         assert [p.t_star for p in result.points] == [3, 5, 7]
@@ -82,7 +82,7 @@ class TestSweep:
             "path": lambda n: StaticTreeAdversary(path(n)),
             "star": lambda n: StaticTreeAdversary(star(n)),
         }
-        result = sweep_adversaries(factories, [5, 6])
+        result = SequentialExecutor().sweep(factories, [5, 6])
         groups = result.by_adversary()
         assert set(groups) == {"path", "star"}
         assert all(p.t_star == 1 for p in groups["star"])
@@ -92,11 +92,11 @@ class TestSweep:
             "path": lambda n: StaticTreeAdversary(path(n)),
             "star": lambda n: StaticTreeAdversary(star(n)),
         }
-        best = sweep_adversaries(factories, [5]).best_per_n()
+        best = SequentialExecutor().sweep(factories, [5]).best_per_n()
         assert best[5].adversary == "path"
 
     def test_normalized(self):
-        result = sweep_adversaries({"p": lambda n: StaticTreeAdversary(path(n))}, [10])
+        result = SequentialExecutor().sweep({"p": lambda n: StaticTreeAdversary(path(n))}, [10])
         assert result.points[0].normalized == pytest.approx(0.9)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, n_bucket
 
 
 class TestParser:
@@ -179,3 +179,11 @@ class TestCacheCommands:
         assert main(["cache", "stats", "--path", str(path)]) == 0
         out = capsys.readouterr().out
         assert "compactions" in out and "file_bytes" in out
+
+
+def test_n_bucket_edges():
+    assert n_bucket(1) == "n<=1"
+    assert n_bucket(10) == "n<=16"
+    assert n_bucket(16) == "n<=16"
+    assert n_bucket(17) == "n<=32"
+    assert n_bucket(4097) == "n<=8192"

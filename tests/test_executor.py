@@ -28,7 +28,6 @@ from repro.adversaries.paths import (
     StaticPathAdversary,
 )
 from repro.adversaries.zeiner import CyclicFamilyAdversary
-from repro.analysis.sweep import sweep_adversaries
 from repro.core.backend import use_backend
 from repro.core.bounds import resolve_round_cap, trivial_upper_bound
 from repro.core.broadcast import run_adversary
@@ -50,7 +49,7 @@ BACKENDS = ["dense", "bitset"]
 
 def _fresh_portfolio(n: int):
     """Portfolio instances (search included -- n stays small here)."""
-    return [handle(n) for handle in portfolio_handles(include_search=True, seed=0).values()]
+    return [handle(n) for handle in portfolio_handles(include_search=True).values()]
 
 
 def _report_key(report):
@@ -173,8 +172,8 @@ class TestExecutorEquivalence:
     @pytest.mark.parametrize("engine", ["sequential", "batch", "sharded"])
     def test_sweep_identical_across_engines(self, engine):
         factories = portfolio_handles(include_search=False)
-        want = sweep_adversaries(factories, [6, 8], executor="sequential")
-        got = sweep_adversaries(factories, [6, 8], executor=engine)
+        want = SequentialExecutor().sweep(factories, [6, 8])
+        got = get_executor(engine).sweep(factories, [6, 8])
         assert got == want
         # Serialized tables are byte-identical (the CI smoke job diffs them).
         assert got.to_json() == want.to_json()

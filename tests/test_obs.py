@@ -2,8 +2,8 @@
 
 Covers the tracer (context propagation, span trees, JSONL + Chrome
 export, torn-line tolerance), the metrics registry (typed instruments,
-Prometheus exposition round-trip), and the profiling hooks (kernel
-buckets, phase accounting, observer sync).
+Prometheus exposition round-trip), and the engine instrumentation that
+tracing switches on (kernel spans, the decision/kernel phase split).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import threading
 import pytest
 
 from repro.core import kernels as core_kernels
-from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import (
     CounterMap,
@@ -27,14 +26,10 @@ from repro.obs.trace import TraceContext
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
-    """Every test starts and ends with tracing/profiling off."""
+    """Every test starts and ends with tracing off."""
     obs_trace.disable()
-    obs_profile.disable()
-    obs_profile.reset()
     yield
     obs_trace.disable()
-    obs_profile.disable()
-    obs_profile.reset()
 
 
 # ----------------------------------------------------------------------
@@ -288,48 +283,52 @@ def test_label_values_are_escaped():
 
 
 # ----------------------------------------------------------------------
-# Profiling hooks
+# Engine instrumentation (the kernel-seam observer, phase split)
 # ----------------------------------------------------------------------
 
 
-def test_n_bucket_edges():
-    assert obs_profile.n_bucket(1) == "n<=1"
-    assert obs_profile.n_bucket(10) == "n<=16"
-    assert obs_profile.n_bucket(16) == "n<=16"
-    assert obs_profile.n_bucket(17) == "n<=32"
-    assert obs_profile.n_bucket(4097) == "n<=8192"
+def test_traced_library_run_writes_kernel_spans_and_phase_split(tmp_path):
+    """Tracing alone instruments a library run on every executor: kernel
+    spans, and ``decision_s``/``kernel_s`` on each run/run_group span
+    (the sharded executor's come from its spawned workers)."""
+    from repro.adversaries import CyclicFamilyAdversary
+    from repro.engine.executor import (
+        BatchExecutor,
+        RunSpec,
+        SequentialExecutor,
+        ShardedExecutor,
+    )
+
+    specs = [RunSpec(adversary=CyclicFamilyAdversary, n=n) for n in (9, 10)]
+    for executor in (SequentialExecutor(), BatchExecutor(), ShardedExecutor(workers=2)):
+        sink = tmp_path / f"{executor.name}.jsonl"
+        obs_trace.enable(str(sink))
+        try:
+            executor.run_many(specs)
+        finally:
+            obs_trace.disable()
+        spans = obs_trace.read_spans(str(sink))
+        assert any(s["name"] == "kernel" for s in spans), executor.name
+        phased = [s for s in spans if s["name"] in ("run", "run_group")]
+        assert phased, executor.name
+        for s in phased:
+            assert s["attrs"]["decision_s"] >= 0.0 and s["attrs"]["kernel_s"] >= 0.0
 
 
-def test_sync_observer_installs_and_removes_hook():
+def test_disabled_run_skips_timings(tmp_path):
+    """Enabling tracing installs the compose observer and disabling
+    removes it; an untraced run then writes no span at all."""
+    from repro.adversaries import CyclicFamilyAdversary
+    from repro.engine.executor import RunSpec, SequentialExecutor
+
+    sink = tmp_path / "spans.jsonl"
     assert core_kernels._compose_observer is None
-    obs_profile.enable()
+    obs_trace.enable(str(sink))
     assert core_kernels._compose_observer is not None
-    obs_profile.disable()
+    obs_trace.disable()
     assert core_kernels._compose_observer is None
-
-
-def test_profiling_captures_real_engine_run():
-    from repro.adversaries import CyclicFamilyAdversary
-    from repro.engine.executor import RunSpec, SequentialExecutor
-
-    obs_profile.enable()
-    report = SequentialExecutor().run(
-        RunSpec(adversary=CyclicFamilyAdversary, n=10)
-    )
-    obs_profile.disable()
-    assert report.timings is not None
-    assert report.timings["decision_s"] >= 0.0
-    assert report.timings["kernel_s"] >= 0.0
-
-
-def test_disabled_run_skips_timings():
-    from repro.adversaries import CyclicFamilyAdversary
-    from repro.engine.executor import RunSpec, SequentialExecutor
-
-    report = SequentialExecutor().run(
-        RunSpec(adversary=CyclicFamilyAdversary, n=10)
-    )
-    assert report.timings is None
+    SequentialExecutor().run(RunSpec(adversary=CyclicFamilyAdversary, n=10))
+    assert obs_trace.read_spans(str(sink)) == []
 
 
 def test_traced_engine_run_produces_kernel_spans(tmp_path):
@@ -338,12 +337,10 @@ def test_traced_engine_run_produces_kernel_spans(tmp_path):
 
     sink = tmp_path / "spans.jsonl"
     obs_trace.enable(str(sink))
-    obs_profile.sync_observer()
     SequentialExecutor().run(
         RunSpec(adversary=CyclicFamilyAdversary, n=10)
     )
     obs_trace.disable()
-    obs_profile.sync_observer()
     spans = obs_trace.read_spans(str(sink))
     names = {s["name"] for s in spans}
     assert "run" in names and "kernel" in names

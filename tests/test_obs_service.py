@@ -19,7 +19,6 @@ import threading
 
 import pytest
 
-from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import parse_prometheus
 from repro.obs.trace import TraceContext
@@ -30,25 +29,19 @@ from repro.service.server import ServiceServer
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
     obs_trace.disable()
-    obs_profile.disable()
-    obs_profile.reset()
     yield
     obs_trace.disable()
-    obs_profile.disable()
-    obs_profile.reset()
 
 
 @pytest.fixture
 def traced_service(tmp_path):
-    """A traced server (journal + profiling on) and a bound client."""
+    """A traced server (journal on) and a bound client."""
     sink = tmp_path / "spans.jsonl"
     journal = tmp_path / "journal.jsonl"
     obs_trace.enable(str(sink))
-    obs_profile.enable()
     with ServiceServer(journal=str(journal)) as server:
         yield server, ServiceClient.from_url(server.url), sink, journal
     obs_trace.disable()
-    obs_profile.disable()
 
 
 def _span_names(node, acc=None):

@@ -24,6 +24,19 @@ Two gates share one allow-list, :data:`ALLOWED_UNREACHED`:
   re-exports are not uses.  A method also needs its class reached.
   Dunder methods and the HTTP hooks in :data:`HOOKS` always count.
 
+A third gate keeps knobs out, with its own allow-list
+:data:`ALLOWED_DEFAULTS`:
+
+* **Parameters.**  Every parameter with a default on a reached public
+  function or public class ``__init__`` under :data:`GATED_PACKAGES`
+  must be passed -- by keyword or by position, ``cls(...)`` and
+  ``functools.partial`` included -- by library code or a consumer.
+  Calls are matched by name, like the definition gate; a ``**mapping``
+  splat passes nothing the scan can see.  Passing a caller's own gated
+  parameter straight through counts only once that parameter is passed
+  itself.  A value nobody sets is a module constant (tests monkeypatch
+  those), not a parameter.
+
 The same file pins ruff's F822 gate (undefined names in ``__all__``) and
 its F401 gate (unused imports outside package ``__init__`` files), since
 the lint job is not runnable everywhere the tests are.
@@ -633,3 +646,272 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert not found, "unused imports (ruff F401):\n" + "\n".join(found)
+
+
+# ----------------------------------------------------------------------
+# Parameters with defaults
+# ----------------------------------------------------------------------
+
+#: Packages whose public signatures the parameter gate checks.
+GATED_PACKAGES = ("repro.engine", "repro.service")
+
+#: Defaulted parameters no caller sets, kept on purpose: ``qualname.param``
+#: (a class means its ``__init__``) -> why it stays.  Drop an entry once
+#: non-test code or a consumer passes the parameter (the test says so).
+ALLOWED_DEFAULTS = {
+    "repro.service.fleet.WorkQueue.clock": (
+        "test injection point: a virtual clock drives lease expiry"
+    ),
+    "repro.service.tenancy.TenantRegistry.clock": (
+        "test injection point: a virtual clock drives token-bucket refill"
+    ),
+    "repro.service.server.ServiceServer.log_stream": (
+        "test injection point: tests capture the access log in a StringIO"
+    ),
+}
+
+
+class Param(NamedTuple):
+    """One defaulted parameter: ``target`` is what callers call it by."""
+
+    qual: str  # "module.func.param" or "module.Class.param"
+    target: str
+    name: str
+    position: Optional[int]  # None for keyword-only
+    where: str
+
+
+def _defaulted(fn: ast.FunctionDef, skip_self: bool) -> Iterator[Tuple[str, Optional[int]]]:
+    """``(name, position)`` of every defaulted parameter of ``fn``."""
+    positional = [*fn.args.posonlyargs, *fn.args.args][1 if skip_self else 0 :]
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional):
+        if i >= first:
+            yield arg.arg, i
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def gated_params(units: Dict[str, Unit], reached: Set[str]) -> Dict[str, Param]:
+    """Defaulted parameters of the reached public functions and public
+    class ``__init__`` methods under :data:`GATED_PACKAGES`."""
+    params: Dict[str, Param] = {}
+    for qual, unit in units.items():
+        if qual not in reached or not qual.startswith(GATED_PACKAGES):
+            continue
+        fn = unit.code[0] if unit.code else None
+        if not isinstance(fn, _DEFS):
+            continue  # a class: its __init__ is the unit
+        if unit.parent is None:
+            owner, target, skip_self = qual, unit.name, False
+        elif unit.name == "__init__":
+            owner = unit.parent
+            target, skip_self = owner.rsplit(".", 1)[1], True
+        else:
+            continue
+        if target.startswith("_"):
+            continue
+        for name, position in _defaulted(fn, skip_self):
+            params[f"{owner}.{name}"] = Param(f"{owner}.{name}", target, name, position, unit.where)
+    return params
+
+
+class _Pass(NamedTuple):
+    """One call site passing ``name`` to ``target``; ``forwards`` names the
+    caller's own parameter when the argument is just that parameter."""
+
+    target: str
+    name: Optional[str]  # None: a positional slot, see ``position``
+    position: int  # -1: a keyword, or a ``*args`` that may fill any slot
+    forwards: Optional[str]
+
+
+class _CallScan(ast.NodeVisitor):
+    """Every call site's passed arguments, with the enclosing scope."""
+
+    def __init__(self, module: str) -> None:
+        self.passes: List[_Pass] = []
+        self._module = module
+        self._classes: List[str] = []
+        self._scopes: List[Tuple[str, Set[str]]] = []
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._classes.append(node.name)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def _visit_def(self, node: ast.AST) -> None:
+        args = node.args
+        names = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
+        # An __init__'s parameters are gated under its class.
+        owner = ".".join([self._module, *self._classes])
+        if node.name != "__init__":
+            owner = f"{owner}.{node.name}"
+        self._scopes.append((owner, names))
+        self.generic_visit(node)
+        self._scopes.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_def
+
+    def _forwarded(self, value: ast.AST) -> Optional[str]:
+        if isinstance(value, ast.Name) and self._scopes:
+            owner, names = self._scopes[-1]
+            if value.id in names:
+                return f"{owner}.{value.id}"
+        return None
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func, args, keywords = node.func, list(node.args), node.keywords
+        if isinstance(func, (ast.Name, ast.Attribute)) and (
+            getattr(func, "id", None) == "partial" or getattr(func, "attr", None) == "partial"
+        ) and args:
+            func, args = args[0], args[1:]  # functools.partial(f, ...) calls f
+        target = getattr(func, "id", None) or getattr(func, "attr", None)
+        if target == "cls" and self._classes:
+            target = self._classes[-1]
+        if target is not None:
+            for i, arg in enumerate(args):
+                if isinstance(arg, ast.Starred):
+                    self.passes.append(_Pass(target, None, -1, None))  # fills any slot
+                    break
+                self.passes.append(_Pass(target, None, i, self._forwarded(arg)))
+            for kw in keywords:
+                if kw.arg is not None:
+                    self.passes.append(_Pass(target, kw.arg, -1, self._forwarded(kw.value)))
+        self.generic_visit(node)
+
+
+def call_passes(sources: Dict[str, str]) -> List[_Pass]:
+    """Every argument passed at a call site in ``module -> source``."""
+    passes: List[_Pass] = []
+    for module, source in sources.items():
+        scan = _CallScan(module[: -len(".__init__")] if module.endswith(".__init__") else module)
+        scan.visit(ast.parse(source))
+        passes.extend(scan.passes)
+    return passes
+
+
+def unpassed_params(
+    params: Dict[str, Param], passes: Iterable[_Pass], allowed: Iterable[str] = ()
+) -> List[str]:
+    """Gated parameters no call site passes, as ``qual (module:line)``.
+
+    A pass that only forwards the caller's own gated parameter counts once
+    that parameter is passed itself (a fixed point, like the definition
+    gate): ``f(x=x)`` in a ``g(x=...)`` nobody passes ``x`` to is no use.
+    ``allowed`` parameters count as passed.
+    """
+    passes = list(passes)
+    passed = set(allowed) & set(params)
+
+    def hits(param: Param, p: _Pass) -> bool:
+        if p.target != param.target:
+            return False
+        if p.name is not None:
+            return p.name == param.name
+        return param.position is not None and (p.position == -1 or p.position == param.position)
+
+    grew = True
+    while grew:
+        grew = False
+        for qual, param in params.items():
+            if qual in passed:
+                continue
+            if any(
+                hits(param, p) and (p.forwards not in params or p.forwards in passed)
+                for p in passes
+            ):
+                passed.add(qual)
+                grew = True
+    return sorted(f"{qual} ({param.where})" for qual, param in params.items() if qual not in passed)
+
+
+def _non_test_sources() -> Dict[str, str]:
+    sources = dict(library_sources())
+    sources.update({f"consumer{i}": source for i, source in enumerate(CONSUMER_SOURCES)})
+    return sources
+
+
+def _params() -> Dict[str, Param]:
+    units, module_code = library_units(library_sources())
+    return gated_params(units, reached_units(units, module_code, CONSUMER_SOURCES, ALLOWED_UNREACHED))
+
+
+def test_every_default_is_set_by_a_caller():
+    unpassed = unpassed_params(_params(), call_passes(_non_test_sources()), ALLOWED_DEFAULTS)
+    assert not unpassed, (
+        "defaulted parameters no non-test caller sets -- make them module "
+        "constants (tests monkeypatch those) or allow-list them with a "
+        "reason:\n" + "\n".join(unpassed)
+    )
+
+
+def test_allowed_defaults_are_still_unpassed():
+    params = _params()
+    unpassed = {
+        entry.split(" ")[0] for entry in unpassed_params(params, call_passes(_non_test_sources()))
+    }
+    for entry in ALLOWED_DEFAULTS:
+        assert entry in params, f"{entry} names no gated parameter; drop it from ALLOWED_DEFAULTS"
+        assert entry in unpassed, f"{entry} has a caller; drop it from ALLOWED_DEFAULTS"
+
+
+_SYNTHETIC_PARAMS = {
+    "repro.engine.lib": """
+def public(a, by_key=1, by_pos=2, unset=3, *, kw_only=4):
+    pass
+
+def _private(unset=1):
+    pass
+
+class Thing:
+    def __init__(self, size=1, via_cls=2, unset=3):
+        pass
+
+    @classmethod
+    def make(cls):
+        return cls(via_cls=5)
+
+def forwarder(by_key=1, unset=2):
+    return Thing(size=by_key, unset=unset)
+
+def dead(unset=1):
+    pass
+
+public(0, by_key=1)
+public(0, 1, 2)
+forwarder(by_key=3)
+Thing.make()
+""",
+    "repro.service.other": """
+from functools import partial
+
+def late(first=1, second=2):
+    pass
+
+run = partial(late, second=3)
+run(kw_only=1)
+""",
+}
+
+
+def test_parameter_scan_on_synthetic_sources():
+    units, module_code = library_units(_SYNTHETIC_PARAMS)
+    units.pop("repro.engine.lib.dead")  # an unreached function is not gated
+    reached = reached_units(units, module_code, [])
+    params = gated_params(units, reached)
+    found = [entry.split(" ")[0] for entry in unpassed_params(params, call_passes(_SYNTHETIC_PARAMS))]
+    assert found == [
+        "repro.engine.lib.Thing.unset",  # forwarded from a parameter nobody passes
+        "repro.engine.lib.forwarder.unset",
+        "repro.engine.lib.public.kw_only",  # a keyword to another function
+        "repro.engine.lib.public.unset",
+        "repro.service.other.late.first",
+    ]
+    allowed = ["repro.engine.lib.forwarder.unset"]
+    found = [
+        entry.split(" ")[0]
+        for entry in unpassed_params(params, call_passes(_SYNTHETIC_PARAMS), allowed)
+    ]
+    assert "repro.engine.lib.Thing.unset" not in found  # the allowed value flows on

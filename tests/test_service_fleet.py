@@ -37,6 +37,8 @@ from repro.service.client import ServiceClient
 from repro.service.fleet import FleetExecutor, WorkQueue
 from repro.service.journal import JobJournal
 from repro.service.server import ServiceServer
+from repro.service import client as service_client
+from repro.service import fleet as service_fleet
 from repro.service import specs as service_specs
 from repro.service.specs import SpecHandle, spec_digest, to_run_spec
 from repro.service.tasks import TaskGraph, run_graph, sweep_graph
@@ -173,11 +175,12 @@ class TestLeaseSemantics:
         assert queue.metrics()["ready"] == 1
         assert queue.cache.lookup(digest, "run") is None
 
-    def test_stranded_after_max_requeues_withdraws_immediately(self):
+    def test_stranded_after_max_requeues_withdraws_immediately(self, monkeypatch):
+        monkeypatch.setattr(service_fleet, "MAX_REQUEUES", 1)
         clock = Clock()
-        queue = WorkQueue(ResultCache(), lease_ttl=1.0, max_requeues=1, clock=clock)
+        queue = WorkQueue(ResultCache(), lease_ttl=1.0, clock=clock)
         (digest,) = _offer(queue, [_payload(6)])
-        for _ in range(2):  # two expiry-driven requeues > max_requeues=1
+        for _ in range(2):  # two expiry-driven requeues > MAX_REQUEUES=1
             queue.claim("crashy")
             clock.advance(2.0)
             queue.collect([digest], timeout=0)  # sweeps
@@ -241,15 +244,15 @@ class TestFleetExecutorIdentity:
         assert queue.metrics()["items"] == 0  # everything forgotten
 
     def test_local_fallback_validates_each_payload_once(self, monkeypatch):
-        """``cell_spec`` canonicalizes each run once; the fallback reuses
-        that payload instead of validating it a second time."""
+        """The task graph canonicalizes each run once; the fleet offers
+        and the fallback runs that payload without validating it again."""
         graph, output = sweep_graph({"adversaries": ["static-path", "static-star"], "ns": [4, 6]})
         calls = count_calls(monkeypatch, service_specs, "canonical_run_spec")
         fleet = FleetExecutor(WorkQueue(ResultCache()), fallback="batch")
         run = run_graph(graph, outputs=[output], executor=fleet)
         assert run.ok
         assert len(run.result(output)["points"]) == 4
-        assert len(calls) == 4
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("backend", ["dense", "bitset"])
     def test_in_process_worker_byte_identical(self, backend):
@@ -473,15 +476,15 @@ class TestClientConnectRetry:
         assert real_request is not flaky
         return client, calls
 
-    def test_get_retries_up_to_budget_then_succeeds(self):
+    def test_get_retries_up_to_budget_then_succeeds(self, monkeypatch):
+        monkeypatch.setattr(service_client, "MAX_RETRY_WAIT", 0.01)
         client, calls = self._flaky_client(failures=2, retry_connect=3)
-        client.max_retry_wait = 0.01
         assert client.healthz() == {"status": "ok"}
         assert calls["n"] == 3
 
-    def test_get_exhausted_budget_raises(self):
+    def test_get_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(service_client, "MAX_RETRY_WAIT", 0.01)
         client, calls = self._flaky_client(failures=5, retry_connect=2)
-        client.max_retry_wait = 0.01
         with pytest.raises(ServiceConnectionError):
             client.healthz()
         assert calls["n"] == 3  # 1 try + 2 retries

@@ -34,6 +34,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.service.client import ServiceClient
+from repro.service import scheduler as service_scheduler
 from repro.service.scheduler import JobScheduler
 from repro.service.server import ServiceServer
 from repro.service.tenancy import TenantLimits, TenantRegistry
@@ -82,7 +83,7 @@ def test_auth_rejects_missing_and_bad_tokens():
 
 
 def test_rate_limit_answers_429_with_retry_after():
-    with ServiceServer(tenant_limits=TenantLimits(rate=0.5, burst=1)) as server:
+    with ServiceServer(tenancy=TenantRegistry(default_limits=TenantLimits(rate=0.5, burst=1))) as server:
         client = ServiceClient.from_url(server.url)
         client.submit_run(_run_spec(8))  # burst token
         with pytest.raises(RateLimitedError) as excinfo:
@@ -97,7 +98,7 @@ def test_rate_limit_answers_429_with_retry_after():
 def test_rate_limit_sends_retry_after_header():
     import http.client
 
-    with ServiceServer(tenant_limits=TenantLimits(rate=0.5, burst=1)) as server:
+    with ServiceServer(tenancy=TenantRegistry(default_limits=TenantLimits(rate=0.5, burst=1))) as server:
         host, port = server.address
         for expect_throttle in (False, True):
             conn = http.client.HTTPConnection(host, port, timeout=10)
@@ -122,7 +123,7 @@ def test_rate_limit_sends_retry_after_header():
 def test_rate_limited_threads_all_succeed_with_bounded_retry():
     """N threads past the bucket: 429s happen, bounded retry converges."""
     n_threads = 8
-    with ServiceServer(tenant_limits=TenantLimits(rate=20.0, burst=1)) as server:
+    with ServiceServer(tenancy=TenantRegistry(default_limits=TenantLimits(rate=20.0, burst=1))) as server:
         barrier = threading.Barrier(n_threads)
         docs, errors = [], []
         lock = threading.Lock()
@@ -282,9 +283,11 @@ def test_client_disconnect_mid_longpoll_is_counted_not_raised(capfd):
     assert "Traceback" not in capfd.readouterr().err
 
 
-def test_watched_terminal_job_survives_retirement():
+def test_watched_terminal_job_survives_retirement(monkeypatch):
     """The long-poll 404 bug: retention must not evict a watched job."""
-    with JobScheduler(max_finished_jobs=1, watch_grace=60.0) as scheduler:
+    monkeypatch.setattr(service_scheduler, "MAX_FINISHED_JOBS", 1)
+    monkeypatch.setattr(service_scheduler, "WATCH_GRACE", 60.0)
+    with JobScheduler() as scheduler:
         first = scheduler.submit_run(_run_spec(8))
         scheduler.wait(first.job_id, timeout=30)
         # A watcher saw the terminal doc; its next request must find it.
@@ -294,8 +297,10 @@ def test_watched_terminal_job_survives_retirement():
         assert scheduler.job(first.job_id).status == "done"  # pinned
 
 
-def test_watch_grace_zero_restores_plain_retention():
-    with JobScheduler(max_finished_jobs=1, watch_grace=0.0) as scheduler:
+def test_watch_grace_zero_restores_plain_retention(monkeypatch):
+    monkeypatch.setattr(service_scheduler, "MAX_FINISHED_JOBS", 1)
+    monkeypatch.setattr(service_scheduler, "WATCH_GRACE", 0.0)
+    with JobScheduler() as scheduler:
         first = scheduler.submit_run(_run_spec(8))
         scheduler.wait(first.job_id, timeout=30)
         scheduler.wait_for_update(first.job_id, version=-1, timeout=5)

@@ -15,6 +15,7 @@ import pytest
 from repro.adversaries.base import Adversary
 from repro.errors import ServiceError, SpecError
 from repro.service.cache import ResultCache
+from repro.service import scheduler as service_scheduler
 from repro.service.scheduler import JobScheduler
 from repro.service.specs import (
     ParamSpec,
@@ -227,9 +228,10 @@ def test_concurrent_submitters_compute_each_digest_once(test_adversaries):
     assert metrics["computations"] == len(specs)  # exactly one per digest
 
 
-def test_finished_job_retention_is_bounded():
+def test_finished_job_retention_is_bounded(monkeypatch):
     """A long-lived scheduler must not leak terminal job records."""
-    with JobScheduler(max_finished_jobs=3) as scheduler:
+    monkeypatch.setattr(service_scheduler, "MAX_FINISHED_JOBS", 3)
+    with JobScheduler() as scheduler:
         jobs = [
             scheduler.wait(
                 scheduler.submit_run({"adversary": "static-path", "n": n}).job_id,

@@ -20,9 +20,8 @@ import pytest
 
 from repro.adversaries.oblivious import RandomTreeAdversary
 from repro.adversaries.paths import StaticPathAdversary
-from repro.analysis.sweep import sweep_adversaries
 from repro.core.backend import use_backend
-from repro.engine.executor import BatchExecutor, RunSpec, ShardedExecutor
+from repro.engine.executor import BatchExecutor, RunSpec, SequentialExecutor, ShardedExecutor
 from repro.engine.shard import split_shards
 from repro.errors import SimulationError
 from repro.service.specs import portfolio_handles
@@ -72,7 +71,7 @@ class TestSplitShards:
 class TestSweepEquivalence:
     @pytest.fixture(scope="class")
     def sequential(self):
-        return sweep_adversaries(FACTORIES, [1, 4, 5, 6, 8])
+        return SequentialExecutor().sweep(FACTORIES, [1, 4, 5, 6, 8])
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_bit_identical_sweep(self, workers, sequential):
@@ -83,40 +82,36 @@ class TestSweepEquivalence:
         # 5 grid points over 7 workers: five B=1 shards, two empty (dropped).
         facs = {"StaticPath": StaticPathAdversary}
         ns = [2, 3, 4, 5, 6]
-        seq = sweep_adversaries(facs, ns)
+        seq = SequentialExecutor().sweep(facs, ns)
         assert ShardedExecutor(workers=7).sweep(facs, ns) == seq
 
     def test_single_point_grid(self):
         # B=1 total: degenerates to the inline path but must still agree.
         facs = {"StaticPath": StaticPathAdversary}
-        seq = sweep_adversaries(facs, [6])
+        seq = SequentialExecutor().sweep(facs, [6])
         for workers in WORKER_COUNTS:
             assert ShardedExecutor(workers=workers).sweep(facs, [6]) == seq
 
     def test_n_equals_one(self):
         # The degenerate game is complete at round 0 before any tree.
         facs = {"StaticPath": StaticPathAdversary}
-        seq = sweep_adversaries(facs, [1, 2])
+        seq = SequentialExecutor().sweep(facs, [1, 2])
         assert seq.points[0].t_star == 0
         assert ShardedExecutor(workers=2).sweep(facs, [1, 2]) == seq
 
     def test_empty_grid(self):
         executor = ShardedExecutor(workers=2)
-        assert executor.sweep(FACTORIES, []) == sweep_adversaries(FACTORIES, [])
+        assert executor.sweep(FACTORIES, []) == SequentialExecutor().sweep(FACTORIES, [])
         assert executor.sweep({}, [4, 5]).points == []
 
     def test_max_rounds_truncation_matches(self):
         # Truncated points are dropped identically on both paths.
-        seq = sweep_adversaries(FACTORIES, [4, 8], max_rounds=5)
+        seq = SequentialExecutor().sweep(FACTORIES, [4, 8], max_rounds=5)
         sharded = ShardedExecutor(workers=2).sweep(FACTORIES, [4, 8], max_rounds=5)
         assert sharded == seq
 
-    def test_sweep_adversaries_workers_kwarg(self):
-        seq = sweep_adversaries(FACTORIES, [4, 6])
-        assert sweep_adversaries(FACTORIES, [4, 6], workers=2) == seq
-
     def test_sweep_n_sharded(self):
-        got = sweep_adversaries({"sp": StaticPathAdversary}, [2, 4, 6], workers=2)
+        got = ShardedExecutor(workers=2).sweep({"sp": StaticPathAdversary}, [2, 4, 6])
         assert [(p.adversary, p.n, p.t_star) for p in got.points] == [
             ("sp", 2, 1),
             ("sp", 4, 3),
@@ -164,10 +159,6 @@ class TestValidationAndSafety:
         with pytest.raises(SimulationError, match="workers"):
             ShardedExecutor(workers=0)
 
-    def test_unknown_mp_context(self):
-        with pytest.raises(SimulationError, match="mp_context"):
-            ShardedExecutor(workers=2, mp_context="threads")
-
     def test_unpicklable_factory_fails_loudly(self):
         executor = ShardedExecutor(workers=2)
         facs = {"lambda": lambda n: StaticPathAdversary(n)}
@@ -187,5 +178,5 @@ class TestValidationAndSafety:
             assert clone(6).name == handle(6).name
 
     def test_default_factories_mirror_portfolio(self):
-        handles = portfolio_handles(include_search=True, seed=0)
+        handles = portfolio_handles(include_search=True)
         assert portfolio_rows(handles) == expected_portfolio()

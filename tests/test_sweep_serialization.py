@@ -11,13 +11,13 @@ from repro.analysis.sweep import (
     SWEEP_FORMAT_VERSION,
     SweepPoint,
     SweepResult,
-    sweep_adversaries,
 )
+from repro.engine.executor import SequentialExecutor
 from repro.errors import SweepFormatError
 
 
 def _sample_result() -> SweepResult:
-    return sweep_adversaries({"StaticPath": StaticPathAdversary}, [4, 6, 8])
+    return SequentialExecutor().sweep({"StaticPath": StaticPathAdversary}, [4, 6, 8])
 
 
 class TestRoundTrip:
