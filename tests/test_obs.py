@@ -315,16 +315,22 @@ def test_traced_library_run_writes_kernel_spans_and_phase_split(tmp_path):
             assert s["attrs"]["decision_s"] >= 0.0 and s["attrs"]["kernel_s"] >= 0.0
 
 
+def test_sync_observer_installs_and_removes_hook(tmp_path):
+    """Enabling tracing installs the compose observer; disabling removes it."""
+    assert core_kernels._compose_observer is None
+    obs_trace.enable(str(tmp_path / "spans.jsonl"))
+    assert core_kernels._compose_observer is not None
+    obs_trace.disable()
+    assert core_kernels._compose_observer is None
+
+
 def test_disabled_run_skips_timings(tmp_path):
-    """Enabling tracing installs the compose observer and disabling
-    removes it; an untraced run then writes no span at all."""
+    """A run after tracing is switched off writes no span at all."""
     from repro.adversaries import CyclicFamilyAdversary
     from repro.engine.executor import RunSpec, SequentialExecutor
 
     sink = tmp_path / "spans.jsonl"
-    assert core_kernels._compose_observer is None
     obs_trace.enable(str(sink))
-    assert core_kernels._compose_observer is not None
     obs_trace.disable()
     assert core_kernels._compose_observer is None
     SequentialExecutor().run(RunSpec(adversary=CyclicFamilyAdversary, n=10))

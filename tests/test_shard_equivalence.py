@@ -21,7 +21,13 @@ import pytest
 from repro.adversaries.oblivious import RandomTreeAdversary
 from repro.adversaries.paths import StaticPathAdversary
 from repro.core.backend import use_backend
-from repro.engine.executor import BatchExecutor, RunSpec, SequentialExecutor, ShardedExecutor
+from repro.engine.executor import (
+    BatchExecutor,
+    RunSpec,
+    SequentialExecutor,
+    ShardedExecutor,
+    get_executor,
+)
 from repro.engine.shard import split_shards
 from repro.errors import SimulationError
 from repro.service.specs import portfolio_handles
@@ -109,6 +115,12 @@ class TestSweepEquivalence:
         seq = SequentialExecutor().sweep(FACTORIES, [4, 8], max_rounds=5)
         sharded = ShardedExecutor(workers=2).sweep(FACTORIES, [4, 8], max_rounds=5)
         assert sharded == seq
+
+    def test_sweep_adversaries_workers_kwarg(self):
+        # The ``--workers`` path of the CLI: a sharded executor resolved
+        # by name with a worker count sweeps like the sequential one.
+        seq = SequentialExecutor().sweep(FACTORIES, [4, 6])
+        assert get_executor("sharded", workers=2).sweep(FACTORIES, [4, 6]) == seq
 
     def test_sweep_n_sharded(self):
         got = ShardedExecutor(workers=2).sweep({"sp": StaticPathAdversary}, [2, 4, 6])
