@@ -1,16 +1,16 @@
-"""Kernel-tier benchmarks: graph-compose kernels and the t* squaring search.
+"""Kernel-tier benchmarks: the graph-compose products and the t* squaring search.
 
 Two measurement families, both written into ``benchmarks/BENCH_kernels.json``
 by the script entry point (same merge-by-key convention as
 ``BENCH_load.json``, plus a ``machine`` block from
 :func:`repro.core.kernels.machine_info`):
 
-* ``compose_*`` -- one bitset graph-composition step per registered
-  kernel (``word-or`` / ``blas`` / ``gather``) on a dense (density 0.3)
-  and a sparse (mean degree ~8) random graph, with the dense int32
-  ``bool_product`` reference timed up to n = 1024.  The acceptance
-  number: at n = 4096 the *dispatched* kernel must be >= 5x faster than
-  the word-OR baseline on the dense cell.
+* ``compose_*`` -- one graph-composition step through each backend's one
+  product (bitset ``word-or``, dense ``blas``; see
+  :func:`repro.core.kernels.kernel_table`) on a dense (density 0.3) and a
+  sparse (mean degree ~8) random graph, with the int32 ``bool_product``
+  reference timed up to n = 1024.  Timings only: the products are pinned
+  byte-identical to the reference by the test suite.
 * ``tstar_*`` -- completion search on the static path (t* = n - 1):
   repeated-squaring fast path vs the compiled round-by-round loop
   (``use_squaring=False``).  The acceptance number: >= 10x at n >= 1024
@@ -57,8 +57,6 @@ DENSE_REFERENCE_MAX_N = 1024
 COMPOSE_NS = [64, 256, 1024, 4096]
 TSTAR_NS = [64, 1024, 4096]
 
-BITSET = get_backend("bitset")
-
 
 def _require(n: int) -> None:
     if n >= 4096 and not FULL:
@@ -98,51 +96,28 @@ def _graphs(n: int) -> Dict[str, np.ndarray]:
 
 
 def measure_compose(n: int) -> dict:
-    """Time every bitset kernel on one composition step at ``n``."""
+    """Time each backend's graph-compose product on one step at ``n``."""
     rng = np.random.default_rng(n + 1)
     a = rng.random((n, n)) < 0.4
     np.fill_diagonal(a, True)
-    mat = BITSET.from_dense(a)
     repeats = 2 if n >= 4096 else 3
 
-    doc: dict = {"n": n, "cells": {}}
+    doc: dict = {"n": n, "products": K.kernel_table(), "cells": {}}
     for flavor, g in _graphs(n).items():
         seconds: Dict[str, float] = {}
-        for kernel in K.available_kernels("bitset"):
-            with K.use_kernel(kernel):
-                seconds[kernel] = _best_of(
-                    lambda: BITSET.compose_with_graph(mat, g), repeats
-                )
+        for backend_name, product in K.kernel_table().items():
+            backend = get_backend(backend_name)
+            mat = backend.from_dense(a)
+            seconds[f"{backend_name}/{product}"] = _best_of(
+                lambda: backend.compose_with_graph(mat, g), repeats
+            )
         if n <= DENSE_REFERENCE_MAX_N:
             seconds["dense-reference"] = _best_of(lambda: M.bool_product(a, g), 1)
-        baseline = seconds["word-or"]
-        cell = {
+        doc["cells"][flavor] = {
             "graph": flavor,
             "degree": round(float(np.count_nonzero(g)) / n, 1),
-            "dispatched": K.choose_kernel("bitset", n, g),
             "seconds": {k: round(v, 6) for k, v in seconds.items()},
-            "speedup_vs_word_or": {
-                k: round(baseline / v, 2) for k, v in seconds.items() if v > 0
-            },
         }
-        if "dense-reference" in seconds:
-            cell["speedup_vs_dense"] = {
-                k: round(seconds["dense-reference"] / v, 2)
-                for k, v in seconds.items()
-                if v > 0
-            }
-        doc["cells"][flavor] = cell
-    if n >= 4096:
-        # Acceptance: the dispatched kernel beats the word-OR baseline by
-        # >= 5x at n = 4096 on at least one graph regime (the sparse cell
-        # carries this by a wide margin via gather; the dense cell's BLAS
-        # win is bounded by the ~1.5-2s sgemm floor on this 1-CPU host,
-        # so it gets a softer regression canary instead of the 5x bar).
-        doc["acceptance_min_speedup"] = 5.0
-        doc["acceptance_speedup"] = max(
-            cell["speedup_vs_word_or"][cell["dispatched"]]
-            for cell in doc["cells"].values()
-        )
     return doc
 
 
@@ -175,24 +150,15 @@ def measure_tstar(n: int) -> dict:
 @pytest.mark.table
 @pytest.mark.parametrize("n", COMPOSE_NS)
 def test_compose_kernels(n, report_sink):
-    """Time every bitset kernel on one composition step; assert dispatch."""
+    """Time each backend's graph-compose product on one composition step."""
     _require(n)
     doc = measure_compose(n)
     for flavor, cell in doc["cells"].items():
         seconds = cell["seconds"]
+        assert set(seconds) >= {"bitset/word-or", "dense/blas"}, seconds
         report_sink.append(
-            f"[kernels] compose n={n} {flavor}: dispatched={cell['dispatched']} "
+            f"[kernels] compose n={n} {flavor}: "
             + " ".join(f"{k}={v:.4f}s" for k, v in seconds.items())
-        )
-        # Correctness is pinned by tests/; here just sanity-check dispatch:
-        # the chosen kernel must never lose to word-or by more than noise.
-        if n >= 256:
-            assert seconds[cell["dispatched"]] <= seconds["word-or"] * 1.25, (n, flavor, seconds)
-    if n >= 4096:
-        assert doc["acceptance_speedup"] >= 5.0, doc["cells"]
-        dense_cell = doc["cells"]["dense"]
-        assert dense_cell["speedup_vs_word_or"][dense_cell["dispatched"]] >= 2.0, (
-            dense_cell
         )
 
 
@@ -232,7 +198,7 @@ def test_results_file_is_well_formed():
     assert {"platform", "numpy", "cpus"} <= set(doc["machine"])
     for key, cell in doc.items():
         if key.startswith("compose_"):
-            assert cell["cells"]["dense"]["seconds"], key
+            assert set(cell["cells"]["dense"]["seconds"]) >= {"bitset/word-or", "dense/blas"}, key
         if key.startswith("tstar_"):
             assert cell["seconds"]["squaring"] > 0, key
 

@@ -11,7 +11,7 @@ experiments, and an execution layer served over HTTP.
 
 Quickstart
 ----------
->>> from repro import broadcast_time_adversary, upper_bound, lower_bound
+>>> from repro import broadcast_time_adversary, run_adversary, upper_bound, lower_bound
 >>> from repro.adversaries import StaticTreeAdversary
 >>> from repro.trees import path
 >>> n = 16
@@ -25,8 +25,7 @@ Matrix kernels run on a pluggable backend (``dense`` boolean matrices or
 the word-packed ``bitset``; select via ``REPRO_BACKEND``, the CLI's
 ``--backend``, or explicitly):
 
->>> t == broadcast_time_adversary(StaticTreeAdversary(path(n)), n,
-...                               backend="bitset")
+>>> t == run_adversary(StaticTreeAdversary(path(n)), n, backend="bitset").t_star
 True
 
 Batch many runs into one vectorized step per round with

@@ -3,7 +3,6 @@
 Subcommands
 -----------
 ``bounds``    print every Figure 1 / Theorem 3.1 formula for given n
-``figure1``   regenerate the Figure 1 comparison table over a range of n
 ``simulate``  run one adversary and report t* (optionally save a trace)
 ``sweep``     run the adversary portfolio over a range of n
 ``exact``     exhaustive game solve for small n
@@ -21,7 +20,7 @@ Examples
 
     repro-broadcast bounds -n 64
     repro-broadcast --backend bitset simulate -n 256 --adversary cyclic
-    repro-broadcast figure1 --ns 8 16 32 64
+    repro-broadcast experiment E1
     repro-broadcast simulate -n 12 --adversary cyclic --trace out.json
     repro-broadcast sweep --ns 6 8 10 12
     repro-broadcast sweep --ns 16 24 32 --workers 4
@@ -70,42 +69,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
     rows = [(name, value) for name, value in all_bounds(args.n, k=args.k).items()]
     print(format_table(["bound", "value"], rows, title=f"Bounds at n={args.n}"))
-    return 0
-
-
-def cmd_figure1(args: argparse.Namespace) -> int:
-    """Regenerate the Figure 1 table over several ``n``."""
-    from repro.analysis.tables import format_table
-    from repro.core import bounds as B
-
-    headers = [
-        "n",
-        "trivial n^2",
-        "n log n [14]",
-        "2n loglog n+2n [9]",
-        "(1+sqrt2)n (new)",
-        f"2kn k={args.k} leaves",
-        f"2kn k={args.k} inner",
-        "lower bound [14]",
-    ]
-    rows = []
-    for n in args.ns:
-        rows.append(
-            (
-                n,
-                B.trivial_upper_bound(n),
-                B.nlogn_upper_bound(n),
-                B.fugger_nowak_winkler_upper_bound(n),
-                B.upper_bound(n),
-                B.k_leaves_upper_bound(n, args.k),
-                B.k_inner_upper_bound(n, args.k),
-                B.lower_bound(n),
-            )
-        )
-    print(format_table(headers, rows, title="Figure 1: known and new bounds"))
-    print(
-        f"\ncrossover (new beats n log n): n >= {B.crossover_nlogn_vs_linear()}"
-    )
     return 0
 
 
@@ -804,11 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, default=3, help="k for restricted rows")
     p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("figure1", help="regenerate the Figure 1 table")
-    p.add_argument("--ns", type=int, nargs="+", default=[8, 16, 32, 64, 128])
-    p.add_argument("-k", type=int, default=3)
-    p.set_defaults(func=cmd_figure1)
 
     p = sub.add_parser("simulate", help="run one adversary")
     p.add_argument("-n", type=int, required=True)

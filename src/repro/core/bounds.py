@@ -31,6 +31,13 @@ from repro.types import validate_node_count
 #: The paper's headline constant ``1 + √2``.
 LINEAR_CONSTANT = 1.0 + math.sqrt(2.0)
 
+#: The constant ``c`` of [9]'s ``O(n)`` term, so its bound reads
+#: ``2n·log₂log₂n + c·n``; the brief announcement does not pin it down.
+FNW_ADDITIVE_CONSTANT = 2.0
+
+#: The constant ``c`` of [14]'s restricted-adversary bounds ``c·k·n``.
+K_BOUND_CONSTANT = 2.0
+
 
 def lower_bound(n: int) -> int:
     """Zeiner-Schwarz-Schmid lower bound ``⌈(3n−1)/2⌉ − 2`` (Theorem 3.1).
@@ -106,12 +113,12 @@ def nlogn_upper_bound(n: int) -> int:
     return math.ceil(n * math.log2(n))
 
 
-def fugger_nowak_winkler_upper_bound(n: int, additive_constant: float = 2.0) -> int:
+def fugger_nowak_winkler_upper_bound(n: int) -> int:
     """The ``2·n·log₂ log₂ n + O(n)`` bound of [9].
 
     The ``O(n)`` term's constant is not pinned down in the brief
-    announcement; we expose it as ``additive_constant`` (default 2, so the
-    bound reads ``2n·log₂log₂n + 2n``) and the benchmark table prints the
+    announcement; we take :data:`FNW_ADDITIVE_CONSTANT` (2, so the bound
+    reads ``2n·log₂log₂n + 2n``) and the benchmark table prints the
     convention.  For ``n <= 2`` (where ``log₂ log₂ n`` is degenerate) the
     trivial ``n²`` bound is returned.
     """
@@ -119,28 +126,28 @@ def fugger_nowak_winkler_upper_bound(n: int, additive_constant: float = 2.0) -> 
     if n <= 2:
         return trivial_upper_bound(n)
     loglog = math.log2(math.log2(n))
-    return math.ceil(2 * n * max(loglog, 0.0) + additive_constant * n)
+    return math.ceil(2 * n * max(loglog, 0.0) + FNW_ADDITIVE_CONSTANT * n)
 
 
-def k_leaves_upper_bound(n: int, k: int, constant: float = 2.0) -> int:
+def k_leaves_upper_bound(n: int, k: int) -> int:
     """``O(k·n)`` bound of [14] for adversaries limited to k-leaf trees.
 
-    Reported as ``constant · k · n`` with an explicit constant (default 2);
+    Reported as ``c · k · n`` with the explicit :data:`K_BOUND_CONSTANT`;
     the reproduced claim is the *linearity in n for fixed k*, which the
     restricted-adversary benchmark measures directly.
     """
     validate_node_count(n)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return math.ceil(constant * k * n)
+    return math.ceil(K_BOUND_CONSTANT * k * n)
 
 
-def k_inner_upper_bound(n: int, k: int, constant: float = 2.0) -> int:
+def k_inner_upper_bound(n: int, k: int) -> int:
     """``O(k·n)`` bound of [14] for adversaries limited to k inner nodes."""
     validate_node_count(n)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return math.ceil(constant * k * n)
+    return math.ceil(K_BOUND_CONSTANT * k * n)
 
 
 def all_bounds(n: int, k: int = 3) -> Dict[str, int]:
@@ -173,18 +180,16 @@ def crossover_nlogn_vs_linear() -> int:
     return n
 
 
-def crossover_loglog_vs_linear(additive_constant: float = 2.0) -> int:
+def crossover_loglog_vs_linear() -> int:
     """Smallest ``n`` where the new linear bound beats [9]'s bound.
 
     ``2n·log₂log₂n + c·n > (1+√2)n − 1`` once ``log₂log₂ n`` exceeds
-    roughly ``(1+√2−c)/2``; with the default ``c = 2`` that happens just
-    above ``n = 2^(2^0.207) ≈ 2.3``.  The function searches directly so the
-    convention stays honest whatever ``c`` is.
+    roughly ``(1+√2−c)/2``; with ``c =`` :data:`FNW_ADDITIVE_CONSTANT` ``= 2``
+    that happens just above ``n = 2^(2^0.207) ≈ 2.3``.  The function
+    searches directly so the convention stays honest whatever ``c`` is.
     """
     n = 3
-    while fugger_nowak_winkler_upper_bound(
-        n, additive_constant
-    ) <= upper_bound(n):
+    while fugger_nowak_winkler_upper_bound(n) <= upper_bound(n):
         n += 1
         if n > 10**7:
             raise RuntimeError(

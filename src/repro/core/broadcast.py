@@ -143,61 +143,43 @@ def run_sequence(
 def run_adversary(
     adversary: AdversaryProtocol,
     n: int,
-    max_rounds: Optional[int] = None,
-    keep_history: bool = False,
-    keep_trees: bool = False,
     backend: BackendLike = None,
 ) -> BroadcastResult:
-    """Drive an adversary until broadcast completes (or ``max_rounds``).
+    """Drive an adversary until broadcast completes.
 
     A facade over the unified execution layer: builds a
     :class:`~repro.engine.executor.RunSpec` and runs it through a
     :class:`~repro.engine.executor.SequentialExecutor` (oblivious
-    adversaries take the compiled parent-schedule fast path when no
-    history/trees are requested).
+    adversaries take the compiled parent-schedule fast path).  A run that
+    needs a round cap, the played trees or per-round history builds its
+    own ``RunSpec`` (``max_rounds``, ``keep_trees``,
+    ``instrumentation="history"``).
 
-    The round-cap policy is the shared one
-    (:func:`repro.core.bounds.resolve_round_cap`): the default cap is the
-    paper's trivial ``n²`` bound -- any legal adversary must finish by
-    then, so hitting it indicates a bug (an illegal adversary) and raises
-    :class:`AdversaryError` -- while an explicit ``max_rounds`` truncates
-    quietly (``t_star=None``).
+    The round cap is the shared default
+    (:func:`repro.core.bounds.resolve_round_cap`): the paper's trivial
+    ``n²`` bound -- any legal adversary must finish by then, so hitting it
+    indicates a bug (an illegal adversary) and raises
+    :class:`AdversaryError`.
     """
     from repro.engine.executor import RunSpec, SequentialExecutor
 
     report = SequentialExecutor().run(
-        RunSpec(
-            adversary=adversary,
-            n=n,
-            max_rounds=max_rounds,
-            backend=backend,
-            instrumentation="history" if keep_history else "none",
-            keep_trees=keep_trees,
-        )
+        RunSpec(adversary=adversary, n=n, backend=backend)
     )
     return report.to_broadcast_result()
 
 
-def broadcast_time_adversary(
-    adversary: AdversaryProtocol,
-    n: int,
-    max_rounds: Optional[int] = None,
-    backend: BackendLike = None,
-) -> Optional[int]:
+def broadcast_time_adversary(adversary: AdversaryProtocol, n: int) -> Optional[int]:
     """``t*`` achieved by an adversary on ``n`` processes."""
-    return run_adversary(adversary, n, max_rounds=max_rounds, backend=backend).t_star
+    return run_adversary(adversary, n).t_star
 
 
-def verify_certificate(
-    trees: Sequence[RootedTree],
-    claimed_t_star: int,
-    n: Optional[int] = None,
-) -> bool:
+def verify_certificate(trees: Sequence[RootedTree], claimed_t_star: int) -> bool:
     """Check that ``claimed_t_star`` is exactly the ``t*`` of the sequence.
 
     Used to validate results produced by search adversaries and the exact
     solver: a claimed value must be achieved at round ``claimed_t_star``
     and *not* any earlier.
     """
-    result = run_sequence(trees, n=n, stop_at_broadcast=True)
+    result = run_sequence(trees, stop_at_broadcast=True)
     return result.t_star == claimed_t_star

@@ -12,24 +12,22 @@ from typing import Sequence
 import numpy as np
 
 from repro.core import matrix as M
-from repro.core.backend import BackendLike, get_backend
+from repro.core.backend import get_backend
 from repro.errors import DimensionMismatchError
 from repro.trees.rooted_tree import RootedTree
 
 
-def product_of_trees(
-    trees: Sequence[RootedTree], backend: BackendLike = None
-) -> np.ndarray:
+def product_of_trees(trees: Sequence[RootedTree]) -> np.ndarray:
     """Compose a sequence of round graphs (trees + self-loops).
 
-    Uses the selected backend's O(n²)-per-round (or word-parallel) fast
+    Uses the default backend's O(n²)-per-round (or word-parallel) fast
     path; the result is always returned as a dense boolean matrix.
     ``product_of_trees([T1, ..., Tk])`` equals ``G(k)`` when the adversary
     plays exactly those trees.
     """
     if not trees:
         raise DimensionMismatchError("cannot take the product of zero trees")
-    bk = get_backend(backend)
+    bk = get_backend()
     n = trees[0].n
     mat = bk.identity(n)
     for t in trees:

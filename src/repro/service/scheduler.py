@@ -11,7 +11,9 @@ Task-graph jobs (``kind="graph"``) are scheduled topologically: ready
 dependency order, per-node statuses are mirrored live onto the job
 (``GET /v1/tasks/<id>``), a failing task poisons only its downstream
 tasks, and a shared :class:`~repro.service.tasks.TaskInflight` registry
-dedups each task digest across concurrently-running graphs.
+dedups each task digest across concurrently-running graphs and run jobs
+(a run job's digest is the address of the same spec as a graph's run
+task).
 
 Three properties make it a *service* rather than a loop:
 
@@ -56,7 +58,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.engine.executor import Executor, get_executor
 from repro.errors import ServiceError
@@ -71,6 +73,7 @@ from repro.service.specs import (
     to_run_spec,
 )
 from repro.service.tasks import (
+    FOREIGN_WAIT_TIMEOUT,
     GraphRun,
     TaskGraph,
     TaskGraphRunner,
@@ -557,11 +560,6 @@ class JobScheduler:
             doc["tenants"] = self.tenancy.metrics()
         if self._fleet is not None:
             doc["fleet"] = self._fleet.metrics()
-        # Execution detail only: kernel choice never enters spec digests,
-        # so operators can flip REPRO_KERNEL without invalidating caches.
-        from repro.core.kernels import kernel_table
-
-        doc["kernels"] = kernel_table()
         return doc
 
     def queue_depth(self) -> int:
@@ -786,14 +784,25 @@ class JobScheduler:
             self._watched_until.pop(victim, None)
             self._jobs.pop(victim, None)
 
-    def _finish(self, job: Job, result: Optional[Dict[str, Any]], error: Optional[str]) -> None:
-        """Publish a terminal state; cache success before releasing dedup."""
-        if error is None:
+    def _finish(
+        self,
+        job: Job,
+        result: Optional[Dict[str, Any]],
+        error: Optional[str],
+        cached: bool = False,
+    ) -> None:
+        """Publish a terminal state; cache success before releasing dedup.
+
+        ``cached`` marks a result read back from the cache, which is not
+        stored again.
+        """
+        if error is None and not cached:
             # Store before dropping the in-flight claim so a concurrent
             # submit always sees either the claim or the cached result --
             # never a gap where it would recompute.
             self.cache.store(job.digest, job.kind, result)
         with self._cv:
+            job.cached = cached
             job.result = result
             job.error = error
             job.status = "done" if error is None else "failed"
@@ -813,9 +822,48 @@ class JobScheduler:
             self._cv.notify_all()
 
     def _dispatch_runs(self, group: List[Job]) -> None:
-        specs = [to_run_spec(job.spec) for job in group]
+        """Compute a run group, sharing digest claims with graph run tasks.
+
+        Each job claims its digest in the graph runner's
+        :class:`~repro.service.tasks.TaskInflight` and releases it once
+        ``_finish`` has cached the result.  A digest a graph holds is
+        waited for (bounded, like the graph runner's own waits) and then
+        answered from the cache without counting a computation; when the
+        owner failed, or held its claim past the timeout, the job claims
+        again and computes here.
+        """
         with self._cv:
             self._counters.inc("dispatches")
+        pending = group
+        while pending:
+            owned: List[Job] = []
+            foreign: List[Tuple[Job, threading.Event]] = []
+            for job in pending:
+                event = self._task_inflight.claim(job.digest)
+                if event is None:
+                    owned.append(job)
+                else:
+                    foreign.append((job, event))
+            try:
+                if owned:
+                    self._compute_runs(owned)
+            finally:
+                for job in owned:
+                    self._task_inflight.release(job.digest)
+            pending = []
+            for job, event in foreign:
+                released = event.wait(timeout=FOREIGN_WAIT_TIMEOUT)
+                doc = self.cache.lookup(job.digest, kind="run")
+                if doc is not None:
+                    self._finish(job, doc, None, cached=True)
+                    continue
+                if not released:
+                    # A stale claim (its owner died without releasing).
+                    self._task_inflight.release(job.digest)
+                pending.append(job)
+
+    def _compute_runs(self, group: List[Job]) -> None:
+        specs = [to_run_spec(job.spec) for job in group]
         # One bad adversary must not fail its batch neighbours: the
         # settled dispatch retries spec-by-spec on failure so exactly the
         # offending jobs record errors while the rest complete.

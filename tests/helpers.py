@@ -22,7 +22,7 @@ from repro.adversaries.zeiner import (
     RunnerAdversary,
     ZeinerStyleAdversary,
 )
-from repro.core.broadcast import run_sequence
+from repro.core.broadcast import BroadcastResult, run_sequence
 from repro.core.state import BroadcastState
 from repro.engine.executor import RunReport, RunSpec, SequentialExecutor
 from repro.engine.trace import Trace
@@ -56,6 +56,13 @@ def run_traced(adversary, n: int, **kwargs) -> RunReport:
     """One sequential run with a replayable trace and per-round metrics."""
     spec = RunSpec(adversary=adversary, n=n, instrumentation="trace", **kwargs)
     return SequentialExecutor().run(spec)
+
+
+def run_with(adversary, n: int, **options) -> BroadcastResult:
+    """One sequential run with ``RunSpec`` options (``keep_trees``,
+    ``max_rounds``, ``instrumentation``...), as a ``BroadcastResult``."""
+    spec = RunSpec(adversary=adversary, n=n, **options)
+    return SequentialExecutor().run(spec).to_broadcast_result()
 
 
 def replay_trace(trace: Trace) -> bool:

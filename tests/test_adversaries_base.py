@@ -11,6 +11,8 @@ from repro.core.state import BroadcastState
 from repro.errors import AdversaryError
 from repro.trees.generators import path, path_from_order, star
 
+from helpers import run_with
+
 
 class TestBase:
     def test_abstract_next_tree(self):
@@ -73,14 +75,14 @@ class TestStaticTree:
 class TestRandomTree:
     def test_reproducible_across_resets(self):
         adv = RandomTreeAdversary(6, seed=3)
-        r1 = run_adversary(adv, 6, keep_trees=True)
-        r2 = run_adversary(adv, 6, keep_trees=True)
+        r1 = run_with(adv, 6, keep_trees=True)
+        r2 = run_with(adv, 6, keep_trees=True)
         assert [t.parents for t in r1.trees] == [t.parents for t in r2.trees]
         assert r1.t_star == r2.t_star
 
     def test_different_seeds_differ(self):
-        a = run_adversary(RandomTreeAdversary(8, seed=0), 8, keep_trees=True)
-        b = run_adversary(RandomTreeAdversary(8, seed=1), 8, keep_trees=True)
+        a = run_with(RandomTreeAdversary(8, seed=0), 8, keep_trees=True)
+        b = run_with(RandomTreeAdversary(8, seed=1), 8, keep_trees=True)
         assert [t.parents for t in a.trees] != [t.parents for t in b.trees]
 
     def test_wrong_n_rejected(self):

@@ -14,6 +14,8 @@ from repro.core.bounds import k_inner_upper_bound, k_leaves_upper_bound
 from repro.core.broadcast import run_adversary
 from repro.errors import AdversaryError
 
+from helpers import run_with
+
 
 class TestBuilders:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -35,7 +37,7 @@ class TestKLeafAdversary:
     @pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (8, 3), (10, 2)])
     def test_every_round_has_k_leaves(self, n, k):
         adv = KLeafAdversary(n, k)
-        result = run_adversary(adv, n, keep_trees=True)
+        result = run_with(adv, n, keep_trees=True)
         assert result.t_star is not None
         for tree in result.trees:
             assert tree.leaf_count() == k
@@ -51,7 +53,7 @@ class TestKLeafAdversary:
         # One leaf == a path.  The adaptive re-sorting can finish faster
         # than a static path (re-rooting helps broadcast); the contract is
         # legality plus the O(kn) bound.
-        result = run_adversary(KLeafAdversary(8, 1), 8, keep_trees=True)
+        result = run_with(KLeafAdversary(8, 1), 8, keep_trees=True)
         assert all(t.is_path() for t in result.trees)
         assert result.t_star <= k_leaves_upper_bound(8, 1)
 
@@ -66,7 +68,7 @@ class TestKInnerAdversary:
     @pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (8, 3), (10, 2)])
     def test_every_round_has_k_inner(self, n, k):
         adv = KInnerAdversary(n, k)
-        result = run_adversary(adv, n, keep_trees=True)
+        result = run_with(adv, n, keep_trees=True)
         assert result.t_star is not None
         for tree in result.trees:
             assert tree.inner_count() == k

@@ -6,9 +6,10 @@ import pytest
 
 from repro.adversaries.zeiner import CyclicFamilyAdversary
 from repro.analysis.intervals import CyclicInterval, as_cyclic_interval
-from repro.core.broadcast import run_adversary
 from repro.core.state import BroadcastState
 from repro.trees.generators import path
+
+from helpers import run_with
 
 
 def _arcs(state):
@@ -96,7 +97,7 @@ class TestStateStructure:
     @pytest.mark.parametrize("n", [5, 6, 8, 10])
     def test_cyclic_family_preserves_intervals(self, n):
         """The design claim behind the lower-bound witness."""
-        played = run_adversary(CyclicFamilyAdversary(n), n, keep_trees=True).trees
+        played = run_with(CyclicFamilyAdversary(n), n, keep_trees=True).trees
         state = BroadcastState.initial(n)
         for t, tree in enumerate(played, start=1):
             state.apply_tree_inplace(tree)

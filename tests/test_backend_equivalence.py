@@ -18,14 +18,15 @@ from hypothesis import strategies as st
 from repro.adversaries.beam import BeamSearchAdversary
 from repro.adversaries.greedy import GreedyDelayAdversary, score_tree
 from repro.adversaries.zeiner import CyclicFamilyAdversary
-from repro.core import kernels
 from repro.core import matrix as M
-from repro.core.backend import get_backend
-from repro.core.broadcast import run_adversary, run_sequence
+from repro.core.backend import get_backend, use_backend
+from repro.core.broadcast import run_sequence
 from repro.core.product import product_of_trees
 from repro.core.state import BroadcastState
 from repro.engine.batch import score_candidates
 from repro.trees.generators import random_tree
+
+from helpers import run_with
 
 #: Node counts straddling every packing boundary (1 bit .. 2 words).
 N_VALUES = [
@@ -103,10 +104,11 @@ def test_dense_roundtrip(n):
 def test_product_of_trees_agrees(n):
     rng = np.random.default_rng(n)
     trees = [random_tree(n, rng) for _ in range(n - 1)]
-    assert (
-        product_of_trees(trees, backend="dense")
-        == product_of_trees(trees, backend="bitset")
-    ).all()
+    with use_backend("dense"):
+        dense = product_of_trees(trees)
+    with use_backend("bitset"):
+        packed = product_of_trees(trees)
+    assert (dense == packed).all()
 
 
 @pytest.mark.parametrize("n", [4, 7, 12, 24])
@@ -121,8 +123,8 @@ def test_product_of_trees_agrees(n):
 )
 def test_adversaries_play_identically(n, factory):
     """Search adversaries pick the same trees and t* on both backends."""
-    dense = run_adversary(factory(n), n, keep_trees=True, backend="dense")
-    packed = run_adversary(factory(n), n, keep_trees=True, backend="bitset")
+    dense = run_with(factory(n), n, keep_trees=True, backend="dense")
+    packed = run_with(factory(n), n, keep_trees=True, backend="bitset")
     assert dense.t_star == packed.t_star
     assert dense.broadcasters == packed.broadcasters
     assert dense.trees == packed.trees
@@ -175,49 +177,45 @@ def test_backend_conversion_between_states():
 
 
 # ----------------------------------------------------------------------
-# Kernel sweeps: every graph-compose kernel is a drop-in replacement
+# Graph compose: each backend's one product is the reference product
 # ----------------------------------------------------------------------
 
 
-class TestKernelSweep:
-    """Force each registered kernel and re-check cross-backend equality.
+class TestGraphCompose:
+    """``compose_with_graph`` equals ``bool_product`` on both backends.
 
-    ``REPRO_KERNEL`` must never be observable in results -- only in
-    wall-clock.  These sweeps drive the same randomized matrices through
-    every kernel registered for each backend and demand byte equality
-    with the ``bool_product`` reference.
+    Each backend has one graph-compose product; these checks drive the
+    same randomized matrices through both and demand byte equality with
+    the reference, across the 64-bit word boundary, on an empty graph,
+    and with the bitset padding bits left zero.
     """
 
-    @pytest.mark.parametrize("kernel", kernels.available_kernels("bitset"))
-    @pytest.mark.parametrize("n", [1, 17, 33, 64, 96, 128])
-    def test_forced_bitset_kernel_matches_reference(self, kernel, n, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_KERNEL, kernel)
+    @pytest.mark.parametrize("backend", ["dense", "bitset"])
+    @pytest.mark.parametrize("n", [1, 17, 33, 63, 64, 65, 96, 128])
+    def test_product_matches_reference(self, backend, n):
         rng = np.random.default_rng(7000 + n)
         a = rng.random((n, n)) < 0.4
         np.fill_diagonal(a, True)
         g = rng.random((n, n)) < 0.3
         np.fill_diagonal(g, True)
-        got = BITSET.to_dense(BITSET.compose_with_graph(BITSET.from_dense(a), g))
+        bk = get_backend(backend)
+        got = bk.to_dense(bk.compose_with_graph(bk.from_dense(a), g))
         assert (got == M.bool_product(a, g)).all()
 
-    @pytest.mark.parametrize("kernel", kernels.available_kernels("dense"))
-    @pytest.mark.parametrize("n", [1, 17, 64, 128])
-    def test_forced_dense_kernel_matches_reference(self, kernel, n, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_KERNEL, kernel)
-        rng = np.random.default_rng(8000 + n)
-        a = rng.random((n, n)) < 0.4
-        np.fill_diagonal(a, True)
-        g = rng.random((n, n)) < 0.3
-        np.fill_diagonal(g, True)
-        got = DENSE.compose_with_graph(a.copy(), g)
-        assert (got == M.bool_product(a, g)).all()
-
-    @pytest.mark.parametrize("kernel", kernels.available_kernels("bitset"))
-    def test_product_of_trees_invariant_under_kernel(self, kernel):
+    @pytest.mark.parametrize("backend", ["dense", "bitset"])
+    def test_empty_graph(self, backend):
         n = 65
-        rng = np.random.default_rng(65)
-        trees = [random_tree(n, rng) for _ in range(5)]
-        want = product_of_trees(trees, backend="dense")
-        with kernels.use_kernel(kernel):
-            got = product_of_trees(trees, backend="bitset")
-        assert (got == want).all()
+        a = np.random.default_rng(65).random((n, n)) < 0.5
+        g = np.zeros((n, n), dtype=np.bool_)
+        bk = get_backend(backend)
+        got = bk.to_dense(bk.compose_with_graph(bk.from_dense(a), g))
+        assert not got.any()
+
+    def test_padding_bits_stay_zero(self):
+        n = 65
+        rng = np.random.default_rng(66)
+        out = BITSET.compose_with_graph(
+            BITSET.from_dense(rng.random((n, n)) < 0.5), rng.random((n, n)) < 0.5
+        )
+        pad_mask = np.uint64((1 << 64) - (1 << (n % 64)))
+        assert (out[:, -1] & pad_mask).max() == 0

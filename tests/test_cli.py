@@ -26,14 +26,6 @@ class TestBounds:
         assert "38" in out  # upper_bound(16)
 
 
-class TestFigure1:
-    def test_figure1_table(self, capsys):
-        assert main(["figure1", "--ns", "8", "16"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 1" in out
-        assert "crossover" in out
-
-
 class TestSimulate:
     def test_simulate_cyclic(self, capsys):
         assert main(["simulate", "-n", "8", "--adversary", "cyclic"]) == 0

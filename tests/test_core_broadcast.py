@@ -15,6 +15,8 @@ from repro.core.broadcast import (
 from repro.errors import AdversaryError, SimulationError
 from repro.trees.generators import path, star
 
+from helpers import run_with
+
 
 class TestRunSequence:
     def test_static_path_takes_n_minus_1(self):
@@ -59,7 +61,7 @@ class TestRunAdversary:
 
     def test_explicit_cap_truncates_quietly(self):
         n = 6
-        result = run_adversary(StaticTreeAdversary(path(n)), n, max_rounds=2)
+        result = run_with(StaticTreeAdversary(path(n)), n, max_rounds=2)
         assert result.t_star is None
         assert result.final_state.round_index == 2
 
@@ -80,9 +82,7 @@ class TestRunAdversary:
             run_adversary(NotATree(), 4)
 
     def test_keep_trees_records_played_trees(self):
-        result = run_adversary(
-            StaticTreeAdversary(path(4)), 4, keep_trees=True
-        )
+        result = run_with(StaticTreeAdversary(path(4)), 4, keep_trees=True)
         assert len(result.trees) == result.t_star
         assert all(t == path(4) for t in result.trees)
 

@@ -30,7 +30,7 @@ from repro.adversaries.paths import (
 from repro.adversaries.zeiner import CyclicFamilyAdversary
 from repro.core.backend import use_backend
 from repro.core.bounds import resolve_round_cap, trivial_upper_bound
-from repro.core.broadcast import run_adversary
+from repro.core.broadcast import run_adversary, run_sequence
 from repro.core.state import BroadcastState
 from repro.engine.executor import (
     EXECUTOR_NAMES,
@@ -379,10 +379,9 @@ class TestRunReport:
         report = SequentialExecutor().run(
             RunSpec(adversary=adv, n=7, instrumentation="history", keep_trees=True)
         )
-        legacy = run_adversary(
-            RandomTreeAdversary(7, seed=3), 7, keep_history=True, keep_trees=True
-        )
+        legacy = run_sequence(report.trees, keep_history=True)
         assert report.t_star == legacy.t_star
+        assert report.t_star == run_adversary(RandomTreeAdversary(7, seed=3), 7).t_star
         assert report.trees == legacy.trees
         assert [h.new_edges for h in report.history] == [
             h.new_edges for h in legacy.history

@@ -69,9 +69,9 @@ class TestNonsplitReduction:
 
     def test_adversarial_blocks_nonsplit(self):
         n = 6
-        from repro.core.broadcast import run_adversary
+        from helpers import run_with
 
-        result = run_adversary(CyclicFamilyAdversary(n), n, keep_trees=True)
+        result = run_with(CyclicFamilyAdversary(n), n, keep_trees=True)
         trees = result.trees
         # Pad with paths so at least one full block exists.
         trees = trees + [path(n)] * (n - 1)

@@ -24,7 +24,7 @@ from repro.service.specs import portfolio_handles
 from repro.trees.generators import path
 
 from heard_of import compare_engines
-from helpers import replay_trace, run_traced
+from helpers import replay_trace, run_traced, run_with
 
 
 class TestExactValuesE3:
@@ -123,7 +123,7 @@ class TestEngineCrossValidation:
 
     def test_cyclic_run_through_both_engines(self):
         n = 8
-        result = run_adversary(CyclicFamilyAdversary(n), n, keep_trees=True)
+        result = run_with(CyclicFamilyAdversary(n), n, keep_trees=True)
         matrix_t, sim_t = compare_engines(result.trees, n)
         assert matrix_t == sim_t == result.t_star
 

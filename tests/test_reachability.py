@@ -103,9 +103,6 @@ ALLOWED_UNREACHED = {
     "repro.experiments.registry.run_all": (
         "ROADMAP item 3 adds a test that run_all() passes every check"
     ),
-    "repro.core.kernels.autotune": (
-        "ROADMAP item 9.6 re-measures the kernel dispatch thresholds with it"
-    ),
 }
 
 
@@ -653,7 +650,7 @@ def test_no_unused_imports():
 # ----------------------------------------------------------------------
 
 #: Packages whose public signatures the parameter gate checks.
-GATED_PACKAGES = ("repro.engine", "repro.service")
+GATED_PACKAGES = ("repro.engine", "repro.service", "repro.core")
 
 #: Defaulted parameters no caller sets, kept on purpose: ``qualname.param``
 #: (a class means its ``__init__``) -> why it stays.  Drop an entry once

@@ -228,6 +228,48 @@ def test_concurrent_submitters_compute_each_digest_once(test_adversaries):
     assert metrics["computations"] == len(specs)  # exactly one per digest
 
 
+@pytest.mark.parametrize("graph_first", [False, True], ids=["run-first", "graph-first"])
+def test_run_job_and_graph_run_task_compute_once(graph_first, monkeypatch):
+    """A run job and a graph's run task with one digest execute it once.
+
+    Two workers pick the two jobs up concurrently; whichever claims the
+    digest first computes it, and the other finishes from the cache.
+    """
+    spec = {"adversary": "cyclic", "n": 24}
+    graph = {"tasks": [{"kind": "run", "payload": dict(spec)}]}
+    executed = []
+    with JobScheduler(workers=2) as scheduler:
+        run_many_settled = scheduler._executor.run_many_settled
+
+        def slow_run_many_settled(specs):
+            executed.extend(specs)
+            time.sleep(0.3)
+            return run_many_settled(specs)
+
+        monkeypatch.setattr(scheduler._executor, "run_many_settled", slow_run_many_settled)
+        if graph_first:
+            first = scheduler.submit_tasks(graph)
+            time.sleep(0.05)
+            second = scheduler.submit_run(dict(spec))
+        else:
+            first = scheduler.submit_run(dict(spec))
+            time.sleep(0.05)
+            second = scheduler.submit_tasks(graph)
+        first = scheduler.wait(first.job_id, timeout=30)
+        second = scheduler.wait(second.job_id, timeout=30)
+        metrics = scheduler.metrics()
+    assert first.status == second.status == "done"
+    assert len(executed) == 1
+    run_job = second if graph_first else first
+    graph_job = first if graph_first else second
+    (output,) = graph_job.result["outputs"].values()
+    assert run_job.result == output
+    # The graph counts as one computation; a run job finished from the
+    # graph's cached task counts none.
+    assert metrics["computations"] == (1 if graph_first else 2)
+    assert run_job.cached is graph_first
+
+
 def test_finished_job_retention_is_bounded(monkeypatch):
     """A long-lived scheduler must not leak terminal job records."""
     monkeypatch.setattr(service_scheduler, "MAX_FINISHED_JOBS", 3)

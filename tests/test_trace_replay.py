@@ -20,7 +20,7 @@ from repro.core.broadcast import run_adversary
 from repro.engine.executor import BatchExecutor, RunSpec, SequentialExecutor
 from repro.engine.trace import Trace
 
-from helpers import replay_trace, run_traced
+from helpers import replay_trace, run_traced, run_with
 
 BACKENDS = ["dense", "bitset"]
 
@@ -44,7 +44,7 @@ class TestTraceThroughSequenceAdversary:
         trace = _recorded_trace(factory, n)
         replayer = SequenceAdversary(trace.trees(), after="error")
         with use_backend(backend):
-            result = run_adversary(replayer, n, keep_history=True)
+            result = run_with(replayer, n, instrumentation="history")
         assert result.t_star == trace.t_star
         assert [h.new_edges for h in result.history] == [
             r.new_edges for r in trace.rounds
