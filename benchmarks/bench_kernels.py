@@ -108,6 +108,9 @@ def measure_compose(n: int) -> dict:
         for backend_name, product in K.kernel_table().items():
             backend = get_backend(backend_name)
             mat = backend.from_dense(a)
+            # One untimed call first: the first BLAS product after an idle
+            # stretch pays for waking the thread pool, not for the product.
+            backend.compose_with_graph(mat, g)
             seconds[f"{backend_name}/{product}"] = _best_of(
                 lambda: backend.compose_with_graph(mat, g), repeats
             )

@@ -7,6 +7,13 @@ scores it by the broadcast time it realizes, and locally perturbs single
 rounds (replacing one tree with a random one) under a standard annealing
 acceptance rule.
 
+Scoring is incremental.  The optimizer keeps the *prefix states* of the
+current sequence -- the product graph after ``k`` rounds, for ``k = 0 ..
+t*`` -- and a proposal that changes round ``idx`` only replays from
+the state after ``idx`` rounds: copy it, play the new tree, then the
+current sequence's later rounds until some row is full.  An accepted
+proposal adopts the states it played.
+
 Purpose in the reproduction: an *independent, structure-free* searcher to
 compare against the structured cyclic family (benchmark E8b's story).
 Annealing plateaus around the static-path value for moderate ``n`` --
@@ -23,7 +30,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.bounds import upper_bound
-from repro.core.broadcast import run_sequence
+from repro.core.state import BroadcastState
 from repro.errors import AdversaryError
 from repro.trees.generators import path, random_tree
 from repro.trees.rooted_tree import RootedTree
@@ -52,11 +59,19 @@ class AnnealingResult:
     history: List[int] = field(default_factory=list)
 
 
-def _score(trees: List[RootedTree], n: int) -> int:
-    """Broadcast time of a sequence; unfinished counts as the full length
-    plus one (strictly better than any finishing sequence of that length)."""
-    t = run_sequence(trees, n=n).t_star
-    return t if t is not None else len(trees) + 1
+def _extend(states: List[BroadcastState], trees: List[RootedTree]) -> int:
+    """Play ``trees`` on from ``states[-1]``, the state after
+    ``len(states) - 1`` rounds, appending each new state, until some row is
+    full.  Returns the score: the completion round, or ``len(trees) + 1``
+    when the sequence ends unfinished (strictly better than any finishing
+    sequence of that length)."""
+    state = states[-1]
+    while not state.is_broadcast_complete():
+        if len(states) > len(trees):
+            return len(trees) + 1
+        state = state.copy().apply_tree_inplace(trees[len(states) - 1])
+        states.append(state)
+    return len(states) - 1
 
 
 def anneal_sequence(
@@ -90,7 +105,8 @@ def anneal_sequence(
     current = list(initial) if initial is not None else [path(n)] * horizon
     if len(current) < horizon:
         current = current + [path(n)] * (horizon - len(current))
-    current_score = _score(current, n)
+    states = [BroadcastState.initial(n)]
+    current_score = _extend(states, current)
     best = list(current)
     best_score = current_score
     accepted = 0
@@ -104,10 +120,12 @@ def anneal_sequence(
         cutoff = min(current_score, len(proposal) - 1)
         idx = int(rng.integers(0, max(cutoff, 1)))
         proposal[idx] = random_tree(n, rng)
-        proposal_score = _score(proposal, n)
+        proposal_states = states[:idx + 1]
+        proposal_score = _extend(proposal_states, proposal)
         delta = proposal_score - current_score
         if delta >= 0 or rng.random() < np.exp(delta / max(temperature, 1e-9)):
             current, current_score = proposal, proposal_score
+            states = proposal_states
             accepted += 1
             if current_score > best_score:
                 best, best_score = list(current), current_score
@@ -116,7 +134,7 @@ def anneal_sequence(
     witness = best[:best_score] if best_score <= len(best) else best
     return AnnealingResult(
         n=n,
-        best_t_star=min(best_score, _score(best, n)),
+        best_t_star=best_score,
         best_sequence=witness,
         iterations=iterations,
         accepted=accepted,

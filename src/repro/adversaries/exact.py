@@ -137,7 +137,7 @@ class ExactGameSolver:
         self._full = (1 << n) - 1
         self._canonicalize = canonicalize
         self._max_states = max_states
-        self._parent_arrays: List[Tuple[int, ...]] = list(all_parent_arrays(n))
+        self._parent_arrays = all_parent_arrays(n)
         # Bit offset of each row's byte in a packed state: row 0 most
         # significant.
         self._shifts = np.arange(n - 1, -1, -1, dtype=np.uint64) * np.uint64(8)
@@ -145,7 +145,7 @@ class ExactGameSolver:
         self._full_bytes = np.uint64(
             int.from_bytes(bytes([0xFF] * (8 - n) + [self._full] * n), "big")
         )
-        self._tree_tables = _build_tree_tables(np.array(self._parent_arrays), n)
+        self._tree_tables = _build_tree_tables(self._parent_arrays, n)
         if canonicalize:
             self._perm_tables = _build_perm_tables(n, self._shifts)
             # Row of the perm tables for row x holding value r.
@@ -307,7 +307,7 @@ class ExactGameSolver:
             if chosen is None:  # pragma: no cover - would indicate a bug
                 raise RuntimeError("no tree achieves the game value")
             i, state = chosen
-            seq.append(RootedTree(self._parent_arrays[i]))
+            seq.append(RootedTree(self._parent_arrays[i].tolist()))
             remaining -= 1
         assert self.is_finished(state)
         return seq

@@ -743,6 +743,8 @@ def cmd_obs_top(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from repro.engine.executor import EXECUTOR_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro-broadcast",
         description=(
@@ -784,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="write a JSON trace here")
     p.add_argument(
         "--engine",
-        choices=["sequential", "batch", "sharded"],
+        choices=EXECUTOR_NAMES,
         default="sequential",
         help=(
             "execution engine (all are decision-equivalent; 'sequential' "
@@ -806,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=["sequential", "batch", "sharded"],
+        choices=EXECUTOR_NAMES,
         default="sharded",
         help=(
             "execution engine; results are identical across engines "
@@ -858,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", help="experiment id, 'list', or 'all'")
     p.add_argument(
         "--engine",
-        choices=["sequential", "batch", "sharded"],
+        choices=EXECUTOR_NAMES,
         default="sequential",
         help=(
             "executor the experiment's run tasks dispatch through "
@@ -891,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=["sequential", "batch", "sharded"],
+        choices=EXECUTOR_NAMES,
         default="batch",
         help="executor the scheduler dispatches on (default: batch)",
     )
@@ -1079,8 +1081,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
+        choices=EXECUTOR_NAMES,
         default=None,
-        help="override the server's executor hint (e.g. batch, compiled)",
+        help="override the server's executor hint",
     )
     p.add_argument(
         "--poll",

@@ -16,15 +16,18 @@ every state, so enumeration is only practical for small ``n``:
  7    117649
 ====  ==========
 
-Enumeration goes through all parent arrays directly (each node picks a
-parent or is the root), with a union-find acyclicity filter; this is simpler
-and faster than decoding all Prüfer/root pairs for the sizes we care about.
+Enumeration builds all ``n^n`` parent arrays at once (each node picks a
+parent or is the root) as one ``np.indices`` table in
+``itertools.product`` order, keeps the rows with exactly one fixed point
+(the root), and then pointer-doubles: after ``ceil(log2 n)`` squarings of
+the parent map every node of a tree has landed on the root, while a node on
+a cycle never lands on a fixed point.  The rows where every node lands on a
+fixed point are the trees, in the same order.
 """
 
 from __future__ import annotations
 
-from itertools import product as iter_product
-from typing import Iterator, List
+import numpy as np
 
 from repro.errors import SearchBudgetExceeded
 from repro.types import validate_node_count
@@ -39,43 +42,12 @@ def count_rooted_trees(n: int) -> int:
     return n ** (n - 1)
 
 
-def _is_tree_parent_array(parents: tuple, n: int) -> bool:
-    """Fast check that a parent tuple encodes a rooted tree.
+def all_parent_arrays(n: int) -> np.ndarray:
+    """The ``(n^(n-1), n)`` ``uint8`` parent table of all rooted trees on ``n`` nodes.
 
-    Exactly one fixed point (the root) and no cycles elsewhere.
-    """
-    root = -1
-    for v in range(n):
-        if parents[v] == v:
-            if root != -1:
-                return False
-            root = v
-    if root == -1:
-        return False
-    # Follow parent pointers; every node must reach the root.
-    state = [0] * n  # 0 unvisited, 1 on path, 2 ok
-    state[root] = 2
-    for start in range(n):
-        if state[start]:
-            continue
-        path: List[int] = []
-        v = start
-        while state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = parents[v]
-        if state[v] == 1:
-            return False
-        for u in path:
-            state[u] = 2
-    return True
-
-
-def all_parent_arrays(n: int) -> Iterator[tuple]:
-    """Yield the raw parent tuples of all rooted trees on ``n`` nodes.
-
-    Raw tuples rather than :class:`RootedTree` objects, for hot loops such
-    as the exact solver's successor generation.
+    Row ``t`` is the ``t``-th tree in ``itertools.product(range(n),
+    repeat=n)`` order (a root is its own parent).  A raw table rather than
+    :class:`RootedTree` objects, for the exact solver's tree tables.
     """
     validate_node_count(n)
     if n > MAX_ENUMERABLE_N:
@@ -83,6 +55,10 @@ def all_parent_arrays(n: int) -> Iterator[tuple]:
             f"refusing to enumerate {count_rooted_trees(n)} parent arrays "
             f"(n={n} > {MAX_ENUMERABLE_N})"
         )
-    for parents in iter_product(range(n), repeat=n):
-        if _is_tree_parent_array(parents, n):
-            yield parents
+    table = np.indices((n,) * n, dtype=np.uint8).reshape(n, -1).T
+    table = table[(table == np.arange(n, dtype=np.uint8)).sum(axis=1) == 1]
+    ancestors = table
+    for _ in range((n - 1).bit_length()):  # 2^k >= n - 1 >= every depth
+        ancestors = np.take_along_axis(ancestors, ancestors, axis=1)
+    landed = np.take_along_axis(table, ancestors, axis=1) == ancestors
+    return table[landed.all(axis=1)]

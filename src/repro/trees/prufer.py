@@ -6,12 +6,18 @@ formula).  Pairing a sequence with a root choice gives all ``n^(n-1)``
 rooted labeled trees, which is exactly the adversary's per-round choice set
 ``T_n`` -- the uniform sampler (:func:`repro.trees.generators.random_tree`)
 is built on this decoder.
+
+Decoding is the linear-time pointer decoder: a pointer sweeps upward for the
+smallest leaf, and a node that just became a leaf below the pointer is
+detached next.  Each detached leaf's parent is the sequence entry it was
+joined to, and the last leaf joins ``n - 1``, so the tree comes out rooted
+at ``n - 1``.  Reversing the parent pointers along the path from ``root`` to
+``n - 1`` then re-roots it at ``root``.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.errors import InvalidTreeError
 from repro.trees.rooted_tree import RootedTree
@@ -40,11 +46,6 @@ def from_prufer(sequence: Sequence[int], n: int, root: int = 0) -> RootedTree:
             f"Prüfer sequence for n={n} must have length {max(n - 2, 0)}, "
             f"got {len(sequence)}"
         )
-    if n == 1:
-        return RootedTree([0])
-    if n == 2:
-        parents = [root, root]
-        return RootedTree(parents)
     for x in sequence:
         validate_node(x, n)
 
@@ -52,31 +53,25 @@ def from_prufer(sequence: Sequence[int], n: int, root: int = 0) -> RootedTree:
     for x in sequence:
         degree[x] += 1
 
-    undirected: List[List[int]] = [[] for _ in range(n)]
-    leaf_heap = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaf_heap)
+    parents = list(range(n))
+    pointer = degree.index(1)
+    leaf = pointer
     for x in sequence:
-        leaf = heapq.heappop(leaf_heap)
-        undirected[leaf].append(x)
-        undirected[x].append(leaf)
+        parents[leaf] = x
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaf_heap, x)
-    u = heapq.heappop(leaf_heap)
-    v = heapq.heappop(leaf_heap)
-    undirected[u].append(v)
-    undirected[v].append(u)
+        if degree[x] == 1 and x < pointer:
+            leaf = x
+        else:
+            pointer = degree.index(1, pointer + 1)
+            leaf = pointer
+    parents[leaf] = n - 1
 
-    parents = [-1] * n
-    parents[root] = root
-    stack = [root]
-    seen = [False] * n
-    seen[root] = True
-    while stack:
-        a = stack.pop()
-        for b in undirected[a]:
-            if not seen[b]:
-                seen[b] = True
-                parents[b] = a
-                stack.append(b)
+    # Re-root at ``root``: reverse the pointers on the path to ``n - 1``.
+    child, v = root, root
+    while True:
+        up = parents[v]
+        parents[v] = child
+        if up == v:
+            break
+        child, v = v, up
     return RootedTree(parents)

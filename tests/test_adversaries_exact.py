@@ -141,7 +141,7 @@ def _minimal_antichain(states):
 def _reference_tables(n):
     """Per tree: new_row = row | {c : parent(c) in row}, in plain Python."""
     tables = []
-    for parents in all_parent_arrays(n):
+    for parents in all_parent_arrays(n).tolist():
         table = []
         for row in range(1 << n):
             grown = row

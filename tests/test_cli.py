@@ -173,6 +173,20 @@ class TestCacheCommands:
         assert "compactions" in out and "file_bytes" in out
 
 
+class TestWorker:
+    def test_unknown_engine_exits_2_before_connecting(self, monkeypatch, capsys):
+        from repro.service.client import ServiceClient
+
+        def no_connection(*args, **kwargs):
+            raise AssertionError("worker opened a connection")
+
+        monkeypatch.setattr(ServiceClient, "from_url", no_connection)
+        with pytest.raises(SystemExit) as exc:
+            main(["worker", "--url", "http://127.0.0.1:9", "--engine", "compiled"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'compiled'" in capsys.readouterr().err
+
+
 def test_n_bucket_edges():
     assert n_bucket(1) == "n<=1"
     assert n_bucket(10) == "n<=16"
