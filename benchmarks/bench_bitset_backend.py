@@ -4,23 +4,20 @@ The tentpole claim quantified: a full broadcast run (compose + completion
 check per round) through the ``bitset`` backend must beat ``dense`` by at
 least 4x at n = 1024 (measured ~65x on the reference container, because a
 round touches ``n * n/64`` words instead of ``n * n`` bools).  Also
-benchmarked: the batched multi-run engine against B sequential runs, the
-batched candidate-scoring kernel behind the greedy searcher, and the
-sharded multiprocess sweep engine against the sequential sweep (>= 2x
-wall-clock at n = 256 with 4 workers on a >= 4-core host).
+benchmarked: the batched multi-run engine against B sequential runs, and
+the sharded multiprocess sweep engine against the sequential sweep (>= 2x
+wall-clock on the size-256 grid with 4 workers on a >= 4-core host).
 """
 
 from __future__ import annotations
 
 import time
-from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.adversaries.greedy import GreedyDelayAdversary
+from repro.adversaries.zeiner import CyclicFamilyAdversary
 from repro.analysis.tables import format_table
-from repro.core.backend import get_backend
 from repro.core.broadcast import run_sequence
 from repro.engine.batch import BatchRunner, run_sequences_batch
 from repro.engine.executor import SequentialExecutor, ShardedExecutor
@@ -94,44 +91,25 @@ def test_batch_vs_sequential(benchmark, n, backend):
     assert batched == sequential
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("n", [64, 128])
-def test_greedy_batched_scoring(benchmark, n, backend):
-    """One greedy round (pool scoring via the batched kernel)."""
-    bk = get_backend(backend)
-    adv = GreedyDelayAdversary(n, seed=0)
-    from repro.core.state import BroadcastState
+def _sweep_grid(size: int):
+    """A grid heavy enough to amortize worker startup.
 
-    state = BroadcastState.initial(n, backend=bk)
-    rng = np.random.default_rng(1)
-    for _ in range(n // 2):
-        state.apply_tree_inplace(random_tree(n, rng))
-    tree = benchmark(lambda: adv.next_tree(state, 1))
-    assert tree.n == n
-
-
-def _sweep_grid(n: int):
-    """A multi-adversary grid heavy enough to amortize worker startup.
-
-    Eight independent greedy searchers (distinct pools via distinct
-    seeds): each one is seconds of work at n = 256, every point is
-    embarrassingly parallel, and 8 points over 4 workers balance into
-    two full waves, keeping the ideal ceiling at 4x while making pool
-    startup a small fraction of the measured window.
+    Eight cyclic cells at n = size/2 - 7 .. size/2: at size 256 each is
+    1.6-1.9 s of work, every point is embarrassingly parallel, and 8
+    points over 4 workers balance into two full waves, keeping the ideal
+    ceiling at 4x while making pool startup a small fraction of the
+    measured window.
     """
-    return {
-        f"GreedyDelay[s{seed}]": partial(GreedyDelayAdversary, seed=seed)
-        for seed in range(8)
-    }, [n]
+    return {"CyclicFamily": CyclicFamilyAdversary}, list(range(size // 2 - 7, size // 2 + 1))
 
 
 @pytest.mark.table
-@pytest.mark.parametrize("n", [32, 256])
-def test_sharded_sweep_speedup(n, report_sink):
+@pytest.mark.parametrize("size", [32, 256])
+def test_sharded_sweep_speedup(size, report_sink):
     """Sharded (4 workers) vs sequential sweep: identical points, and
-    >= 2x wall-clock at n >= 256 when the host has >= 4 usable cores."""
+    >= 2x wall-clock at size >= 256 when the host has >= 4 usable cores."""
     workers = 4
-    factories, ns = _sweep_grid(n)
+    factories, ns = _sweep_grid(size)
     # Best-of-2 on both sides: a one-shot wall-clock sample on a shared
     # CI runner is too noisy to gate on (pool startup included each time).
     t_seq, seq = _time(lambda: SequentialExecutor().sweep(factories, ns), repeats=2)
@@ -140,20 +118,23 @@ def test_sharded_sweep_speedup(n, report_sink):
     assert sharded == seq, "sharded sweep must be bit-identical to sequential"
     speedup = t_seq / t_shard
     table = format_table(
-        ["n", "points", "sequential s", f"{workers} workers s", "speedup"],
-        [(n, len(seq.points), f"{t_seq:.2f}", f"{t_shard:.2f}", f"{speedup:.1f}x")],
-        title=f"Sharded vs sequential sweep, n={n}",
+        ["ns", "points", "sequential s", f"{workers} workers s", "speedup"],
+        [
+            (f"{ns[0]}..{ns[-1]}", len(seq.points), f"{t_seq:.2f}", f"{t_shard:.2f}",
+             f"{speedup:.1f}x"),
+        ],
+        title=f"Sharded vs sequential sweep, size={size}",
     )
     print(table)
     report_sink.append(table)
     cpus = usable_cpus()
-    if n >= 256:
+    if size >= 256:
         if cpus < workers:
             pytest.skip(
                 f"speedup bar needs >= {workers} usable cores, host has {cpus}"
             )
         assert speedup >= 2.0, (
-            f"sharded sweep must be >= 2x sequential at n={n} with "
+            f"sharded sweep must be >= 2x sequential at size={size} with "
             f"{workers} workers, got {speedup:.1f}x"
         )
 

@@ -8,9 +8,10 @@ cache).
 
 The asserted bar: at n = 256 under the bitset backend, a warm-cache
 lookup must be >= 10x faster than recomputation.  The workload is the
-adaptive sorted-path family (no compiled-schedule shortcut: each round
-re-sorts by reach sizes and builds a fresh path), so "recompute" means
-real per-round work while "warm" is one digest lookup per request.
+adaptive k-inner family (no compiled-schedule shortcut: each round
+re-sorts by heard-of and reach sizes and builds a fresh broom), so
+"recompute" means real per-round work while "warm" is one digest lookup
+per request.
 
 Under pytest the bars are measured and asserted but nothing is written,
 so a test run leaves the committed ``BENCH_service.json`` alone; the
@@ -49,18 +50,13 @@ def _persist(key: str, payload: dict) -> None:
         json.dumps(existing, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-#: Four distinct digests per n: the sorted-path parameter square.
-SPEC_PARAMS = [
-    {"ascending": True, "tie_break": "index"},
-    {"ascending": True, "tie_break": "column"},
-    {"ascending": False, "tie_break": "index"},
-    {"ascending": False, "tie_break": "column"},
-]
+#: Four distinct digests per n: the k-inner budgets 2..5.
+SPEC_PARAMS = [{"k": k} for k in (2, 3, 4, 5)]
 
 
 def _specs(n: int):
     return [
-        {"adversary": "sorted-path", "n": n, "params": params, "backend": "bitset"}
+        {"adversary": "k-inner", "n": n, "params": params, "backend": "bitset"}
         for params in SPEC_PARAMS
     ]
 

@@ -31,7 +31,7 @@ def test_print_sandwich_table(capsys):
     for n in NS:
         board = {
             label: run_adversary(handle(n), n).t_star
-            for label, handle in portfolio_handles(include_search=False).items()
+            for label, handle in portfolio_handles().items()
         }
         assert all(t <= upper_bound(n) for t in board.values()), (
             f"upper bound violated at n={n}: {board}"

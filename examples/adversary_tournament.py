@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Adversary tournament: who delays broadcast longest?
 
-Runs the full adversary portfolio over a range of ``n`` and prints the
+Runs the adversary portfolio over a range of ``n`` and prints the
 leaderboard: measured ``t*`` per (adversary, n) with the Theorem 3.1
 formulas alongside.  Shows the reproduction's central empirical story --
-path heuristics top out at ``n − 1``, the cyclic chain-fan family reaches
+the paths play at most ``n − 1``, the cyclic chain-fan family reaches
 the ``⌈(3n−1)/2⌉ − 2`` lower bound, and nothing crosses the
 ``⌈(1+√2)n − 1⌉`` upper bound.
 
@@ -21,7 +21,7 @@ from repro.service.specs import portfolio_handles
 
 def main() -> None:
     ns = [6, 8, 10, 12]
-    result = SequentialExecutor().sweep(portfolio_handles(include_search=True), ns)
+    result = SequentialExecutor().sweep(portfolio_handles(), ns)
 
     headers = ["adversary", *[f"n={n}" for n in ns]]
     rows = []

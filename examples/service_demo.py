@@ -24,7 +24,7 @@ from repro.service.server import ServiceServer
 RUN_SPECS = [
     {"adversary": "static-path", "n": 64, "backend": "bitset"},
     {"adversary": "rotating-path", "n": 64, "params": {"shift": 2}, "backend": "bitset"},
-    {"adversary": "sorted-path", "n": 64, "params": {"ascending": False}, "backend": "bitset"},
+    {"adversary": "k-leaf", "n": 64, "params": {"k": 2}, "backend": "bitset"},
     {"adversary": "cyclic", "n": 64, "backend": "bitset"},
 ]
 
@@ -65,8 +65,8 @@ def main() -> None:
         # Batch submission: one request, per-item job envelopes in order.
         batch = client.submit_runs(
             [
-                {"adversary": "runner", "n": 48, "backend": "bitset"},
-                {"adversary": "zeiner-style", "n": 48, "backend": "bitset"},
+                {"adversary": "k-leaf", "n": 48, "backend": "bitset"},
+                {"adversary": "k-inner", "n": 48, "backend": "bitset"},
             ]
         )
         for envelope in batch:
@@ -76,7 +76,7 @@ def main() -> None:
         sweep = client.wait(
             client.submit_sweep(
                 {
-                    "adversaries": ["static-path", "rotating-path", "runner"],
+                    "adversaries": ["static-path", "rotating-path", "k-leaf"],
                     "ns": [16, 24, 32],
                     "backend": "bitset",
                 }

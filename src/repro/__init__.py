@@ -5,9 +5,10 @@ The library implements the paper's model exactly -- synchronous broadcast
 over adversarial sequences of rooted trees, analysed through the evolution
 of boolean adjacency matrices -- plus every substrate the reproduction
 needs: the rooted-tree universe ``T_n``, adversary strategies (explicit
-constructions, greedy/beam search, and an exact game solver for small
-``n``), the bound formulas of Figure 1 and Theorem 3.1, the E1..E8
-experiments, and an execution layer served over HTTP.
+constructions, the lower-bound-matching cyclic adversary, and an exact
+game solver for small ``n``), the bound formulas of Figure 1 and
+Theorem 3.1, the E1..E8 experiments, and an execution layer served over
+HTTP.
 
 Quickstart
 ----------

@@ -1,19 +1,15 @@
 """Adversary strategies for the dynamic-rooted-tree broadcast game.
 
 The adversary of Definition 2.3 picks one rooted tree per round to maximize
-the broadcast time ``t*``.  This package implements the full spectrum:
+the broadcast time ``t*``.  This package implements:
 
 * :mod:`~repro.adversaries.base` -- the :class:`Adversary` ABC and sequence
   adapters;
 * :mod:`~repro.adversaries.oblivious` -- adversaries that ignore the state
   (static tree, random);
-* :mod:`~repro.adversaries.paths` -- path-based strategies, including the
-  two-phase flip families;
-* :mod:`~repro.adversaries.zeiner` -- explicit lower-bound constructions in
-  the spirit of Zeiner-Schwarz-Schmid [14];
-* :mod:`~repro.adversaries.pool` -- candidate-tree pool builders for search;
-* :mod:`~repro.adversaries.greedy` -- one-step greedy minimax over a pool;
-* :mod:`~repro.adversaries.beam` -- multi-step beam search;
+* :mod:`~repro.adversaries.paths` -- the static and rotating paths;
+* :mod:`~repro.adversaries.zeiner` -- the cyclic chain-fan adversary, which
+  meets the lower bound of Zeiner-Schwarz-Schmid [14];
 * :mod:`~repro.adversaries.exact` -- exhaustive game solver (exact
   ``t*(T_n)`` for small ``n``);
 * :mod:`~repro.adversaries.restricted` -- the k-leaf / k-inner-node
@@ -30,24 +26,11 @@ from repro.adversaries.oblivious import (
     RandomTreeAdversary,
     StaticTreeAdversary,
 )
-from repro.adversaries.paths import (
-    AlternatingPathAdversary,
-    SortedPathAdversary,
-    StaticPathAdversary,
-    TwoPhaseFlipAdversary,
-)
+from repro.adversaries.paths import StaticPathAdversary
 from repro.adversaries.zeiner import (
     CyclicFamilyAdversary,
-    RunnerAdversary,
-    ZeinerStyleAdversary,
     quadratic_potential_score,
 )
-from repro.adversaries.pool import CandidatePool, PoolConfig
-from repro.adversaries.greedy import (
-    GreedyDelayAdversary,
-    score_tree,
-)
-from repro.adversaries.beam import BeamSearchAdversary
 from repro.adversaries.exact import ExactGameSolver, ExactResult
 from repro.adversaries.restricted import (
     KInnerAdversary,
@@ -68,18 +51,8 @@ __all__ = [
     "StaticTreeAdversary",
     "RandomTreeAdversary",
     "StaticPathAdversary",
-    "AlternatingPathAdversary",
-    "SortedPathAdversary",
-    "TwoPhaseFlipAdversary",
-    "ZeinerStyleAdversary",
-    "RunnerAdversary",
     "CyclicFamilyAdversary",
     "quadratic_potential_score",
-    "CandidatePool",
-    "PoolConfig",
-    "GreedyDelayAdversary",
-    "score_tree",
-    "BeamSearchAdversary",
     "ExactGameSolver",
     "ExactResult",
     "KLeafAdversary",

@@ -55,9 +55,8 @@ class KLeafAdversary(Adversary):
     """Adaptive adversary restricted to trees with exactly ``k`` leaves.
 
     Strategy: play the spider whose center is the least-heard-of node and
-    whose legs receive nodes sorted by reach size ascending -- the spider
-    analogue of the sorted-path heuristic.  For ``k = 1`` this degenerates
-    to the sorted path itself.
+    whose legs receive nodes sorted by reach size ascending.  For ``k = 1``
+    this is the path rooted at the least-heard-of node.
     """
 
     def __init__(self, n: int, k: int) -> None:

@@ -1,46 +1,40 @@
-"""Lower-bound adversaries: the cyclic chain-fan construction and friends.
+"""The lower-bound adversary: the cyclic chain-fan construction.
 
 The ``⌈(3n−1)/2⌉ − 2`` lower bound of Theorem 3.1 is due to Zeiner,
 Schwarz, Schmid [14] via an explicit adversary (published separately in
 Discrete Applied Mathematics 255, 2019, not restated in the brief
-announcement we reproduce).  This module supplies executable adversaries
-that *witness* the bound:
+announcement we reproduce).  This module supplies the executable
+adversary that *witnesses* the bound, :class:`CyclicFamilyAdversary`:
+the reproduction's main result on the lower-bound side, and the only
+adversary in the registry that beats the static path's ``n - 1``.
 
-* :class:`CyclicFamilyAdversary` -- the reproduction's main result on the
-  lower-bound side.  Playing greedily (quadratic-potential score) over the
-  family of *rotated cyclic paths* and *cyclic chain-fan trees*, it keeps
-  every reach set a cyclic interval and achieves **exactly**
-  ``⌈(3n−1)/2⌉ − 2`` on the full pool (``m_stride=1``, the default below
-  64 nodes) at every ``n`` measured: 2 .. 64, then 72, 80, .., 128
-  (``benchmarks/BENCH_cyclic.json``), matching the exact game values
-  computed by :mod:`repro.adversaries.exact` for ``n <= 5`` (where
-  ``t*(T_n)`` equals the formula).  The default subsampled pool above 63
-  nodes falls short: t* = 93, 116, 155 against 94, 142, 190 at n = 64,
-  96, 128.  How it was found: we solved the game exactly for small
-  ``n``, observed that optimal play keeps reach sets as cyclic intervals
-  and plays chains-with-fans, and closed the family under rotation and
-  direction.  No candidate is composed: sums of squared reach sizes come
-  from GEMMs over per-round prefix sums, and a run takes 0.14 s at
-  n = 48.
-
-* :class:`ZeinerStyleAdversary`, :class:`RunnerAdversary` -- simpler
-  two-phase/path heuristics kept as baselines (they only reach ``n - 1``;
-  their failure is itself informative and benchmarked in E8).
+Playing greedily (quadratic-potential score) over the family of
+*rotated cyclic paths* and *cyclic chain-fan trees*, it keeps every
+reach set a cyclic interval and achieves **exactly** ``⌈(3n−1)/2⌉ − 2``
+on the full pool (``m_stride=1``, the default below 64 nodes) at every
+``n`` measured: 2 .. 64, then 72, 80, .., 128
+(``benchmarks/BENCH_cyclic.json``), matching the exact game values
+computed by :mod:`repro.adversaries.exact` for ``n <= 5`` (where
+``t*(T_n)`` equals the formula).  The default subsampled pool above 63
+nodes falls short: t* = 93, 116, 155 against 94, 142, 190 at n = 64,
+96, 128.  How it was found: we solved the game exactly for small ``n``,
+observed that optimal play keeps reach sets as cyclic intervals and
+plays chains-with-fans, and closed the family under rotation and
+direction.  No candidate is composed: sums of squared reach sizes come
+from GEMMs over per-round prefix sums, and a run takes 0.14 s at
+n = 48.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.adversaries.base import Adversary
-from repro.adversaries.paths import StaticPathAdversary
 from repro.core.state import BroadcastState
 from repro.errors import AdversaryError
-from repro.trees.generators import path_from_order
 from repro.trees.rooted_tree import RootedTree
 
 
@@ -417,59 +411,3 @@ class CyclicFamilyAdversary(Adversary):
         choose = _gemm_choice if fam.hi.size >= _FULL_TABLE_POOL else _full_table_choice
         best = choose(fam, state.reach_matrix_view())
         return RootedTree(_chain_fan_parents(fam, np.array([best]))[0].tolist())
-
-
-class ZeinerStyleAdversary(Adversary):
-    """Two-phase heuristic baseline: static path, then sorted re-rooting.
-
-    Phase 1 (rounds ``1 .. ceil(n/2) - 1``) holds the identity path,
-    building the staggered interval structure ``R_i = [i, i + t]``.
-    Phase 2 re-roots adaptively: the path is ordered by reach size
-    ascending, pushing nodes close to finishing to the leaf end where
-    their reach sets align with path suffixes (the stallable sets of
-    Lemma S).
-
-    Measured: this only achieves ``n - 1`` -- staying inside *linear*
-    path orders is not enough, which is why
-    :class:`CyclicFamilyAdversary` works over *cyclic* rotations with
-    fan-outs instead.  Kept as an instructive baseline (benchmark E8).
-    """
-
-    def __init__(self, n: int, phase1_rounds: Optional[int] = None) -> None:
-        self._n = n
-        if phase1_rounds is None:
-            phase1_rounds = max(math.ceil(n / 2) - 1, 0)
-        self._phase1 = phase1_rounds
-        self._static = StaticPathAdversary(n)
-        self.name = f"ZeinerStyle[p1={self._phase1}]"
-        super().__init__()
-
-    def next_tree(self, state: BroadcastState, round_index: int) -> RootedTree:
-        if round_index <= self._phase1:
-            return self._static.next_tree(state, round_index)
-        rows = state.reach_sizes()
-        order = sorted(range(self._n), key=lambda v: (rows[v], v))
-        return path_from_order(order)
-
-
-class RunnerAdversary(Adversary):
-    """Keep the least-heard-of node ("runner") at the root.
-
-    Lemma R forces the root to gain every round; this heuristic hands the
-    root slot to the node the fewest processes have reached, so the forced
-    gain lands on the least advanced node.  The rest of the path is
-    ordered by reach ascending.  Baseline: achieves ``n - 1``.
-    """
-
-    def __init__(self, n: int) -> None:
-        self._n = n
-        self.name = "Runner"
-        super().__init__()
-
-    def next_tree(self, state: BroadcastState, round_index: int) -> RootedTree:
-        rows = state.reach_sizes()
-        cols = state.heard_of_sizes()
-        runner = min(range(self._n), key=lambda v: (cols[v], rows[v], v))
-        rest = [v for v in range(self._n) if v != runner]
-        rest.sort(key=lambda v: (rows[v], v))
-        return path_from_order([runner] + rest)

@@ -140,7 +140,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.service.specs import portfolio_handles
     from repro.service.tasks import run_graph, sweep_graph
 
-    handles = portfolio_handles(include_search=not args.fast)
+    handles = portfolio_handles()
     graph, output = sweep_graph(
         {
             "adversaries": [
@@ -803,9 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="portfolio sweep over n")
     p.add_argument("--ns", type=int, nargs="+", default=[6, 8, 10, 12])
-    p.add_argument(
-        "--fast", action="store_true", help="skip slow search adversaries"
-    )
     p.add_argument(
         "--engine",
         choices=EXECUTOR_NAMES,

@@ -187,7 +187,6 @@ class MatrixBackend:
         """Successors of ONE state under ``C`` candidate trees at once.
 
         Returns a ``(C, ...)`` batch handle; ``parents`` is ``(C, n)``.
-        This is the kernel behind batched greedy/beam scoring.
         """
         raise NotImplementedError
 

@@ -105,14 +105,6 @@ class BroadcastState:
         """The matrix backend this state's storage lives in."""
         return self._backend
 
-    def backend_matrix(self) -> np.ndarray:
-        """The raw backend handle (layout is backend-specific).
-
-        For batched kernels (:mod:`repro.engine.batch`) that compose many
-        candidates against this state in one step.  Treat as read-only.
-        """
-        return self._mat
-
     @property
     def reach_matrix(self) -> np.ndarray:
         """A *copy* of the boolean product-graph matrix."""

@@ -11,7 +11,7 @@
 
 from repro.engine.events import RoundRecord
 from repro.engine.trace import Trace, TraceRecorder
-from repro.engine.batch import BatchRunner, run_sequences_batch, score_candidates
+from repro.engine.batch import BatchRunner, run_sequences_batch
 from repro.engine.executor import (
     BatchExecutor,
     Executor,
@@ -29,7 +29,6 @@ __all__ = [
     "TraceRecorder",
     "BatchRunner",
     "run_sequences_batch",
-    "score_candidates",
     "RunSpec",
     "RunReport",
     "Executor",

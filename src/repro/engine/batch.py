@@ -1,22 +1,13 @@
 """Batched broadcast engine: advance B independent runs in one step.
 
-Two workloads dominate this repo's compute, and both are embarrassingly
-batchable:
-
-* **multi-run sweeps** -- many seeds / many tree sequences over the same
-  ``n`` (sweeps, experiment grids).  :class:`BatchRunner` stacks
-  the runs' matrices along a leading axis (``(B, n, n)`` dense,
-  ``(B, n, words)`` bitset) and performs one vectorized
-  compose + completion check per round for all runs at once.
-* **candidate scoring** -- greedy/beam adversaries evaluate every tree in
-  a pool against the *same* state each round.  :func:`score_candidates`
-  composes all ``C`` candidates in a single batched kernel and returns
-  the same lexicographic score tuples as
-  :func:`repro.adversaries.greedy.score_tree`, in candidate order.
-
-Both route through the backend batch kernels
+Multi-run sweeps -- many seeds / many tree sequences over the same ``n``
+(sweeps, experiment grids) -- are embarrassingly batchable.
+:class:`BatchRunner` stacks the runs' matrices along a leading axis
+(``(B, n, n)`` dense, ``(B, n, words)`` bitset) and performs one
+vectorized compose + completion check per round for all runs at once,
+through the backend batch kernels
 (:meth:`~repro.core.backend.MatrixBackend.batch_compose_inplace` and
-friends), so they speed up further under ``REPRO_BACKEND=bitset``.
+friends), so it speeds up further under ``REPRO_BACKEND=bitset``.
 """
 
 from __future__ import annotations
@@ -31,10 +22,6 @@ from repro.core.state import BroadcastState
 from repro.errors import DimensionMismatchError, SimulationError
 from repro.trees.rooted_tree import RootedTree
 from repro.types import validate_node_count
-
-#: Greedy score tuple, identical to :data:`repro.adversaries.greedy.Score`.
-ScoreTuple = Tuple[int, int, int, int, int]
-
 
 class BatchRunner:
     """``B`` independent broadcast runs advanced by vectorized steps.
@@ -240,50 +227,7 @@ def run_sequences_batch(
     return out
 
 
-def score_candidates(
-    state: BroadcastState, candidates: Sequence[RootedTree]
-) -> List[ScoreTuple]:
-    """Greedy scores of all candidate trees in one batched composition.
-
-    Returns, in candidate order, exactly the tuples
-    :func:`repro.adversaries.greedy.score_tree` would produce:
-    ``(new broadcasters, max reach, near-finishers, new edges, gainers)``,
-    lexicographically lower = better for the adversary.
-    """
-    if not candidates:
-        return []
-    n = state.n
-    backend = state.backend
-    parents = np.stack([t.parent_array_numpy() for t in candidates])
-    if parents.shape[1] != n:
-        raise DimensionMismatchError(
-            f"candidate trees over {parents.shape[1]} nodes scored on n={n}"
-        )
-    successors = backend.batch_compose_from(state.backend_matrix(), parents)
-    new_rows = backend.batch_reach_sizes(successors)  # (C, n)
-    old_rows = state.reach_sizes()  # (n,)
-    old_full = int((old_rows == n).sum())
-    old_total = int(old_rows.sum())
-    finished = (new_rows == n).sum(axis=1) - old_full
-    max_reach = new_rows.max(axis=1)
-    near = (new_rows == n - 1).sum(axis=1)
-    new_edges = new_rows.sum(axis=1) - old_total
-    gainers = (new_rows > old_rows[None, :]).sum(axis=1)
-    return [
-        (
-            int(finished[c]),
-            int(max_reach[c]),
-            int(near[c]),
-            int(new_edges[c]),
-            int(gainers[c]),
-        )
-        for c in range(len(candidates))
-    ]
-
-
 __all__ = [
     "BatchRunner",
-    "ScoreTuple",
     "run_sequences_batch",
-    "score_candidates",
 ]

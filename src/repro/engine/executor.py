@@ -25,8 +25,7 @@ exactly one place (:func:`repro.core.bounds.resolve_round_cap`).
 
 Compiled-schedule fast path
 ---------------------------
-Oblivious adversaries (fixed sequences, static/rotating/alternating paths)
-implement
+Oblivious adversaries (fixed sequences, static/rotating paths) implement
 :meth:`~repro.adversaries.base.Adversary.compile_schedule`: the whole run
 as one packed ``(rounds, n)`` parent array, memoized by canonical tree
 form in :mod:`repro.trees.compile`.  Executors then drive the backend

@@ -1,7 +1,7 @@
 """Worker-pool helpers for :class:`repro.engine.executor.ShardedExecutor`.
 
 The sharded executor partitions a spec list into contiguous per-process
-shards (:func:`split_shards`), runs them over a ``multiprocessing`` pool
+shards (:func:`split_shards`), runs them over a process pool
 (:func:`pool_map`), and merges the shard outputs back by spec index.
 Grid sweeps reach it through ``Executor.sweep``, which sends every grid
 cell through ``run_many``.
@@ -64,8 +64,10 @@ def pool_map(worker: Callable, payloads: List[Tuple], workers: int) -> List[List
 
     Inline (no pool, no pickling requirement) when ``workers == 1`` or
     there is at most one payload; otherwise every payload is
-    pickle-checked up front so a non-picklable factory fails with a
-    actionable message instead of a deep pool traceback.
+    pickle-checked up front so a non-picklable factory fails with an
+    actionable message instead of a deep pool traceback.  A worker that
+    dies (say, it cannot import the factory's module) raises
+    :class:`~repro.errors.SimulationError` rather than hanging the call.
     """
     if workers == 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
@@ -80,10 +82,22 @@ def pool_map(worker: Callable, payloads: List[Tuple], workers: int) -> List[List
                 f"pickling failed with: {exc}"
             ) from exc
     import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     ctx = mp.get_context("spawn")
-    with ctx.Pool(processes=min(workers, len(payloads))) as pool:
-        return pool.map(worker, payloads)
+    try:
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(payloads)), mp_context=ctx
+        ) as pool:
+            return list(pool.map(worker, payloads))
+    except BrokenProcessPool as exc:
+        raise SimulationError(
+            "a shard worker process died before returning its result; "
+            "spawned workers re-import the factory's module, so it must "
+            "be importable from a file (a __main__ read from stdin or "
+            f"defined interactively is not): {exc}"
+        ) from exc
 
 
 __all__ = [

@@ -12,7 +12,7 @@ which subsystem rejected the input:
   backend registry (see :mod:`repro.core.backend`).
 * :class:`AdversaryError` -- an adversary produced an illegal move or was
   driven past its defined horizon.
-* :class:`SearchBudgetExceeded` -- an exact/beam search hit its configured
+* :class:`SearchBudgetExceeded` -- an exact search hit its configured
   node or transition cap before completing.
 * :class:`SimulationError` -- the round-based engine was misused (e.g. asked
   to step a finished simulation without permission).
@@ -75,7 +75,7 @@ class AdversaryError(ReproError, RuntimeError):
 
 
 class SearchBudgetExceeded(ReproError, RuntimeError):
-    """An exhaustive or beam search exceeded its configured budget.
+    """An exhaustive search exceeded its configured budget.
 
     Attributes
     ----------

@@ -669,17 +669,23 @@ class JobScheduler:
             # is already queued; restoring a second queued copy would
             # wait forever.  Skip it -- its id answers "unknown job".
             return False
-        if entry.kind == "graph":
-            try:
-                graph, _ = TaskGraph.from_doc(entry.spec)
-            except Exception as exc:
-                job.status = "failed"
-                job.error = f"unrecoverable graph spec: {type(exc).__name__}: {exc}"
-                self._jobs[job.job_id] = job
-                self._retire(job)
-                self._journal_state(job.job_id, "failed", error=job.error)
-                return False
-            job.nodes = initial_statuses(graph)
+        # A spec the registry no longer accepts (say, an adversary deleted
+        # since the journal was written) fails its own job here; a run job
+        # left in the queue would fail every job batched with it.
+        try:
+            if entry.kind == "graph":
+                job.nodes = initial_statuses(TaskGraph.from_doc(entry.spec)[0])
+            elif entry.kind == "run":
+                canonical_run_spec(entry.spec)
+            else:
+                canonical_sweep_spec(entry.spec)
+        except Exception as exc:
+            job.status = "failed"
+            job.error = f"unrecoverable {entry.kind} spec: {type(exc).__name__}: {exc}"
+            self._jobs[job.job_id] = job
+            self._retire(job)
+            self._journal_state(job.job_id, "failed", error=job.error)
+            return False
         self._jobs[job.job_id] = job
         self._inflight[job.digest] = job.job_id
         self._queue.append(job.job_id)

@@ -56,16 +56,16 @@ from repro.types import AdversaryProtocol
 SPEC_VERSION = 1
 
 #: Parameter types the schema language supports (JSON-representable).
-_PARAM_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+_PARAM_TYPES = ("int",)
 
 
 @dataclass(frozen=True)
 class ParamSpec:
     """One typed, defaulted adversary parameter.
 
-    ``type`` names a JSON scalar type (``int``/``float``/``bool``/``str``);
-    ``optional=True`` additionally admits ``None`` (the usual "derive from
-    n" constructor convention).
+    ``type`` names a JSON scalar type from :data:`_PARAM_TYPES` (``int``
+    is the only one); ``optional=True`` additionally admits ``None`` (the
+    usual "derive from n" constructor convention).
     """
 
     type: str
@@ -80,24 +80,14 @@ class ParamSpec:
             )
 
     def coerce(self, name: str, value: Any) -> Any:
-        """Validate (and minimally coerce) one supplied value."""
+        """Validate one supplied value."""
         if value is None:
             if self.optional:
                 return None
             raise SpecError(f"param {name!r} must not be null")
-        want = _PARAM_TYPES[self.type]
-        # bool is a subclass of int: require exact booleans for bool
-        # params and reject booleans where numbers are expected, so
-        # {"shift": true} can never silently mean shift=1.
-        if want is bool:
-            if not isinstance(value, bool):
-                raise SpecError(f"param {name!r} must be a bool, got {value!r}")
-            return value
-        if isinstance(value, bool):
-            raise SpecError(f"param {name!r} must be {self.type}, got a bool")
-        if want is float and isinstance(value, int):
-            return float(value)
-        if not isinstance(value, want):
+        # bool is a subclass of int: reject booleans, so {"shift": true}
+        # can never silently mean shift=1.
+        if isinstance(value, bool) or not isinstance(value, int):
             raise SpecError(
                 f"param {name!r} must be {self.type}, got {type(value).__name__}"
             )
@@ -492,48 +482,29 @@ def _to_run_spec(spec: Mapping[str, Any]) -> "RunSpec":
     )
 
 
-#: Seed of the portfolio's randomized rows (random tree, greedy, beam).
+#: Seed of the portfolio's randomized row (random tree).
 PORTFOLIO_SEED = 0
 
 
-def portfolio_handles(include_search: bool = True) -> Dict[str, SpecHandle]:
+def portfolio_handles() -> Dict[str, SpecHandle]:
     """The standard sweep portfolio as declarative, cacheable handles.
 
-    The oblivious and constructive strategies (including the
-    lower-bound-matching ``cyclic`` adversary), plus the greedy and beam
-    searchers when ``include_search`` is set, keyed by display label in
-    a fixed order.  Every factory is a picklable :class:`SpecHandle`, so
-    the portfolio crosses ``spawn`` boundaries and each row turns into a
+    The static and rotating paths, the lower-bound-matching ``cyclic``
+    adversary and the random tree, keyed by display label in a fixed
+    order.  Every factory is a picklable :class:`SpecHandle`, so the
+    portfolio crosses ``spawn`` boundaries and each row turns into a
     sweep-spec row (the CLI ``sweep`` runs it as a task graph).
     """
-    handles = {
+    return {
         "StaticPath": SpecHandle("static-path", label="StaticPath"),
-        "AlternatingPath": SpecHandle(
-            "alternating-path", {"period": 1}, label="AlternatingPath"
-        ),
         "RotatingPath": SpecHandle("rotating-path", {"shift": 1}, label="RotatingPath"),
-        "SortedPath[asc]": SpecHandle(
-            "sorted-path", {"ascending": True}, label="SortedPath[asc]"
-        ),
-        "SortedPath[desc]": SpecHandle(
-            "sorted-path", {"ascending": False}, label="SortedPath[desc]"
-        ),
-        "TwoPhaseFlip": SpecHandle("two-phase-flip", {"alpha": 0.5}, label="TwoPhaseFlip"),
-        "ZeinerStyle": SpecHandle("zeiner-style", label="ZeinerStyle"),
-        "Runner": SpecHandle("runner", label="Runner"),
         "CyclicFamily": SpecHandle("cyclic", label="CyclicFamily"),
         "RandomTree": SpecHandle("random-tree", seed=PORTFOLIO_SEED, label="RandomTree"),
     }
-    if include_search:
-        handles["GreedyDelay"] = SpecHandle("greedy", seed=PORTFOLIO_SEED, label="GreedyDelay")
-        handles["BeamSearch"] = SpecHandle(
-            "beam", {"depth": 2, "width": 6}, seed=PORTFOLIO_SEED, label="BeamSearch"
-        )
-    return handles
 
 
 # ----------------------------------------------------------------------
-# Built-in registry: the oblivious/search adversary portfolio
+# Built-in registry
 # ----------------------------------------------------------------------
 
 
@@ -550,22 +521,10 @@ def _static_star_factory(n: int) -> AdversaryProtocol:
 
 
 def _register_builtins() -> None:
-    from repro.adversaries.beam import BeamSearchAdversary
-    from repro.adversaries.greedy import GreedyDelayAdversary
     from repro.adversaries.oblivious import RandomTreeAdversary
-    from repro.adversaries.paths import (
-        AlternatingPathAdversary,
-        RotatingPathAdversary,
-        SortedPathAdversary,
-        StaticPathAdversary,
-        TwoPhaseFlipAdversary,
-    )
+    from repro.adversaries.paths import RotatingPathAdversary, StaticPathAdversary
     from repro.adversaries.restricted import KInnerAdversary, KLeafAdversary
-    from repro.adversaries.zeiner import (
-        CyclicFamilyAdversary,
-        RunnerAdversary,
-        ZeinerStyleAdversary,
-    )
+    from repro.adversaries.zeiner import CyclicFamilyAdversary
 
     register_adversary(
         "static-path",
@@ -578,45 +537,10 @@ def _register_builtins() -> None:
         description="repeat the star centered at 0; t* = 1 exactly",
     )
     register_adversary(
-        "alternating-path",
-        AlternatingPathAdversary,
-        params={"period": ParamSpec("int", 1)},
-        description="alternate forward/backward paths every `period` rounds",
-    )
-    register_adversary(
         "rotating-path",
         RotatingPathAdversary,
         params={"shift": ParamSpec("int", 1)},
         description="cyclically re-rooted path, shifted `shift` per round",
-    )
-    register_adversary(
-        "sorted-path",
-        SortedPathAdversary,
-        params={
-            "ascending": ParamSpec("bool", True),
-            "tie_break": ParamSpec("str", "index"),
-        },
-        description="adaptive path ordered by current reach-set sizes",
-    )
-    register_adversary(
-        "two-phase-flip",
-        TwoPhaseFlipAdversary,
-        params={
-            "alpha": ParamSpec("float", 0.5),
-            "ascending": ParamSpec("bool", True),
-        },
-        description="static path for round(alpha*n) rounds, then sorted path",
-    )
-    register_adversary(
-        "zeiner-style",
-        ZeinerStyleAdversary,
-        params={"phase1_rounds": ParamSpec("int", None, optional=True)},
-        description="Zeiner-Schwarz-Schmid-style two-phase lower-bound build",
-    )
-    register_adversary(
-        "runner",
-        RunnerAdversary,
-        description="adaptive: keep the least-heard-of node rooted",
     )
     register_adversary(
         "cyclic",
@@ -629,19 +553,6 @@ def _register_builtins() -> None:
         RandomTreeAdversary,
         takes_seed=True,
         description="a fresh uniform random tree every round (seeded)",
-    )
-    register_adversary(
-        "greedy",
-        GreedyDelayAdversary,
-        takes_seed=True,
-        description="one-step greedy minimax over a candidate pool",
-    )
-    register_adversary(
-        "beam",
-        BeamSearchAdversary,
-        params={"depth": ParamSpec("int", 2), "width": ParamSpec("int", 6)},
-        takes_seed=True,
-        description="multi-step beam search over a candidate pool",
     )
     register_adversary(
         "k-leaf",

@@ -139,9 +139,9 @@ def cached_schedule(key: Tuple, builder: Callable[[], np.ndarray]) -> np.ndarray
     """Memoize an adversary-specific schedule under the shared LRU cache.
 
     For strategies whose schedules are cheaper to build directly than via
-    tree objects (rotating/alternating paths): ``key`` must uniquely
-    determine the schedule (include the strategy name, ``n``, parameters,
-    and the horizon).  The built array is frozen read-only before
+    tree objects (rotating paths): ``key`` must uniquely determine the
+    schedule (include the strategy name, ``n``, parameters, and the
+    horizon).  The built array is frozen read-only before
     caching.
     """
     cache_key = ("custom", *key)

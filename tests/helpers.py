@@ -7,21 +7,9 @@ from typing import List
 
 import numpy as np
 
-from repro.adversaries.beam import BeamSearchAdversary
-from repro.adversaries.greedy import GreedyDelayAdversary
 from repro.adversaries.oblivious import RandomTreeAdversary
-from repro.adversaries.paths import (
-    AlternatingPathAdversary,
-    RotatingPathAdversary,
-    SortedPathAdversary,
-    StaticPathAdversary,
-    TwoPhaseFlipAdversary,
-)
-from repro.adversaries.zeiner import (
-    CyclicFamilyAdversary,
-    RunnerAdversary,
-    ZeinerStyleAdversary,
-)
+from repro.adversaries.paths import RotatingPathAdversary, StaticPathAdversary
+from repro.adversaries.zeiner import CyclicFamilyAdversary
 from repro.core.broadcast import BroadcastResult, run_sequence
 from repro.core.state import BroadcastState
 from repro.engine.executor import RunReport, RunSpec, SequentialExecutor
@@ -105,26 +93,14 @@ def portfolio_rows(handles, n: int = 6):
     return [(label, type(handle(n)), handle.params) for label, handle in handles.items()]
 
 
-def expected_portfolio(include_search: bool = True):
+def expected_portfolio():
     """The standard sweep portfolio, written out: ``(label, class, params)``."""
-    rows = [
+    return [
         ("StaticPath", StaticPathAdversary, {}),
-        ("AlternatingPath", AlternatingPathAdversary, {"period": 1}),
         ("RotatingPath", RotatingPathAdversary, {"shift": 1}),
-        ("SortedPath[asc]", SortedPathAdversary, {"ascending": True, "tie_break": "index"}),
-        ("SortedPath[desc]", SortedPathAdversary, {"ascending": False, "tie_break": "index"}),
-        ("TwoPhaseFlip", TwoPhaseFlipAdversary, {"alpha": 0.5, "ascending": True}),
-        ("ZeinerStyle", ZeinerStyleAdversary, {"phase1_rounds": None}),
-        ("Runner", RunnerAdversary, {}),
         ("CyclicFamily", CyclicFamilyAdversary, {"m_stride": None}),
         ("RandomTree", RandomTreeAdversary, {}),
     ]
-    if include_search:
-        rows += [
-            ("GreedyDelay", GreedyDelayAdversary, {}),
-            ("BeamSearch", BeamSearchAdversary, {"depth": 2, "width": 6}),
-        ]
-    return rows
 
 
 def count_calls(monkeypatch, module, name: str) -> List[int]:

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversaries.zeiner import (
-    CyclicFamilyAdversary,
-    RunnerAdversary,
-    ZeinerStyleAdversary,
-    quadratic_potential_score,
-)
+from repro.adversaries.zeiner import CyclicFamilyAdversary, quadratic_potential_score
 from repro.core.bounds import lower_bound, upper_bound
 from repro.core.broadcast import run_adversary
 from repro.core.state import BroadcastState
@@ -86,37 +81,15 @@ class TestQuadraticScore:
         assert path_score < star_score
 
 
-class TestHeuristicBaselines:
-    def test_zeiner_style_below_cyclic_family(self):
-        # Documented negative result: linear-order re-rooting heuristics
-        # cannot even sustain the static path's n - 1 in general -- the
-        # adaptive re-sorting accidentally *helps* broadcast.  They stay
-        # within the theorem and strictly below the cyclic construction.
-        n = 8
-        t = run_adversary(ZeinerStyleAdversary(n), n).t_star
-        assert 1 <= t <= upper_bound(n)
-        assert t < lower_bound(n)
-
-    def test_runner_below_cyclic_family(self):
-        n = 8
-        t = run_adversary(RunnerAdversary(n), n).t_star
-        assert 1 <= t <= upper_bound(n)
-        assert t < lower_bound(n)
-
-    def test_zeiner_style_phase1_override(self):
-        adv = ZeinerStyleAdversary(8, phase1_rounds=0)
-        assert run_adversary(adv, 8).t_star is not None
-
-
 class TestPortfolio:
     def test_contains_cyclic_family(self):
-        handles = portfolio_handles(include_search=False)
-        assert portfolio_rows(handles) == expected_portfolio(include_search=False)
+        handles = portfolio_handles()
+        assert portfolio_rows(handles) == expected_portfolio()
 
     def test_best_known_is_cyclic_at_small_n(self):
         board = {
             label: run_adversary(handle(6), 6).t_star
-            for label, handle in portfolio_handles(include_search=False).items()
+            for label, handle in portfolio_handles().items()
         }
         assert board["CyclicFamily"] == lower_bound(6)
         # The portfolio's weaker members must all be <= the winner.
@@ -124,6 +97,6 @@ class TestPortfolio:
 
     def test_every_portfolio_member_respects_theorem(self):
         n = 7
-        for label, handle in portfolio_handles(include_search=False).items():
+        for label, handle in portfolio_handles().items():
             t = run_adversary(handle(n), n).t_star
             assert t <= upper_bound(n), f"{label} violated the upper bound"

@@ -3,7 +3,7 @@
 The central correctness net for the bitset backend: randomized tree
 sequences (seeded, n up to 128) must produce identical broadcast times,
 broadcaster sets, reach/heard-of counts, matrices, and keys under both
-backends, and the search adversaries must make identical decisions.
+backends, and the adaptive adversaries must make identical decisions.
 ``N_VALUES x CASES_PER_N`` gives the randomized cross-backend case count
 (asserted >= 200 below).
 """
@@ -15,15 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversaries.beam import BeamSearchAdversary
-from repro.adversaries.greedy import GreedyDelayAdversary, score_tree
+from repro.adversaries.restricted import KInnerAdversary, KLeafAdversary
 from repro.adversaries.zeiner import CyclicFamilyAdversary
 from repro.core import matrix as M
 from repro.core.backend import get_backend, use_backend
 from repro.core.broadcast import run_sequence
 from repro.core.product import product_of_trees
 from repro.core.state import BroadcastState
-from repro.engine.batch import score_candidates
 from repro.trees.generators import random_tree
 
 from helpers import run_with
@@ -115,33 +113,19 @@ def test_product_of_trees_agrees(n):
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda n: GreedyDelayAdversary(n, seed=3),
-        lambda n: BeamSearchAdversary(n, depth=2, width=4, seed=3),
+        lambda n: KLeafAdversary(n, 2),
+        lambda n: KInnerAdversary(n, 2),
         lambda n: CyclicFamilyAdversary(n),
     ],
-    ids=["greedy", "beam", "cyclic-family"],
+    ids=["k-leaf", "k-inner", "cyclic-family"],
 )
 def test_adversaries_play_identically(n, factory):
-    """Search adversaries pick the same trees and t* on both backends."""
+    """Adaptive adversaries pick the same trees and t* on both backends."""
     dense = run_with(factory(n), n, keep_trees=True, backend="dense")
     packed = run_with(factory(n), n, keep_trees=True, backend="bitset")
     assert dense.t_star == packed.t_star
     assert dense.broadcasters == packed.broadcasters
     assert dense.trees == packed.trees
-
-
-@pytest.mark.parametrize("n", [2, 5, 11, 30, 70])
-def test_batched_scoring_matches_reference(n):
-    """score_candidates == score_tree, per candidate, on both backends."""
-    rng = np.random.default_rng(n)
-    for backend in ("dense", "bitset"):
-        state = BroadcastState.initial(n, backend=backend)
-        for _ in range(n // 2 + 1):
-            state.apply_tree_inplace(random_tree(n, rng))
-        candidates = [random_tree(n, rng) for _ in range(8)]
-        assert score_candidates(state, candidates) == [
-            score_tree(state, t) for t in candidates
-        ]
 
 
 @given(data=st.data(), n=st.integers(min_value=1, max_value=70))

@@ -1,7 +1,7 @@
 """BatchRunner: batched runs must agree element-wise with sequential runs.
 
 Covers explicit sequences (ragged, B=1, n=1), adaptive adversaries
-(greedy/beam scoring included), multi-seed sweeps, truncation semantics,
+(the restricted k-leaf/k-inner families included), multi-seed sweeps, truncation semantics,
 and the stacked-tensor bookkeeping itself -- on both backends.
 """
 
@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.adversaries.beam import BeamSearchAdversary
-from repro.adversaries.greedy import GreedyDelayAdversary
 from repro.adversaries.oblivious import RandomTreeAdversary
 from repro.adversaries.paths import StaticPathAdversary
+from repro.adversaries.restricted import KInnerAdversary, KLeafAdversary
 from repro.core.broadcast import run_adversary, run_sequence
 from repro.engine.batch import BatchRunner, run_sequences_batch
 from repro.engine.executor import BatchExecutor, RunSpec
@@ -86,10 +85,10 @@ def test_ragged_padding_is_noop(backend):
     "factory",
     [
         lambda n, s: RandomTreeAdversary(n, seed=s),
-        lambda n, s: GreedyDelayAdversary(n, seed=s),
-        lambda n, s: BeamSearchAdversary(n, depth=2, width=3, seed=s),
+        lambda n, s: KLeafAdversary(n, k=s + 1),
+        lambda n, s: KInnerAdversary(n, k=s + 1),
     ],
-    ids=["random", "greedy", "beam"],
+    ids=["random", "k-leaf", "k-inner"],
 )
 def test_adversaries_batch_matches_sequential(backend, factory):
     """Adaptive batched runs agree run-by-run with sequential drivers."""

@@ -83,15 +83,15 @@ class TestSimulate:
 
 
 class TestSweepExactLemmas:
-    def test_sweep_fast(self, capsys):
-        assert main(["sweep", "--ns", "5", "6", "--fast"]) == 0
+    def test_sweep(self, capsys):
+        assert main(["sweep", "--ns", "5", "6"]) == 0
         out = capsys.readouterr().out
         assert "sandwich" in out.lower()
 
     def test_sweep_engines_print_identical_tables(self, capsys):
         tables = []
         for engine in ("sequential", "batch", "sharded"):
-            assert main(["sweep", "--ns", "5", "6", "--fast", "--engine", engine]) == 0
+            assert main(["sweep", "--ns", "5", "6", "--engine", engine]) == 0
             tables.append(capsys.readouterr().out)
         assert tables[0] == tables[1] == tables[2]
 
@@ -100,14 +100,14 @@ class TestSweepExactLemmas:
         outs = []
         for i, ns in enumerate((["5", "6"], ["5", "6"], ["5", "6", "7"])):
             out = str(tmp_path / f"sweep{i}.json")
-            argv = ["sweep", "--ns", *ns, "--fast", "--cache", cache, "--out", out]
+            argv = ["sweep", "--ns", *ns, "--cache", cache, "--out", out]
             assert main(argv) == 0
             outs.append((capsys.readouterr().err, (tmp_path / f"sweep{i}.json").read_text()))
-        assert "0 cached, 21 computed, runs computed: 20" in outs[0][0]
-        assert "21 cached, 0 computed, runs computed: 0" in outs[1][0]
+        assert "0 cached, 9 computed, runs computed: 8" in outs[0][0]
+        assert "9 cached, 0 computed, runs computed: 0" in outs[1][0]
         assert outs[1][1] == outs[0][1]
         # the enlarged grid computes only the new n=7 column (+ its agg)
-        assert "20 cached, 11 computed, runs computed: 10" in outs[2][0]
+        assert "8 cached, 5 computed, runs computed: 4" in outs[2][0]
 
     def test_simulate_batch_engine(self, capsys):
         assert main(["simulate", "-n", "8", "--engine", "batch"]) == 0
@@ -117,7 +117,7 @@ class TestSweepExactLemmas:
 
     def test_workers_warning_on_non_sharded_engine(self, capsys):
         assert main(
-            ["sweep", "--ns", "5", "--fast", "--engine", "batch", "--workers", "4"]
+            ["sweep", "--ns", "5", "--engine", "batch", "--workers", "4"]
         ) == 0
         assert "--workers 4 is ignored" in capsys.readouterr().err
 

@@ -5,7 +5,8 @@ The contract of :mod:`repro.engine.executor` is strict:
 * :class:`SequentialExecutor`, :class:`BatchExecutor`, and
   :class:`ShardedExecutor` are **decision-equivalent** -- identical
   ``t_star``, broadcasters, and final product matrices for every
-  adversary in the portfolio, on randomized grids, under both backends;
+  adversary in the portfolio and the restricted adaptive families, on
+  randomized grids, under both backends;
 * the compiled parent-schedule fast path is **bit-identical** to the
   per-round :class:`RootedTree` path (the schedules literally are the
   trees' parent rows, and runs driven either way end in the same state);
@@ -21,12 +22,8 @@ import pytest
 
 from repro.adversaries.base import Adversary, SequenceAdversary
 from repro.adversaries.oblivious import RandomTreeAdversary, StaticTreeAdversary
-from repro.adversaries.paths import (
-    AlternatingPathAdversary,
-    RotatingPathAdversary,
-    SortedPathAdversary,
-    StaticPathAdversary,
-)
+from repro.adversaries.paths import RotatingPathAdversary, StaticPathAdversary
+from repro.adversaries.restricted import KInnerAdversary, KLeafAdversary, spider_from_order
 from repro.adversaries.zeiner import CyclicFamilyAdversary
 from repro.core.backend import use_backend
 from repro.core.bounds import resolve_round_cap, trivial_upper_bound
@@ -48,8 +45,12 @@ BACKENDS = ["dense", "bitset"]
 
 
 def _fresh_portfolio(n: int):
-    """Portfolio instances (search included -- n stays small here)."""
-    return [handle(n) for handle in portfolio_handles(include_search=True).values()]
+    """Portfolio instances plus the restricted adaptive families."""
+    k = max(1, n // 3)
+    return [handle(n) for handle in portfolio_handles().values()] + [
+        KLeafAdversary(n, k),
+        KInnerAdversary(n, k),
+    ]
 
 
 def _report_key(report):
@@ -157,7 +158,7 @@ class TestExecutorEquivalence:
 
     def test_spawned_sharded_matches_sequential(self):
         # Real worker processes (spawn) on a small mixed-n grid.
-        factories = portfolio_handles(include_search=False)
+        factories = portfolio_handles()
         specs = [
             RunSpec(adversary=factory, n=n, name=name)
             for n in (6, 9)
@@ -171,7 +172,7 @@ class TestExecutorEquivalence:
 
     @pytest.mark.parametrize("engine", ["sequential", "batch", "sharded"])
     def test_sweep_identical_across_engines(self, engine):
-        factories = portfolio_handles(include_search=False)
+        factories = portfolio_handles()
         want = SequentialExecutor().sweep(factories, [6, 8])
         got = get_executor(engine).sweep(factories, [6, 8])
         assert got == want
@@ -185,8 +186,8 @@ class TestCompiledSchedules:
     COMPILABLE = [
         lambda n: StaticPathAdversary(n),
         lambda n: StaticTreeAdversary(star(n)),
-        lambda n: AlternatingPathAdversary(n, period=1),
-        lambda n: AlternatingPathAdversary(n, period=3),
+        lambda n: RotatingPathAdversary(n, shift=3),
+        lambda n: SequenceAdversary([path(n), path(n), star(n)], after="repeat"),
         lambda n: RotatingPathAdversary(n, shift=1),
         lambda n: RotatingPathAdversary(n, shift=2),
         lambda n: RotatingPathAdversary(n, shift=0),
@@ -227,34 +228,37 @@ class TestCompiledSchedules:
         # the equivalent tree-returning twin bit-for-bit.
         calls = []
 
-        class RowSorted(Adversary):
-            """SortedPathAdversary, but emitting rows directly."""
+        class RowSpider(Adversary):
+            """KLeafAdversary with k = 2, but emitting rows directly."""
 
             def next_tree(self, state, round_index):
-                from repro.trees.generators import path_from_order
-
-                return path_from_order(self._order(state))
+                return spider_from_order(self._order(state).tolist(), 2)
 
             def next_parents(self, state, round_index):
                 calls.append(round_index)
                 order = self._order(state)
+                # Two legs: the j-th node of the order hangs off the
+                # (j - 2)-th, or off the center (j = 0) while the legs start.
                 row = np.empty(state.n, dtype=np.int64)
-                row[order[0]] = order[0]
-                for a, b in zip(order, order[1:]):
-                    row[b] = a
+                row[order] = order[np.maximum(np.arange(state.n) - 2, 0)]
                 return row
 
             @staticmethod
             def _order(state):
-                rows = state.reach_sizes()
-                return sorted(range(state.n), key=lambda v: (rows[v], v))
+                rows, cols = state.reach_sizes(), state.heard_of_sizes()
+                center = min(range(state.n), key=lambda v: (cols[v], rows[v], v))
+                rest = sorted(
+                    (v for v in range(state.n) if v != center),
+                    key=lambda v: (rows[v], v),
+                )
+                return np.array([center] + rest, dtype=np.int64)
 
         n = 9
         for executor in (SequentialExecutor(), BatchExecutor()):
             calls.clear()
-            via_rows = executor.run(RunSpec(adversary=RowSorted(), n=n))
+            via_rows = executor.run(RunSpec(adversary=RowSpider(), n=n))
             assert calls, f"{executor.name} never called next_parents"
-            oracle = SequentialExecutor().run(RunSpec(adversary=SortedPathAdversary(n), n=n))
+            oracle = SequentialExecutor().run(RunSpec(adversary=KLeafAdversary(n, 2), n=n))
             assert via_rows.t_star == oracle.t_star
             assert via_rows.final_state.key() == oracle.final_state.key()
 
@@ -270,17 +274,17 @@ class TestCompiledSchedules:
             SequentialExecutor().run(RunSpec(adversary=BadRows(), n=6))
 
     def test_default_next_parents_routes_through_next_tree(self):
-        adv = SortedPathAdversary(6)
+        adv = KLeafAdversary(6, 2)
         state = BroadcastState.initial(6)
         row = adv.next_parents(state, 1)
         assert (row == adv.next_tree(state, 1).parent_array_numpy()).all()
 
     def test_adaptive_adversaries_do_not_compile(self):
         report = SequentialExecutor().run(
-            RunSpec(adversary=SortedPathAdversary(8), n=8)
+            RunSpec(adversary=KLeafAdversary(8, 2), n=8)
         )
         assert not report.compiled
-        assert SortedPathAdversary(8).compile_schedule(8, 4) is None
+        assert KLeafAdversary(8, 2).compile_schedule(8, 4) is None
         assert CyclicFamilyAdversary(8).compile_schedule(8, 4) is None
 
     def test_instrumented_runs_skip_the_fast_path(self):

@@ -2,9 +2,9 @@
 
 ``tests/fixtures/golden_tstar.json`` pins the broadcast times measured on
 the seed (dense) implementation for the static path (t* = n - 1,
-Section 2), the Zeiner-style two-phase heuristic, the cyclic chain-fan
-family (the Theorem 3.1 lower-bound witness, t* = ceil((3n-1)/2) - 2),
-and the cyclic nonsplit reduction of [9]/[1].  Both backends must
+Section 2), the cyclic chain-fan family (the Theorem 3.1 lower-bound
+witness, t* = ceil((3n-1)/2) - 2), and the cyclic nonsplit reduction of
+[9]/[1].  Both backends must
 reproduce every recorded value bit-for-bit; any drift is a correctness
 regression, not noise.
 
@@ -32,11 +32,7 @@ import pytest
 from repro.adversaries import zeiner
 from repro.adversaries.nonsplit import NonsplitAdversary, broadcast_time_nonsplit
 from repro.adversaries.paths import StaticPathAdversary
-from repro.adversaries.zeiner import (
-    CyclicFamilyAdversary,
-    ZeinerStyleAdversary,
-    quadratic_potential_score,
-)
+from repro.adversaries.zeiner import CyclicFamilyAdversary, quadratic_potential_score
 from repro.analysis.intervals import as_cyclic_interval
 from repro.core.backend import get_backend, use_backend
 from repro.core.broadcast import run_adversary
@@ -53,9 +49,6 @@ NS = sorted(int(n) for n in GOLDEN["static_path"])
 CONSTRUCTIONS = {
     "static_path": lambda n, backend: run_adversary(
         StaticPathAdversary(n), n, backend=backend
-    ).t_star,
-    "zeiner_style": lambda n, backend: run_adversary(
-        ZeinerStyleAdversary(n), n, backend=backend
     ).t_star,
     "cyclic_family": lambda n, backend: run_adversary(
         CyclicFamilyAdversary(n), n, backend=backend

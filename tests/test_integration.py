@@ -67,7 +67,7 @@ class TestTheorem31E2:
 
     @pytest.mark.parametrize("n", [5, 8, 11])
     def test_portfolio_respects_upper_bound(self, n):
-        handles = portfolio_handles(include_search=False)
+        handles = portfolio_handles()
         reports = BatchExecutor().run_many(
             [RunSpec(adversary=handle, n=n) for handle in handles.values()]
         )

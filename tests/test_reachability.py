@@ -72,10 +72,6 @@ HOOKS = frozenset({"do_GET", "do_POST", "log_message"})
 #: covers everything defined under it, and the code it calls counts as
 #: reached.  Drop an entry once it gains a caller (the test says so).
 ALLOWED_UNREACHED = {
-    "repro.adversaries.greedy.score_tree": (
-        "single-candidate reference that tests pin the batched "
-        "engine.batch.score_candidates against"
-    ),
     "repro.adversaries.zeiner.quadratic_potential_score": (
         "score formula that test_golden_tstar pins the prefix-sum cyclic scorer against"
     ),

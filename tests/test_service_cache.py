@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.backend import use_backend
 from repro.engine.executor import BatchExecutor, SequentialExecutor, ShardedExecutor
-from repro.errors import CacheError
+from repro.errors import CacheError, SpecError
 from repro.service.cache import (
     CACHE_FORMAT_VERSION,
     ResultCache,
@@ -25,19 +25,13 @@ from repro.service.cache import (
 from repro.service.specs import portfolio_handles, spec_digest, to_run_spec
 from repro.service.tasks import run_graph, sweep_graph
 
-#: Every portfolio family, with small-n-safe params.
+#: Every registered family, with small-n-safe params.
 PORTFOLIO = [
     ("static-path", {}),
-    ("alternating-path", {"period": 2}),
+    ("static-star", {}),
     ("rotating-path", {"shift": 2}),
-    ("sorted-path", {"ascending": False}),
-    ("two-phase-flip", {}),
-    ("zeiner-style", {}),
-    ("runner", {}),
     ("cyclic", {}),
     ("random-tree", {}),
-    ("greedy", {}),
-    ("beam", {"depth": 1, "width": 3}),
     ("k-leaf", {"k": 2}),
     ("k-inner", {"k": 2}),
 ]
@@ -81,7 +75,7 @@ class TestReportRoundTrip:
 
         report = SequentialExecutor().run(
             RunSpec(
-                adversary=to_run_spec({"adversary": "runner", "n": 6}).adversary,
+                adversary=to_run_spec({"adversary": "k-leaf", "n": 6}).adversary,
                 n=6,
                 instrumentation="history",
             )
@@ -392,11 +386,25 @@ PARENT_CELL_LINE = (
 )
 
 
+#: Two ``run`` lines as a cache written while the ``greedy`` adversary was
+#: registered holds them: ``greedy``, then ``static-path`` (n=4, dense).
+DELETED_ADVERSARY_LINES = (
+    '{"digest": "0d25a03daeab6391a16435e9bd2404f607f67ba11c0f268728b26a2bdeea6212", '
+    '"format_version": 1, "kind": "run", "payload": {"adversary_name": "GreedyDelay", '
+    '"broadcasters": [0], "compiled": false, "executor": "sequential", "final_round": 3, '
+    '"n": 4, "reach_bits": "f731", "rounds": 3, "seed": 0, "t_star": 3}}\n'
+    '{"digest": "00738503751c4e5d953503306e8af3559102b928f632fa4c94f30d78d11575c8", '
+    '"format_version": 1, "kind": "run", "payload": {"adversary_name": "StaticPath[n=4]", '
+    '"broadcasters": [0], "compiled": true, "executor": "sequential", "final_round": 3, '
+    '"n": 4, "reach_bits": "f731", "rounds": 3, "seed": 0, "t_star": 3}}\n'
+)
+
+
 def _portfolio_sweep(ns, **extra):
-    """The CLI's fast portfolio as a sweep spec over ``ns``."""
+    """The CLI's portfolio as a sweep spec over ``ns``."""
     rows = [
         {"adversary": h.adversary, "params": h.params, "label": label}
-        for label, h in portfolio_handles(include_search=False).items()
+        for label, h in portfolio_handles().items()
     ]
     return sweep_graph({"adversaries": rows, "ns": ns, **extra})
 
@@ -409,7 +417,7 @@ class TestCachedSweeps:
     @pytest.mark.parametrize("executor_cls", [SequentialExecutor, BatchExecutor])
     def test_warm_sweep_bit_identical_and_incremental(self, executor_cls):
         executor = executor_cls()
-        rows = len(portfolio_handles(include_search=False))
+        rows = len(portfolio_handles())
         cache = ResultCache()
         small, small_out = _portfolio_sweep([6, 8])
         cold_small = run_graph(small, executor=executor).result(small_out)
@@ -460,6 +468,20 @@ class TestCachedSweeps:
         reopened = ResultCache(path=path)
         assert reopened.lookup(cell, kind="cell") == {"t_star": 5}
         assert len(reopened) == len(cache) == 3  # the cell, the run, the agg
+
+    def test_entry_for_a_deleted_adversary_leaves_the_file_usable(self, tmp_path):
+        """A run entry for an adversary no longer registered still loads;
+        no spec can address it, and the file's other entries still hit."""
+        path = tmp_path / "cache.jsonl"
+        path.write_text(DELETED_ADVERSARY_LINES)
+        cache = ResultCache(path=path)
+        assert cache.stats()["loaded_from_disk"] == 2
+        with pytest.raises(SpecError, match="unknown adversary 'greedy'"):
+            spec_digest({"adversary": "greedy", "n": 4, "backend": "dense"})
+        raw = {"adversary": "static-path", "n": 4, "backend": "dense"}
+        hit = cache.lookup(spec_digest(raw), kind="run")
+        assert hit == report_to_doc(SequentialExecutor().run(to_run_spec(raw)))
+        assert cache.stats()["hits"] == 1
 
     def test_cache_respects_backend_in_the_cell_address(self):
         """Cells are addressed per backend name: no cross-backend serving."""

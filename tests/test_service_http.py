@@ -18,6 +18,7 @@ from repro.engine.executor import SequentialExecutor
 from repro.errors import (
     ServiceConnectionError,
     ServiceError,
+    SpecError,
     SpecRejectedError,
     UnknownResourceError,
 )
@@ -72,7 +73,7 @@ def test_service_smoke(service):
 
 def test_resubmission_is_served_from_cache(service):
     _, client = service
-    spec = {"adversary": "sorted-path", "n": 14, "params": {"ascending": False}}
+    spec = {"adversary": "k-leaf", "n": 14, "params": {"k": 2}}
     cold = client.wait(client.submit_run(spec)["job_id"], timeout=30)
     warm = client.submit_run({k: spec[k] for k in reversed(list(spec))})
     assert warm["status"] == "done" and warm["cached"] is True
@@ -82,12 +83,36 @@ def test_resubmission_is_served_from_cache(service):
     assert metrics["cache"]["hits"] >= 1
 
 
+#: Adversary names the registry no longer holds.
+DELETED_ADVERSARIES = [
+    "greedy",
+    "beam",
+    "runner",
+    "two-phase-flip",
+    "zeiner-style",
+    "sorted-path",
+    "alternating-path",
+]
+
+
+@pytest.mark.parametrize("name", DELETED_ADVERSARIES)
+def test_deleted_adversaries_are_rejected(service, name):
+    _, client = service
+    with pytest.raises(SpecError, match=f"unknown adversary '{name}'"):
+        to_run_spec({"adversary": name, "n": 8})
+    status, doc = client._request("POST", "/v1/runs", {"adversary": name, "n": 8})
+    assert status == 400 and f"unknown adversary '{name}'" in doc["error"]
+    sweep = {"adversaries": ["static-path", name], "ns": [6]}
+    status, doc = client._request("POST", "/v1/sweeps", sweep)
+    assert status == 400 and f"unknown adversary '{name}'" in doc["error"]
+
+
 def test_error_envelopes(service):
     _, client = service
     with pytest.raises(ServiceError, match="unknown adversary"):
         client.submit_run({"adversary": "no-such", "n": 8})
     with pytest.raises(ServiceError, match="missing 'n'"):
-        client.submit_run({"adversary": "runner"})
+        client.submit_run({"adversary": "k-leaf"})
     with pytest.raises(ServiceError, match="unknown job id"):
         client.job("job-999999")
     status, doc = client._request("GET", "/v1/nope")
@@ -143,12 +168,12 @@ class TestBatchSubmission:
         specs = [
             {"adversary": "static-path", "n": 9},
             {"adversary": "rotating-path", "n": 9, "params": {"shift": 2}},
-            {"adversary": "runner", "n": 9},
+            {"adversary": "k-leaf", "n": 9},
         ]
         jobs = client.submit_runs(specs)
         assert len(jobs) == 3
         assert [j["spec"]["adversary"] for j in jobs] == [
-            "static-path", "rotating-path", "runner",
+            "static-path", "rotating-path", "k-leaf",
         ]
         assert [j["digest"] for j in jobs] == [spec_digest(s) for s in specs]
         expected = {
@@ -166,8 +191,8 @@ class TestBatchSubmission:
             [
                 {"adversary": "static-path", "n": 7},
                 {"adversary": "no-such", "n": 7},
-                {"adversary": "runner"},  # missing n
-                {"adversary": "runner", "n": 7},
+                {"adversary": "k-leaf"},  # missing n
+                {"adversary": "k-leaf", "n": 7},
             ]
         )
         assert "job_id" in jobs[0] and "job_id" in jobs[3]
@@ -201,7 +226,7 @@ def test_specs_endpoint_lists_task_kinds(service):
 
 def test_metrics_report_cache_bytes(service):
     _, client = service
-    client.wait(client.submit_run({"adversary": "runner", "n": 8})["job_id"], timeout=60)
+    client.wait(client.submit_run({"adversary": "k-leaf", "n": 8})["job_id"], timeout=60)
     cache_stats = client.metrics()["cache"]
     assert cache_stats["bytes"] > 0
     assert "max_bytes" in cache_stats
@@ -209,7 +234,7 @@ def test_metrics_report_cache_bytes(service):
 
 def test_sweeps_alias_and_job_envelope(service):
     _, client = service
-    doc = client.submit_sweep({"adversaries": ["runner"], "ns": [6]})
+    doc = client.submit_sweep({"adversaries": ["k-leaf"], "ns": [6]})
     done = client.wait(doc["job_id"], timeout=30)
     status, alias = client._request("GET", f"/v1/sweeps/{doc['job_id']}")
     assert status == 200
@@ -261,10 +286,10 @@ def test_concurrent_clients_compute_each_digest_once(service):
     specs = [
         {"adversary": "static-path", "n": 12},
         {"adversary": "rotating-path", "n": 12, "params": {"shift": 2}},
-        {"adversary": "alternating-path", "n": 12, "params": {"period": 2}},
-        {"adversary": "sorted-path", "n": 12},
-        {"adversary": "runner", "n": 12},
-        {"adversary": "two-phase-flip", "n": 12},
+        {"adversary": "k-inner", "n": 12, "params": {"k": 2}},
+        {"adversary": "cyclic", "n": 12},
+        {"adversary": "k-leaf", "n": 12},
+        {"adversary": "static-star", "n": 12},
     ]
     digests = {spec_digest(s) for s in specs}
     assert len(digests) == len(specs)

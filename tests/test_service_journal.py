@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.adversaries.paths import StaticPathAdversary
 from repro.errors import (
     JournalError,
     PayloadTooLargeError,
@@ -37,8 +38,10 @@ from repro.service.journal import JOURNAL_FORMAT_VERSION, JobJournal
 from repro.service.scheduler import JobScheduler
 from repro.service import server as service_server
 from repro.service.server import ServiceServer
-from repro.service.specs import canonical_run_spec, spec_digest
+from repro.service.specs import canonical_run_spec, register_adversary, spec_digest
 from repro.service.tasks import TaskGraph, TaskGraphRunner, graph_digest
+
+from helpers import unregister_adversary
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -210,6 +213,32 @@ class TestSchedulerRecovery:
         assert sched.recover() == 0
         job = sched.job("job-000001")
         assert job.status == "failed" and job.error == "AdversaryError: bad"
+
+    @pytest.mark.parametrize("executor", ["batch", "sequential"])
+    def test_recovered_unknown_adversary_fails_alone(self, tmp_path, executor):
+        """A journaled run whose adversary is no longer registered fails
+        its own job; the run batched next to it still finishes."""
+        journal_path = tmp_path / "jobs.jsonl"
+        register_adversary("doomed", StaticPathAdversary)
+        try:
+            sched = JobScheduler(executor=executor, journal=journal_path)
+            kept = sched.submit_run({"adversary": "static-path", "n": 6}).job_id
+            doomed = sched.submit_run({"adversary": "doomed", "n": 6}).job_id
+            sweep = sched.submit_sweep({"adversaries": ["doomed"], "ns": [6]}).job_id
+            sched.stop()
+        finally:
+            unregister_adversary("doomed")
+        restarted = JobScheduler(executor=executor, journal=journal_path)
+        assert restarted.recover() == 1
+        with restarted:
+            assert restarted.wait(kept, timeout=30).status == "done"
+        job = restarted.job(doomed)
+        assert job.status == "failed"
+        assert "unrecoverable run spec" in job.error
+        assert "unknown adversary 'doomed'" in job.error
+        assert "unrecoverable sweep spec" in restarted.job(sweep).error
+        replayed = JobJournal(journal_path).replay()
+        assert replayed[doomed].status == replayed[sweep].status == "failed"
 
     def test_recovered_graph_recomputes_only_missing_nodes(self, tmp_path):
         """The warm-frontier property, deterministically (no kill).

@@ -87,9 +87,9 @@ def test_submit_run_completes_with_correct_result():
 
 def test_second_submit_hits_the_cache():
     with JobScheduler() as scheduler:
-        first = scheduler.submit_run({"adversary": "runner", "n": 10})
+        first = scheduler.submit_run({"adversary": "k-leaf", "n": 10})
         first = scheduler.wait(first.job_id, timeout=30)
-        second = scheduler.submit_run({"adversary": "runner", "n": 10, "seed": 0})
+        second = scheduler.submit_run({"adversary": "k-leaf", "n": 10, "seed": 0})
         assert second.status == "done"
         assert second.cached is True
         assert second.job_id != first.job_id

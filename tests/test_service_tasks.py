@@ -274,7 +274,7 @@ class TestGraphConstruction:
 
     def test_round_trip_through_doc(self):
         graph, out = sweep_graph(
-            {"adversaries": ["static-path", "runner"], "ns": [4, 6]}
+            {"adversaries": ["static-path", "k-leaf"], "ns": [4, 6]}
         )
         doc = graph.to_doc()
         rebuilt, outputs = TaskGraph.from_doc(doc)
@@ -284,7 +284,7 @@ class TestGraphConstruction:
 
 class TestExecution:
     def test_sweep_graph_equals_executor_sweep(self):
-        spec = {"adversaries": ["static-path", "rotating-path", "runner"], "ns": [5, 7, 9]}
+        spec = {"adversaries": ["static-path", "rotating-path", "k-leaf"], "ns": [5, 7, 9]}
         graph, out = sweep_graph(spec)
         run = run_graph(graph)
         assert run.ok
@@ -300,7 +300,7 @@ class TestExecution:
         assert decoded.to_json() == ref.to_json()
 
     def test_batch_executor_equivalent(self):
-        spec = {"adversaries": ["static-path", "sorted-path"], "ns": [6, 8]}
+        spec = {"adversaries": ["static-path", "k-inner"], "ns": [6, 8]}
         graph, out = sweep_graph(spec)
         seq = run_graph(graph, executor="sequential").result(out)
         bat = run_graph(graph, executor=BatchExecutor()).result(out)
@@ -308,7 +308,7 @@ class TestExecution:
 
     def test_warm_cache_computes_nothing(self):
         cache = ResultCache()
-        graph, out = sweep_graph({"adversaries": ["static-path", "runner"], "ns": [6, 8]})
+        graph, out = sweep_graph({"adversaries": ["static-path", "k-leaf"], "ns": [6, 8]})
         cold = TaskGraphRunner(cache=cache).run(graph)
         assert cold.stats["computed"] == len(graph) and cold.stats["cached"] == 0
         warm = TaskGraphRunner(cache=cache).run(graph)

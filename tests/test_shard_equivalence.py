@@ -13,8 +13,13 @@ across the process boundary.
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +38,8 @@ from repro.errors import SimulationError
 from repro.service.specs import portfolio_handles
 
 from helpers import expected_portfolio, portfolio_rows
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Worker counts exercised everywhere: inline, even split, more workers
 #: than some shards can fill (uneven shards).
@@ -183,12 +190,41 @@ class TestValidationAndSafety:
         got = executor.sweep({"lambda": lambda n: StaticPathAdversary(n)}, [4, 5])
         assert [p.t_star for p in got.points] == [3, 4]
 
+    def test_workers_that_cannot_start_raise_not_hang(self):
+        # Spawned workers re-import __main__; read from stdin, it cannot be
+        # imported, so every worker dies at start-up.  The call must fail
+        # with a SimulationError instead of respawning workers forever.
+        script = textwrap.dedent(
+            """
+            from repro.adversaries.paths import StaticPathAdversary
+            from repro.engine.executor import RunSpec, ShardedExecutor
+
+            def factory(n):
+                return StaticPathAdversary(n)
+
+            specs = [RunSpec(adversary=factory, n=n) for n in (4, 5, 6, 7)]
+            ShardedExecutor(workers=2).run_many(specs)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-"],
+            input=script,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert "SimulationError" in proc.stderr
+        assert "importable" in proc.stderr
+
     def test_default_factories_are_picklable(self):
-        for label, handle in portfolio_handles(include_search=True).items():
+        for label, handle in portfolio_handles().items():
             clone = pickle.loads(pickle.dumps(handle))
             assert clone.label == label
             assert clone(6).name == handle(6).name
 
     def test_default_factories_mirror_portfolio(self):
-        handles = portfolio_handles(include_search=True)
+        handles = portfolio_handles()
         assert portfolio_rows(handles) == expected_portfolio()

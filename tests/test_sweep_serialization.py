@@ -50,7 +50,7 @@ class TestRoundTrip:
 
         out = tmp_path / "sweep.json"
         assert (
-            main(["sweep", "--ns", "5", "6", "--fast", "--out", str(out)]) == 0
+            main(["sweep", "--ns", "5", "6", "--out", str(out)]) == 0
         )
         loaded = SweepResult.load(out)
         assert loaded.ns() == [5, 6]
